@@ -9,6 +9,8 @@
 // can interleave freely inside one stream.
 package bitio
 
+import "math/bits"
+
 // Writer accumulates a bit stream in memory. The zero value is ready to use.
 type Writer struct {
 	buf   []byte
@@ -118,10 +120,5 @@ func UnZigZag(u uint64) int64 {
 // WidthOf returns the number of bits needed to represent v, i.e.
 // ceil(log2(v+1)); WidthOf(0) == 0.
 func WidthOf(v uint64) uint {
-	var n uint
-	for v != 0 {
-		n++
-		v >>= 1
-	}
-	return n
+	return uint(bits.Len64(v))
 }

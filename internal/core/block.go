@@ -180,7 +180,8 @@ func classOf(plan *Plan, v int64) class {
 // steady-state block decode allocates nothing. marks is the compact outlier
 // list the bitmap pass produces (position<<1 | class bit, 1 = upper); with
 // blocks capped at maxBlockLen (1<<22) values a position always fits. A
-// Scratch is single-goroutine state, like the Packer that owns one.
+// Scratch is single-goroutine state: concurrent decodes each need their own
+// (Packer.Unpack borrows one per call).
 type Scratch struct {
 	marks []uint32
 }

@@ -125,6 +125,26 @@ func TestExhaustiveSmallUniverse(t *testing.T) {
 	t.Logf("checked %d series exhaustively", checked)
 }
 
+// sweepSmallUniverse calls fn on the series TestExhaustiveSmallUniverse
+// covers: every series of length 1..4 over a 5-value alphabet and every
+// length-5 series over a 4-value alphabet. fn must not retain its argument.
+func sweepSmallUniverse(fn func([]int64)) {
+	var sweep func(prefix []int64, depth int, alpha []int64)
+	sweep = func(prefix []int64, depth int, alpha []int64) {
+		if len(prefix) > 0 {
+			fn(prefix)
+		}
+		if depth == 0 {
+			return
+		}
+		for _, a := range alpha {
+			sweep(append(prefix, a), depth-1, alpha)
+		}
+	}
+	sweep(nil, 4, []int64{0, 1, 2, 5, 13})
+	sweep(nil, 5, []int64{0, 3, 4, 11})
+}
+
 // TestBruteOracleAgreesOnIntro pins the oracle itself to the hand-computed
 // intro example so the oracle and the planners cannot drift together.
 func TestBruteOracleAgreesOnIntro(t *testing.T) {

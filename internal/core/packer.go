@@ -1,19 +1,24 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Packer adapts a separation strategy to the codec.Packer contract, making
 // BOS a drop-in replacement for the bit-packing operator inside RLE, SPRINTZ,
-// TS2DIFF and any other block codec.
+// TS2DIFF and any other block codec. A Packer holds no mutable state and is
+// safe for concurrent use. One instance is commonly shared: a tsfile.Reader
+// decodes every chunk of its file, from every querying goroutine, through
+// one, and bosserver hands a single packer to every file it opens.
 type Packer struct {
 	Sep Separation
-
-	// sc is reused across Unpack calls so steady-state block decode does
-	// not allocate. Packer instances are per-caller (the codec registry
-	// hands out fresh ones via constructors), so this carries no
-	// cross-goroutine state.
-	sc Scratch
 }
+
+// scratchPool lends each Unpack call its own decode scratch, so
+// steady-state block decode does not allocate while concurrent Unpack calls
+// on one Packer never share a mark list.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // NewPacker returns a Packer using the given separation strategy.
 func NewPacker(sep Separation) *Packer { return &Packer{Sep: sep} }
@@ -28,7 +33,10 @@ func (p *Packer) Pack(dst []byte, vals []int64) []byte {
 
 // Unpack implements codec.Packer.
 func (p *Packer) Unpack(src []byte, out []int64) ([]int64, []byte, error) {
-	return DecodeBlockScratch(src, out, &p.sc)
+	sc := scratchPool.Get().(*Scratch)
+	out, rest, err := DecodeBlockScratch(src, out, sc)
+	scratchPool.Put(sc)
+	return out, rest, err
 }
 
 // PartsPacker packs blocks with the k-parts generalization of Figure 14.

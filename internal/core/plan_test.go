@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"bos/internal/dataset"
+	"bos/internal/stats"
+	"bos/internal/ts2diff"
 )
 
 // introSeries is the motivating example from Section I of the paper.
@@ -251,6 +256,71 @@ func TestUpperOnlyBracketsFullBOS(t *testing.T) {
 	}
 }
 
+// TestPartitionSearchMatchesPartitionCost checks the planners' scorer
+// against partitionCost, the Plan builder, on every partition (i, j) of
+// varied blocks: same CostBits, same NL+NU.
+func TestPartitionSearchMatchesPartitionCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		vals := genSeries(rng)
+		d := stats.NewDistinct(vals)
+		m := len(d.Values)
+		s := newPartitionSearch(d)
+		for i := -1; i < m; i++ {
+			base, nl := s.row(i)
+			for j := i + 1; j <= m; j++ {
+				s.cost, s.j = math.MaxInt64, -1 // keep whatever is tried next
+				s.try(i, j, base, nl)
+				p := partitionCost(d, i, j)
+				if s.cost != p.CostBits || s.out != p.NL+p.NU || s.i != i || s.j != j {
+					t.Fatalf("iter %d (%d,%d): scored cost %d out %d, partitionCost %d out %d",
+						iter, i, j, s.cost, s.out, p.CostBits, p.NL+p.NU)
+				}
+			}
+		}
+	}
+}
+
+// upperOnlyOracle is the exact upper-only optimum by brute force: the
+// cheaper of the plain plan and every split of the distinct values into a
+// center d.Values[:j] and upper outliers d.Values[j:].
+func upperOnlyOracle(vals []int64) int64 {
+	best := plainPlan(vals).CostBits
+	if len(vals) == 0 {
+		return best
+	}
+	d := stats.NewDistinct(vals)
+	for j := 0; j < len(d.Values); j++ {
+		best = min(best, partitionCost(d, -1, j).CostBits)
+	}
+	return best
+}
+
+// TestUpperOnlyExact checks BOS-U against the brute-force upper-only
+// optimum: Propositions 2 and 3 hold for the single lower threshold "none"
+// just as for every other.
+func TestUpperOnlyExact(t *testing.T) {
+	check := func(vals []int64) {
+		t.Helper()
+		u := PlanUpperOnly(vals)
+		if want := upperOnlyOracle(vals); u.CostBits != want || u.NL != 0 {
+			t.Fatalf("BOS-U cost %d nl %d, oracle %d, on %v", u.CostBits, u.NL, want, vals)
+		}
+	}
+	rng := rand.New(rand.NewSource(6))
+	for iter := 0; iter < 1000; iter++ {
+		check(genSeries(rng))
+	}
+	for _, rate := range ratePermille {
+		for _, beta := range rateWidths {
+			check(rateSeries(rate, beta))
+		}
+	}
+	checked := 0
+	sweepSmallUniverse(func(vals []int64) { check(vals); checked++ })
+	t.Logf("checked %d small-universe series", checked)
+}
+
 func TestPlanExtremeRange(t *testing.T) {
 	vals := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64, 3, 2, 5, 4, 2, 3, 3}
 	v := PlanValue(vals)
@@ -304,6 +374,35 @@ func TestMedianApproxRatioNormal(t *testing.T) {
 func BenchmarkPlanValue1024(b *testing.B)    { benchPlan(b, SeparationValue) }
 func BenchmarkPlanBitWidth1024(b *testing.B) { benchPlan(b, SeparationBitWidth) }
 func BenchmarkPlanMedian1024(b *testing.B)   { benchPlan(b, SeparationMedian) }
+
+// BenchmarkPlanBitWidth plans the blocks the engine plans: each dataset
+// stand-in as raw values (an int chunk's value column) and as TS2DIFF deltas
+// (its time column, and the TS2DIFF+BOS codecs), at the engine's flush chunk
+// size (500) and the block size of compacted chunks (1024). Each op plans the
+// next of eight consecutive blocks.
+func BenchmarkPlanBitWidth(b *testing.B) {
+	const blocks = 8
+	for _, d := range dataset.All() {
+		for _, size := range []int{500, 1024} {
+			raw := d.Ints(size * blocks)
+			for _, form := range []struct {
+				name string
+				vals []int64
+			}{{"raw", raw}, {"delta", ts2diff.Deltas(raw)}} {
+				b.Run(fmt.Sprintf("%s/%d/%s", d.Abbr, size, form.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						off := i % blocks * size
+						benchPlanSink = PlanBitWidth(form.vals[off : off+size])
+					}
+				})
+			}
+		}
+	}
+}
+
+// benchPlanSink keeps the benchmarked planner calls from being optimized away.
+var benchPlanSink Plan
 
 func benchPlan(b *testing.B, sep Separation) {
 	rng := rand.New(rand.NewSource(5))

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
 
 	"bos/internal/stats"
 )
@@ -17,7 +17,13 @@ import (
 // for every feasible width, instead of every value of X. The propositions
 // guarantee a candidate of one of these two shapes is never worse than any
 // value-shaped solution with the same xl, so PlanBitWidth returns exactly the
-// optimal cost found by PlanValue. O(m log(range) log m).
+// optimal cost found by PlanValue.
+//
+// Cost: O(n log n) to sort the block into its m distinct values, then
+// O(m·W) candidates, W <= 64 being the bit-width of the block's range, each
+// scored in O(1). Threshold indices need no search: the Proposition 3
+// indices depend on gamma alone, and each Proposition 2 index only moves
+// forward as xl grows, so locating them costs O(W·m) steps in all.
 func PlanBitWidth(vals []int64) Plan {
 	return planBitWidth(vals, true)
 }
@@ -33,92 +39,86 @@ func planBitWidth(vals []int64, withLower bool) Plan {
 		return plainPlan(vals)
 	}
 	d := stats.NewDistinct(vals)
-	best := plainPlan(vals)
-	m := len(d.Values)
-	xmax := d.Values[m-1]
+	s := newPartitionSearch(d)
+	v := d.Values
+	m := len(v)
+	xmin, xmax := v[0], v[m-1]
+
+	// The Proposition 3 thresholds xu = xmax - 2^gamma + 1 depend on gamma
+	// alone. prop3 lists, for every gamma that leaves xu above xmin, the
+	// index of the first distinct value >= xu, once per index: each entry
+	// keeps the smallest gamma's offset 2^gamma - 1, which is what a row's
+	// xu > minXc test reads.
+	type prop3Entry struct {
+		j   int
+		off uint64
+	}
+	var prop3 [64]prop3Entry
+	n3 := 0
+	for j, gamma := m, 0; gamma < 64; gamma++ {
+		off := uint64(1)<<gamma - 1
+		if off >= spread(xmin, xmax) {
+			break
+		}
+		xu := int64(uint64(xmax) - off)
+		for v[j-1] >= xu {
+			j--
+		}
+		if n3 == 0 || prop3[n3-1].j != j {
+			prop3[n3] = prop3Entry{j, off}
+			n3++
+		}
+	}
+	// prop2[beta] is the index of the first distinct value >= minXc +
+	// 2^beta at the last xl that used beta. minXc grows with xl, so the
+	// index only moves forward.
+	var prop2 [64]int
 
 	iMax := m - 1
 	if !withLower {
 		iMax = -1
 	}
 	for i := -1; i <= iMax; i++ {
-		if i+1 >= m {
+		base, nl := s.row(i)
+		if s.hopeless(base, nl) {
+			break
+		}
+		lo := i + 1 // the first center value
+		if lo >= m {
 			// All values would be lower outliers; xu has no room.
-			cand := partitionCost(d, i, m)
-			if better(&cand, &best) {
-				best = cand
-			}
+			s.try(i, m, base, nl)
 			continue
 		}
-		minXc := d.Values[i+1]
-		maxWidth := classWidth(spread(minXc, xmax))
+		sp := spread(v[lo], xmax)
 
 		// No upper outliers at all.
-		if cand := partitionCost(d, i, m); i != -1 && better(&cand, &best) {
-			best = cand
+		if i != -1 {
+			s.try(i, m, base, nl)
 		}
 		// All values above xl are upper outliers (empty center).
-		if cand := partitionCost(d, i, i+1); better(&cand, &best) {
-			best = cand
-		}
+		s.try(i, lo, base, nl)
 
-		// Proposition 2 candidates: xu = minXc + 2^beta.
-		for beta := uint(0); beta <= maxWidth; beta++ {
-			xu, ok := addCap(minXc, beta, xmax)
-			if !ok {
-				break // xu beyond xmax: no upper outliers, handled above
+		// Proposition 2 candidates: xu = minXc + 2^beta while xu <= xmax.
+		// Every width whose xu is <= v[j] resolves to j again, and a
+		// repeat cannot beat itself, so the next width tried is the first
+		// whose xu passes v[j].
+		for beta := 0; beta < 64 && uint64(1)<<beta <= sp; {
+			xu := int64(uint64(v[lo]) + uint64(1)<<beta)
+			j := max(prop2[beta], lo+1)
+			for v[j] < xu {
+				j++
 			}
-			j := firstGE(d, xu)
-			if cand := partitionCost(d, i, j); better(&cand, &best) {
-				best = cand
-			}
+			prop2[beta] = j
+			s.try(i, j, base, nl)
+			beta = max(beta+1, bits.Len64(spread(v[lo], v[j])))
 		}
-		// Proposition 3 candidates: xu = xmax - 2^gamma + 1.
-		for gamma := uint(0); gamma <= maxWidth; gamma++ {
-			xu, ok := subFloor(xmax, gamma, minXc)
-			if !ok {
-				break // xu at or below minXc: empty center, handled above
+		// Proposition 3 candidates: xu = xmax - 2^gamma + 1 while xu > minXc.
+		for _, e := range prop3[:n3] {
+			if e.off >= sp {
+				break
 			}
-			j := firstGE(d, xu)
-			if j <= i+1 {
-				continue
-			}
-			if cand := partitionCost(d, i, j); better(&cand, &best) {
-				best = cand
-			}
+			s.try(i, e.j, base, nl)
 		}
 	}
-	return best
-}
-
-// firstGE returns the index of the first distinct value >= v (len if none).
-func firstGE(d *stats.Distinct, v int64) int {
-	return sort.Search(len(d.Values), func(i int) bool { return d.Values[i] >= v })
-}
-
-// addCap computes base + 2^w, reporting ok=false when the result exceeds cap.
-// The arithmetic runs in the uint64 spread domain so that it is exact for the
-// full int64 value range.
-func addCap(base int64, w uint, cap int64) (int64, bool) {
-	if w >= 64 {
-		return 0, false
-	}
-	off := uint64(1) << w
-	if off > spread(base, cap) {
-		return 0, false
-	}
-	return int64(uint64(base) + off), true
-}
-
-// subFloor computes top - 2^w + 1, reporting ok=false when the result is at
-// or below floor.
-func subFloor(top int64, w uint, floor int64) (int64, bool) {
-	if w >= 64 {
-		return 0, false
-	}
-	off := uint64(1)<<w - 1
-	if off >= spread(floor, top) {
-		return 0, false
-	}
-	return int64(uint64(top) - off), true
+	return s.plan(vals)
 }

@@ -3,10 +3,11 @@ package core
 // PlanBitWidthSampled runs the BOS-B planner over a deterministic stride
 // sample of at most sampleSize values, then resolves the sampled plan's
 // thresholds exactly against the full block. It trades the optimality
-// guarantee for planning cost: on large blocks the O(m log m) search runs
-// over the sample's distinct values only, while the emitted plan still
-// carries exact class bounds and true storage cost for the whole block
-// (so encoding remains correct and the BP fallback comparison stays honest).
+// guarantee for planning cost: on large blocks BOS-B's O(n log n) sort and
+// O(m·W) candidate scan run over the sample only and the full block costs
+// one O(n) classification pass, while the emitted plan still carries exact
+// class bounds and true storage cost for the whole block (so encoding
+// remains correct and the BP fallback comparison stays honest).
 //
 // This is an engineering extension beyond the paper: its Figure 15 keeps
 // blocks at 1024 values where full planning is cheap; systems that want

@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -82,23 +83,27 @@ type Distinct struct {
 }
 
 // NewDistinct computes the sorted distinct values and cumulative counts of
-// vals in O(n log n).
+// vals in O(n log n). It allocates the sorted copy, which it deduplicates in
+// place into Values, and CumLE, sized for the worst case of n distinct
+// values, so the scan never grows a slice.
 func NewDistinct(vals []int64) *Distinct {
 	n := len(vals)
 	sorted := make([]int64, n)
 	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	d := &Distinct{N: n}
+	slices.Sort(sorted)
+	cum := make([]int, 0, n)
+	m := 0
 	for i := 0; i < n; {
 		j := i + 1
 		for j < n && sorted[j] == sorted[i] {
 			j++
 		}
-		d.Values = append(d.Values, sorted[i])
-		d.CumLE = append(d.CumLE, j)
+		sorted[m] = sorted[i]
+		m++
+		cum = append(cum, j)
 		i = j
 	}
-	return d
+	return &Distinct{Values: sorted[:m], CumLE: cum, N: n}
 }
 
 // CountLE returns |{x : x <= v}| by binary search.
