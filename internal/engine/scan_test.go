@@ -33,9 +33,8 @@ func samePoints(t *testing.T, got, want []tsfile.Point) {
 }
 
 // TestQueryEachMatchesQuery drives a randomized workload of inserts,
-// overwrites, flushes and deletes, checking that the streaming scan returns
-// exactly what the buffering Query returns, including with a page size small
-// enough to force many scan pages.
+// overwrites, flushes and deletes, checking that the streaming scan and the
+// buffering Query both return exactly what the last-write-wins model holds.
 func TestQueryEachMatchesQuery(t *testing.T) {
 	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 1 << 30})
 	if err != nil {
@@ -44,13 +43,17 @@ func TestQueryEachMatchesQuery(t *testing.T) {
 	defer e.Close()
 	rng := rand.New(rand.NewSource(7))
 	const series = "root.d1.s1"
+	m := model{}
+	s := m.series(series, false)
 	for round := 0; round < 6; round++ {
 		pts := make([]tsfile.Point, 0, 500)
 		for i := 0; i < 500; i++ {
-			pts = append(pts, tsfile.Point{
+			p := tsfile.Point{
 				T: int64(rng.Intn(2000)), // heavy duplicate timestamps
 				V: rng.Int63n(1 << 30),
-			})
+			}
+			pts = append(pts, p)
+			s.ints[p.T] = p.V
 		}
 		if err := e.InsertBatch(series, pts); err != nil {
 			t.Fatal(err)
@@ -64,13 +67,16 @@ func TestQueryEachMatchesQuery(t *testing.T) {
 			if err := e.DeleteRange(series, 300, 600); err != nil {
 				t.Fatal(err)
 			}
+			m.deleteRange(series, 300, 600)
 		}
 	}
 	for _, r := range [][2]int64{{0, 2000}, {100, 150}, {599, 601}, {1999, 5000}, {50, 49}} {
-		want, err := e.Query(series, r[0], r[1])
+		want := m.ints(series, r[0], r[1])
+		got, err := e.Query(series, r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
+		samePoints(t, got, want)
 		samePoints(t, collectEach(t, e, series, r[0], r[1]), want)
 	}
 	// Unknown series streams nothing.
@@ -80,7 +86,7 @@ func TestQueryEachMatchesQuery(t *testing.T) {
 }
 
 // TestQueryEachSmallPages forces the pagination path by scanning more points
-// than one page holds.
+// than one page holds, and checks both reads against the inserted points.
 func TestQueryEachSmallPages(t *testing.T) {
 	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 3000})
 	if err != nil {
@@ -96,12 +102,12 @@ func TestQueryEachSmallPages(t *testing.T) {
 	if err := e.InsertBatch(series, pts); err != nil {
 		t.Fatal(err)
 	}
-	got := collectEach(t, e, series, 0, int64(n))
-	want, err := e.Query(series, 0, int64(n))
+	samePoints(t, collectEach(t, e, series, 0, int64(n)), pts)
+	got, err := e.Query(series, 0, int64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePoints(t, got, want)
+	samePoints(t, got, pts)
 }
 
 func TestSeriesStatsAndKind(t *testing.T) {
