@@ -98,7 +98,7 @@ type CompactStats struct {
 type Compaction struct {
 	e       *Engine
 	files   []*dataFile // the pinned contiguous run, freshness order
-	tombs   []tombstone // tombstones at snapshot time (applied during merge)
+	tombs   tombstones  // tombstones at snapshot time (applied during merge)
 	outSeq  int
 	outPath string
 	tmpPath string
@@ -149,7 +149,7 @@ func (e *Engine) SnapshotCompaction(seqs []int) (*Compaction, error) {
 	c := &Compaction{
 		e:       e,
 		files:   append([]*dataFile(nil), run...),
-		tombs:   append([]tombstone(nil), e.tombs...),
+		tombs:   append(tombstones(nil), e.tombs...),
 		outSeq:  last.seq,
 		outPath: last.path,
 		tmpPath: last.path + ".compact.tmp",
@@ -158,31 +158,23 @@ func (e *Engine) SnapshotCompaction(seqs []int) (*Compaction, error) {
 	return c, nil
 }
 
-// masked mirrors Engine.masked over the snapshot's tombstones.
-func (c *Compaction) masked(series string, seq int, t int64) bool {
-	for _, ts := range c.tombs {
-		if ts.series == series && ts.covers(seq, t) {
+// seriesIsFloat reports whether any snapshot file stores float chunks for the
+// series.
+func (c *Compaction) seriesIsFloat(name string) bool {
+	for _, df := range c.files {
+		if fileKind(df.reader, name) == floatCol.kind {
 			return true
 		}
 	}
 	return false
 }
 
-// seriesIsFloat reports whether any snapshot file stores float chunks for the
-// series.
-func (c *Compaction) seriesIsFloat(name string) bool {
-	for _, df := range c.files {
-		chunks, err := df.reader.Chunks(name)
-		if err != nil {
-			continue
-		}
-		for _, m := range chunks {
-			if m.Kind != 0 {
-				return true
-			}
-		}
-	}
-	return false
+// mergedSeries is one series' merge result, encoded.
+type mergedSeries struct {
+	chunk      tsfile.EncodedChunk
+	packerName string
+	count      int
+	err        error
 }
 
 // Merge builds the merged output as a temporary file. It runs entirely
@@ -217,41 +209,12 @@ func (c *Compaction) Merge(choose PackerChooser) error {
 	}
 	sort.Strings(sorted)
 	c.stats = CompactStats{Files: len(c.files), SeriesPackers: map[string]string{}}
-	type mergedSeries struct {
-		chunk      tsfile.EncodedChunk
-		packerName string
-		count      int
-		err        error
-	}
 	results := make([]mergedSeries, len(sorted))
 	fanOut(c.e.opt.encodeWorkers(), len(sorted), func(i int) {
-		name := sorted[i]
-		r := &results[i]
-		if c.seriesIsFloat(name) {
-			pts, err := c.collectFloatSeries(name)
-			if err != nil || len(pts) == 0 {
-				r.err = err
-				return
-			}
-			if choose != nil {
-				r.packerName = choose(SeriesData{Name: name, Floats: pts})
-			}
-			r.count = len(pts)
-			r.chunk, r.err = tsfile.EncodeFloatSeries(c.e.opt.File, pts, r.packerName)
+		if c.seriesIsFloat(sorted[i]) {
+			results[i] = mergeSeries(c, floatCol, sorted[i], choose)
 		} else {
-			pts, err := c.collectIntSeries(name)
-			if err != nil || len(pts) == 0 {
-				r.err = err
-				return
-			}
-			if choose != nil {
-				r.packerName = choose(SeriesData{Name: name, Points: pts})
-			}
-			r.count = len(pts)
-			r.chunk, r.err = tsfile.EncodeSeries(c.e.opt.File, pts, r.packerName)
-		}
-		if r.err != nil {
-			r.err = fmt.Errorf("engine: compact %s: %w", name, r.err)
+			results[i] = mergeSeries(c, intCol, sorted[i], choose)
 		}
 	})
 	w := tsfile.NewWriter(f, c.e.opt.File)
@@ -290,69 +253,6 @@ func (c *Compaction) Merge(choose PackerChooser) error {
 	}
 	c.merged = true
 	return nil
-}
-
-// collectIntSeries folds one integer series across the snapshot files,
-// newest file winning timestamp collisions, tombstoned points dropped.
-func (c *Compaction) collectIntSeries(name string) ([]tsfile.Point, error) {
-	const full = int64(^uint64(0) >> 1)
-	merged := map[int64]int64{}
-	var order []int64
-	for _, df := range c.files {
-		pts, err := df.reader.Query(name, -full-1, full, -full-1, full)
-		if err != nil && !errors.Is(err, tsfile.ErrNoSeries) {
-			return nil, err
-		}
-		for _, p := range pts {
-			if c.masked(name, df.seq, p.T) {
-				continue // compaction reclaims deleted ranges
-			}
-			if _, seen := merged[p.T]; !seen {
-				order = append(order, p.T)
-			}
-			merged[p.T] = p.V
-		}
-	}
-	if len(order) == 0 {
-		return nil, nil
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	pts := make([]tsfile.Point, 0, len(order))
-	for _, t := range order {
-		pts = append(pts, tsfile.Point{T: t, V: merged[t]})
-	}
-	return pts, nil
-}
-
-// collectFloatSeries is collectIntSeries for float series.
-func (c *Compaction) collectFloatSeries(name string) ([]tsfile.FloatPoint, error) {
-	const full = int64(^uint64(0) >> 1)
-	merged := map[int64]float64{}
-	var order []int64
-	for _, df := range c.files {
-		pts, err := df.reader.QueryFloats(name, -full-1, full, math.Inf(-1), math.Inf(1))
-		if err != nil && !errors.Is(err, tsfile.ErrNoSeries) {
-			return nil, err
-		}
-		for _, p := range pts {
-			if c.masked(name, df.seq, p.T) {
-				continue
-			}
-			if _, seen := merged[p.T]; !seen {
-				order = append(order, p.T)
-			}
-			merged[p.T] = p.V
-		}
-	}
-	if len(order) == 0 {
-		return nil, nil
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	pts := make([]tsfile.FloatPoint, 0, len(order))
-	for _, t := range order {
-		pts = append(pts, tsfile.FloatPoint{T: t, V: merged[t]})
-	}
-	return pts, nil
 }
 
 func (c *Compaction) recordSeries(name, packerName string, points int) {

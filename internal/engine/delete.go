@@ -15,8 +15,18 @@ type tombstone struct {
 	seq        int
 }
 
-func (ts tombstone) covers(seq int, t int64) bool {
-	return seq < ts.seq && t >= ts.minT && t <= ts.maxT
+// tombstones is a list of pending range deletes.
+type tombstones []tombstone
+
+// hide reports whether a point of series from the file with the given
+// sequence is deleted.
+func (tombs tombstones) hide(series string, seq int, t int64) bool {
+	for _, ts := range tombs {
+		if ts.series == series && seq < ts.seq && t >= ts.minT && t <= ts.maxT {
+			return true
+		}
+	}
+	return false
 }
 
 // DeleteRange removes every stored point of series with minT <= T <= maxT.
@@ -44,34 +54,10 @@ func (e *Engine) DeleteRange(series string, minT, maxT int64) error {
 			return appendTombstonePayload(dst, ts)
 		})
 	}
-	// The memtable is newer than any file but older than the delete:
-	// drop matching buffered points directly.
-	removed := int64(0)
-	if pts := st.mem[series]; len(pts) > 0 {
-		kept := pts[:0]
-		for _, p := range pts {
-			if p.T >= minT && p.T <= maxT {
-				removed++
-				continue
-			}
-			kept = append(kept, p)
-		}
-		st.mem[series] = kept
-	}
-	if pts := st.memF[series]; len(pts) > 0 {
-		// Float buffers flush with a sequence at or above the tombstone's,
-		// so they must be pruned here or the delete would miss them.
-		kept := pts[:0]
-		for _, p := range pts {
-			if p.T >= minT && p.T <= maxT {
-				removed++
-				continue
-			}
-			kept = append(kept, p)
-		}
-		st.memF[series] = kept
-	}
-	e.memPts.Add(-removed)
+	// The memtable is newer than any file but older than the delete, and it
+	// flushes with a sequence at or above the tombstone's, so the tombstone
+	// would miss it: drop matching buffered points directly.
+	e.memPts.Add(-prune(&st.ints, series, minT, maxT) - prune(&st.floats, series, minT, maxT))
 	st.mu.Unlock()
 	e.tombs = append(e.tombs, ts)
 	e.gen++ // in-flight scan cursors must observe the new tombstone
@@ -83,28 +69,6 @@ func (e *Engine) DeleteRange(series string, minT, maxT int64) error {
 		return e.walAwait(g, leader)
 	}
 	return nil
-}
-
-// masked reports whether a point from the file with the given sequence is
-// hidden by a tombstone.
-func (e *Engine) masked(series string, seq int, t int64) bool {
-	for _, ts := range e.tombs {
-		if ts.series == series && ts.covers(seq, t) {
-			return true
-		}
-	}
-	return false
-}
-
-// tombstonesFor returns the tombstones of one series (engine mutex held).
-func (e *Engine) tombstonesFor(series string) []tombstone {
-	var out []tombstone
-	for _, ts := range e.tombs {
-		if ts.series == series {
-			out = append(out, ts)
-		}
-	}
-	return out
 }
 
 // WAL record kinds (first payload byte after the record framing).

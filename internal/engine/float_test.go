@@ -76,8 +76,9 @@ func TestFloatWALRecovery(t *testing.T) {
 }
 
 func TestFloatKindConflicts(t *testing.T) {
-	e := openTest(t, Options{})
-	defer e.Close()
+	dir := t.TempDir()
+	e := openTest(t, Options{Dir: dir})
+	defer func() { e.Close() }()
 	e.Insert("ints", 1, 1)
 	if err := e.InsertFloat("ints", 2, 2.5); !errors.Is(err, ErrSeriesKind) {
 		t.Errorf("float into int series: %v", err)
@@ -86,6 +87,43 @@ func TestFloatKindConflicts(t *testing.T) {
 	if err := e.Insert("floats", 2, 2); !errors.Is(err, ErrSeriesKind) {
 		t.Errorf("int into float series: %v", err)
 	}
+
+	// A series keeps its kind once its points have left the memtable:
+	// flushed into a data file, or reloaded from one after a reopen.
+	reject := func(stage string) {
+		t.Helper()
+		if err := e.Insert("floats", 2, 2); !errors.Is(err, ErrSeriesKind) {
+			t.Errorf("%s: int into float series: %v", stage, err)
+		}
+		if err := e.InsertBatch("floats", []tsfile.Point{{T: 3, V: 3}}); !errors.Is(err, ErrSeriesKind) {
+			t.Errorf("%s: int batch into float series: %v", stage, err)
+		}
+		if err := e.InsertFloat("ints", 2, 2.5); !errors.Is(err, ErrSeriesKind) {
+			t.Errorf("%s: float into int series: %v", stage, err)
+		}
+		if err := e.InsertFloatBatch("ints", []tsfile.FloatPoint{{T: 3, V: 3.5}}); !errors.Is(err, ErrSeriesKind) {
+			t.Errorf("%s: float batch into int series: %v", stage, err)
+		}
+		// The rejected writes left both series readable and compactable.
+		if got, err := e.QueryFloats("floats", 0, 10); err != nil || len(got) != 1 {
+			t.Errorf("%s: QueryFloats = %v, %v", stage, got, err)
+		}
+		if got, err := e.Query("ints", 0, 10); err != nil || len(got) != 1 {
+			t.Errorf("%s: Query = %v, %v", stage, got, err)
+		}
+		if _, err := e.CompactWith(nil); err != nil {
+			t.Errorf("%s: compact: %v", stage, err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reject("flushed")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = openTest(t, Options{Dir: dir})
+	reject("reopened")
 }
 
 func TestFloatDeleteAndCompact(t *testing.T) {

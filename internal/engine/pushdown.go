@@ -16,7 +16,7 @@ import (
 // no memtable point, and no tombstone may override or mask anything in it.
 // planPushdown partitions a query range accordingly: "exclusive" chunks are
 // handed to the evaluator (stats fold / partial decode), and the complement
-// intervals run through the classic merged scan (queryLocked), so the two
+// intervals run through the classic merged scan (query), so the two
 // paths compose into exactly the result a full merged scan would produce.
 //
 // In the steady state the engine produces — time-ordered ingest flushed into
@@ -75,7 +75,7 @@ func (e *Engine) planPushdown(series string, minT, maxT int64) ([]chunkRef, [][2
 	// Chunk-vs-memtable: a buffered point inside a chunk's interval is fresher
 	// than the chunk. memSnapshot is sorted and already tombstone-masked, so
 	// it is exactly what the merged scan would add.
-	mem := e.memSnapshot(series, minT, maxT)
+	mem := memSnapshot(e, intCol, series, minT, maxT)
 	for i, ref := range refs {
 		if blocked[i] || len(mem) == 0 {
 			continue
@@ -165,7 +165,7 @@ func (e *Engine) WindowAgg(series string, minT, maxT, window int64) ([]Bucket, e
 		}
 	}
 	for _, g := range gaps {
-		pts, err := e.queryLocked(series, g[0], g[1])
+		pts, err := query(e, intCol, series, g[0], g[1])
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func (e *Engine) queryFilter(series string, minT, maxT, minV, maxV int64) ([]tsf
 			}
 			continue
 		}
-		pts, err := e.queryLocked(series, seg.gap[0], seg.gap[1])
+		pts, err := query(e, intCol, series, seg.gap[0], seg.gap[1])
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,6 @@ package engine
 import (
 	"math"
 	"sort"
-
-	"bos/internal/tsfile"
 )
 
 // Per-series statistics: the serving layer's /stats endpoint reports these so
@@ -51,59 +49,22 @@ func (e *Engine) SeriesStats() []SeriesStat {
 				s.DiskBytes += int64(c.EncodedBytes)
 				s.Chunks++
 				if c.Kind != 0 {
-					s.Kind = "float"
+					s.Kind = floatCol.kind
 				}
-				if c.MinT < s.MinT {
-					s.MinT = c.MinT
-				}
-				if c.MaxT > s.MaxT {
-					s.MaxT = c.MaxT
-				}
+				s.MinT, s.MaxT = min(s.MinT, c.MinT), max(s.MaxT, c.MaxT)
 			}
 		}
 	}
 	e.structMu.RUnlock()
-	for i := range e.stripes {
-		st := &e.stripes[i]
-		st.mu.RLock()
-		// An in-flight flush snapshot still counts as buffered memory.
-		for _, m := range []map[string][]tsfile.Point{st.mem, st.flush} {
-			for name, pts := range m {
-				if len(pts) == 0 {
-					continue
-				}
-				s := get(name)
-				s.MemPoints += len(pts)
-				for _, p := range pts {
-					if p.T < s.MinT {
-						s.MinT = p.T
-					}
-					if p.T > s.MaxT {
-						s.MaxT = p.T
-					}
-				}
-			}
+	// An in-flight flush snapshot still counts as buffered memory.
+	e.eachBuffered(func(name, kind string, n int, minT, maxT int64) {
+		s := get(name)
+		if kind == floatCol.kind {
+			s.Kind = kind
 		}
-		for _, m := range []map[string][]tsfile.FloatPoint{st.memF, st.flushF} {
-			for name, pts := range m {
-				if len(pts) == 0 {
-					continue
-				}
-				s := get(name)
-				s.Kind = "float"
-				s.MemPoints += len(pts)
-				for _, p := range pts {
-					if p.T < s.MinT {
-						s.MinT = p.T
-					}
-					if p.T > s.MaxT {
-						s.MaxT = p.T
-					}
-				}
-			}
-		}
-		st.mu.RUnlock()
-	}
+		s.MemPoints += n
+		s.MinT, s.MaxT = min(s.MinT, minT), max(s.MaxT, maxT)
+	})
 	out := make([]SeriesStat, 0, len(stats))
 	for _, s := range stats {
 		if s.MemPoints == 0 && s.DiskPoints == 0 {
@@ -123,32 +84,24 @@ func (e *Engine) SeriesKind(series string) string {
 	}
 	st := e.stripe(series)
 	st.mu.RLock()
-	memF := len(st.memF[series]) + len(st.flushF[series])
-	mem := len(st.mem[series]) + len(st.flush[series])
+	floats, ints := st.floats.buffered(series), st.ints.buffered(series)
 	st.mu.RUnlock()
-	if memF > 0 {
-		return "float"
+	if floats > 0 {
+		return floatCol.kind
 	}
-	if mem > 0 {
-		return "int"
+	if ints > 0 {
+		return intCol.kind
 	}
+	kind := ""
 	e.structMu.RLock()
 	defer e.structMu.RUnlock()
-	known := false
 	for _, df := range e.files {
-		chunks, err := df.reader.Chunks(series)
-		if err != nil {
-			continue
-		}
-		for _, c := range chunks {
-			known = true
-			if c.Kind != 0 {
-				return "float"
-			}
+		switch fileKind(df.reader, series) {
+		case floatCol.kind:
+			return floatCol.kind
+		case intCol.kind:
+			kind = intCol.kind
 		}
 	}
-	if known {
-		return "int"
-	}
-	return ""
+	return kind
 }

@@ -21,10 +21,7 @@ const (
 var ErrKindMismatch = errors.New("tsfile: series value kind mismatch")
 
 // FloatPoint is one (timestamp, float value) sample.
-type FloatPoint struct {
-	T int64
-	V float64
-}
+type FloatPoint = Sample[float64]
 
 // AppendFloats adds one chunk of float samples to a series. Decimal data is
 // scaled to integers (keeping all the packing machinery and statistics

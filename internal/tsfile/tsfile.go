@@ -47,10 +47,8 @@ var (
 	ErrUnsorted = errors.New("tsfile: timestamps must be strictly increasing")
 )
 
-// Point is one (timestamp, value) sample.
-type Point struct {
-	T, V int64
-}
+// Point is one (timestamp, integer value) sample.
+type Point = Sample[int64]
 
 // ChunkMeta describes one chunk in the footer index.
 type ChunkMeta struct {
