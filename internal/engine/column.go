@@ -302,7 +302,7 @@ func flushJobs[V int64 | float64](e *Engine, col *column[V]) []encodeJob {
 // dropping tombstoned points (compaction reclaims deleted ranges), and
 // encodes the result.
 func mergeSeries[V int64 | float64](c *Compaction, col *column[V], name string, choose PackerChooser) (r mergedSeries) {
-	pts, err := mergeFiles(col, c.files, c.tombs, name, math.MinInt64, math.MaxInt64, nil)
+	pts, err := mergeFiles(col, c.inputs, c.tombs, name, math.MinInt64, math.MaxInt64, nil)
 	if err == nil && len(pts) > 0 {
 		if choose != nil {
 			sd := SeriesData{Name: name}

@@ -96,9 +96,14 @@ type CompactStats struct {
 
 // Compaction is one in-flight snapshot/merge/commit cycle.
 type Compaction struct {
-	e       *Engine
-	files   []*dataFile // the pinned contiguous run, freshness order
-	tombs   tombstones  // tombstones at snapshot time (applied during merge)
+	e     *Engine
+	files []*dataFile // the pinned contiguous run, freshness order
+	// inputs are views of files whose readers bypass the chunk cache. The
+	// merge reads each chunk once and Commit deletes the files, so caching
+	// their chunks would only evict hot entries. Commit's conflict check
+	// compares the live pointers in files.
+	inputs  []*dataFile
+	tombs   tombstones // tombstones at snapshot time (applied during merge)
 	outSeq  int
 	outPath string
 	tmpPath string
@@ -146,9 +151,14 @@ func (e *Engine) SnapshotCompaction(seqs []int) (*Compaction, error) {
 	}
 	run := e.files[pos[0] : pos[len(pos)-1]+1]
 	last := run[len(run)-1]
+	inputs := make([]*dataFile, len(run))
+	for i, df := range run {
+		inputs[i] = &dataFile{seq: df.seq, reader: df.reader.WithoutCache()}
+	}
 	c := &Compaction{
 		e:       e,
 		files:   append([]*dataFile(nil), run...),
+		inputs:  inputs,
 		tombs:   append(tombstones(nil), e.tombs...),
 		outSeq:  last.seq,
 		outPath: last.path,

@@ -182,6 +182,44 @@ func TestCompactPartialRun(t *testing.T) {
 	check(e2, "reopened")
 }
 
+// TestCompactBypassesChunkCache checks that a compaction reads its inputs
+// past the chunk cache: merging files with nothing cached leaves the cache's
+// counters and entries as they were, and the cached chunks of a file outside
+// the run stay cached.
+func TestCompactBypassesChunkCache(t *testing.T) {
+	e := openTest(t, Options{Dir: t.TempDir()})
+	defer e.Close()
+	for seq := 0; seq < 3; seq++ {
+		flushSeries(t, e, "s", tsfile.Point{T: 100, V: int64(seq)}, tsfile.Point{T: int64(10 + seq), V: 1})
+	}
+	flushSeries(t, e, "outside", tsfile.Point{T: 1, V: 1}, tsfile.Point{T: 2, V: 2})
+	queryAll(t, e, "outside") // caches the one chunk of file 3
+	before := e.Stats().Cache
+	if before.Entries != 1 {
+		t.Fatalf("cache before compaction: %+v, want one entry", before)
+	}
+	c, err := e.SnapshotCompaction([]int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Merge(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.Stats().Cache; after != before {
+		t.Fatalf("compaction touched the cache:\nbefore %+v\nafter  %+v", before, after)
+	}
+	queryAll(t, e, "outside")
+	if after := e.Stats().Cache; after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("file outside the run lost its cached chunk: before %+v, after %+v", before, after)
+	}
+	if pts := queryAll(t, e, "s"); len(pts) != 4 || pts[3] != (tsfile.Point{T: 100, V: 2}) {
+		t.Fatalf("merged series: %v", pts)
+	}
+}
+
 // TestCompactRunValidation rejects runs that would break the freshness
 // invariant or collide with an in-flight compaction.
 func TestCompactRunValidation(t *testing.T) {

@@ -452,14 +452,12 @@ func (e *Engine) eachBuffered(fn func(name, kind string, n int, minT, maxT int64
 // fileKind reports the value kind a data file stores for a series, "" when
 // the file does not hold it.
 func fileKind(r *tsfile.Reader, series string) string {
-	chunks, err := r.Chunks(series)
-	if err != nil || len(chunks) == 0 {
+	found, float := r.ValueKind(series)
+	switch {
+	case !found:
 		return ""
-	}
-	for _, c := range chunks {
-		if c.Kind != 0 {
-			return floatCol.kind
-		}
+	case float:
+		return floatCol.kind
 	}
 	return intCol.kind
 }

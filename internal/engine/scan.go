@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math"
+	"sync"
 
 	"bos/internal/tsfile"
 )
@@ -27,15 +28,23 @@ import (
 // scanPageSize is the number of points collected per locked merge pass.
 const scanPageSize = 4096
 
+// scanPages recycles page buffers across QueryEach calls.
+var scanPages = sync.Pool{New: func() any {
+	page := make([]tsfile.Point, 0, scanPageSize)
+	return &page
+}}
+
 // QueryEach streams the points of a series in [minT, maxT] in time order,
 // merging files and memtable with newest-wins semantics and honoring
 // tombstones, exactly like Query. fn returning an error aborts the scan and
 // returns that error.
 func (e *Engine) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point) error) error {
+	page := scanPages.Get().(*[]tsfile.Point)
+	defer scanPages.Put(page)
 	cursor := minT
 	sc := &scanState{}
 	for {
-		pts, more, err := e.scanPage(series, sc, cursor, maxT, scanPageSize)
+		pts, more, err := e.scanPage(series, sc, cursor, maxT, *page)
 		if err != nil {
 			return err
 		}
@@ -120,11 +129,12 @@ func (e *Engine) rebuildScan(sc *scanState, series string, minT, maxT int64) err
 	return nil
 }
 
-// scanPage collects up to limit merged points starting at minT. more reports
-// whether the merge was cut short by the limit (points past the last one may
-// remain). The memtable is re-snapshotted every page (it is mutable between
-// pages); the file cursors persist in sc unless the engine generation moved.
-func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, limit int) ([]tsfile.Point, bool, error) {
+// scanPage collects merged points starting at minT into page, up to its
+// capacity. more reports whether the merge was cut short by the capacity
+// (points past the last one may remain). The memtable is re-snapshotted every
+// page (it is mutable between pages); the file cursors persist in sc unless
+// the engine generation moved.
+func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, page []tsfile.Point) ([]tsfile.Point, bool, error) {
 	e.structMu.RLock()
 	defer e.structMu.RUnlock()
 	if e.closed.Load() {
@@ -136,13 +146,13 @@ func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, limit 
 		}
 	}
 	sc.merge.Reset(sc.mem, tsfile.NewSliceCursor(memSnapshot(e, intCol, series, minT, maxT)))
-	var out []tsfile.Point
-	for len(out) < limit && sc.merge.Next() {
+	out := page[:0]
+	for len(out) < cap(out) && sc.merge.Next() {
 		out = append(out, sc.merge.Point())
 	}
 	if err := sc.merge.Err(); err != nil {
 		sc.merge = nil
 		return nil, false, err
 	}
-	return out, len(out) == limit, nil
+	return out, len(out) == cap(out), nil
 }

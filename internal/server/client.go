@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bos/internal/engine"
@@ -128,58 +129,57 @@ func (c *Client) IngestLines(payload []byte) (IngestResponse, error) {
 
 // Ingest posts one batch of integer points for a series.
 func (c *Client) Ingest(series string, pts []tsfile.Point) (IngestResponse, error) {
-	var buf bytes.Buffer
-	for _, p := range pts {
-		fmt.Fprintf(&buf, "%s,%d,%d\n", series, p.T, p.V)
-	}
-	return c.IngestLines(buf.Bytes())
+	return c.IngestLines(appendLines(nil, series, pts, appendIntValue))
 }
 
 // IngestFloats posts one batch of float points for a series. Values are
 // formatted so they always take the protocol's float path.
 func (c *Client) IngestFloats(series string, pts []tsfile.FloatPoint) (IngestResponse, error) {
-	var buf bytes.Buffer
-	appendFloatLines(&buf, series, pts)
-	return c.IngestLines(buf.Bytes())
+	return c.IngestLines(appendLines(nil, series, pts, appendFloatValue))
 }
 
 // IngestBatch posts many series — integer and float — as one line-protocol
 // payload, series in sorted order. This is the grouped form sharded routers
 // use: one request per shard per commit group instead of one per series.
 func (c *Client) IngestBatch(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) (IngestResponse, error) {
-	var buf bytes.Buffer
+	var body []byte
 	for _, s := range sortedKeys(ints) {
-		for _, p := range ints[s] {
-			buf.WriteString(s)
-			buf.WriteByte(',')
-			buf.Write(strconv.AppendInt(nil, p.T, 10))
-			buf.WriteByte(',')
-			buf.Write(strconv.AppendInt(nil, p.V, 10))
-			buf.WriteByte('\n')
-		}
+		body = appendLines(body, s, ints[s], appendIntValue)
 	}
 	for _, s := range sortedKeys(floats) {
-		appendFloatLines(&buf, s, floats[s])
+		body = appendLines(body, s, floats[s], appendFloatValue)
 	}
-	return c.IngestLines(buf.Bytes())
+	return c.IngestLines(body)
 }
 
-func appendFloatLines(buf *bytes.Buffer, series string, pts []tsfile.FloatPoint) {
+// appendLines appends one line-protocol line "series,t,v" per point, the
+// value formatted by appendValue.
+func appendLines[V int64 | float64](dst []byte, series string, pts []tsfile.Sample[V], appendValue func([]byte, V) []byte) []byte {
 	for _, p := range pts {
-		buf.WriteString(series)
-		buf.WriteByte(',')
-		buf.Write(strconv.AppendInt(nil, p.T, 10))
-		buf.WriteByte(',')
-		buf.Write(appendFloatValue(nil, p.V))
-		buf.WriteByte('\n')
+		dst = append(dst, series...)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, p.T, 10)
+		dst = append(dst, ',')
+		dst = appendValue(dst, p.V)
+		dst = append(dst, '\n')
 	}
+	return dst
 }
 
-func (c *Client) queryCSV(series string, from, to int64) (*http.Response, error) {
+func appendIntValue(dst []byte, v int64) []byte { return strconv.AppendInt(dst, v, 10) }
+
+// rangeQuery returns the query parameters naming series over [from, to].
+func rangeQuery(series string, from, to int64) url.Values {
 	q := url.Values{}
 	q.Set("series", series)
 	q.Set("from", strconv.FormatInt(from, 10))
 	q.Set("to", strconv.FormatInt(to, 10))
+	return q
+}
+
+// queryCSV issues GET /query with q. A status other than 200 is returned as
+// a *StatusError.
+func (c *Client) queryCSV(q url.Values) (*http.Response, error) {
 	resp, err := c.get(c.base + "/query?" + q.Encode())
 	if err != nil {
 		return nil, err
@@ -194,27 +194,12 @@ func (c *Client) queryCSV(series string, from, to int64) (*http.Response, error)
 // without buffering the whole result. fn returning an error aborts the scan
 // and returns that error.
 func (c *Client) QueryEach(series string, from, to int64, fn func(tsfile.Point) error) error {
-	resp, err := c.queryCSV(series, from, to)
+	resp, err := c.queryCSV(rangeQuery(series, from, to))
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		t, v, err := splitCSVLine(sc.Text())
-		if err != nil {
-			return err
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("client: value %q: %w", v, err)
-		}
-		if err := fn(tsfile.Point{T: t, V: n}); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return eachRow(resp.Body, parseInt, fn)
 }
 
 // Window streams windowed aggregates over GET /query?window= through fn in
@@ -222,56 +207,53 @@ func (c *Client) QueryEach(series string, from, to int64, fn func(tsfile.Point) 
 // client call it rides the retry layer, so transient connection failures
 // replay the whole request.
 func (c *Client) Window(series string, from, to, window int64, fn func(Bucket) error) error {
-	q := url.Values{}
-	q.Set("series", series)
-	q.Set("from", strconv.FormatInt(from, 10))
-	q.Set("to", strconv.FormatInt(to, 10))
+	q := rangeQuery(series, from, to)
 	q.Set("window", strconv.FormatInt(window, 10))
-	resp, err := c.get(c.base + "/query?" + q.Encode())
+	resp, err := c.queryCSV(q)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		b, err := parseBucketRow(sc.Text())
+	return eachLine(resp.Body, func(line []byte) error {
+		b, err := parseBucketRow(line)
 		if err != nil {
 			return err
 		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+		return fn(b)
+	})
 }
 
 // Bucket is one windowed-aggregate row as the client surfaces it.
 type Bucket = engine.Bucket
 
-// parseBucketRow parses one "start,count,min,max,sum,avg" CSV row. The avg
-// column is derived (it re-computes from sum/count) and is ignored.
-func parseBucketRow(line string) (Bucket, error) {
-	fields := strings.Split(line, ",")
-	if len(fields) != 6 {
+// parseBucketRow parses one "start,count,min,max,sum,avg" CSV row in place.
+// The avg column is derived (it re-computes from sum/count) and is ignored.
+func parseBucketRow(line []byte) (Bucket, error) {
+	var fields [6][]byte
+	if bytes.Count(line, []byte{','}) != len(fields)-1 {
 		return Bucket{}, fmt.Errorf("client: malformed bucket row %q", line)
 	}
+	rest := line
+	for i := range fields[:len(fields)-1] {
+		j := bytes.IndexByte(rest, ',')
+		fields[i], rest = rest[:j], rest[j+1:]
+	}
+	fields[len(fields)-1] = rest
 	var b Bucket
 	var err error
-	if b.Start, err = strconv.ParseInt(fields[0], 10, 64); err == nil {
-		b.Count, err = strconv.Atoi(fields[1])
+	if b.Start, err = parseInt(fields[0]); err == nil {
+		// Atoi, like Bucket.Count's int, is range-checked at the platform's
+		// int width.
+		b.Count, err = strconv.Atoi(string(fields[1]))
 	}
 	if err == nil {
-		b.Min, err = strconv.ParseInt(fields[2], 10, 64)
+		b.Min, err = parseInt(fields[2])
 	}
 	if err == nil {
-		b.Max, err = strconv.ParseInt(fields[3], 10, 64)
+		b.Max, err = parseInt(fields[3])
 	}
 	if err == nil {
-		b.Sum, err = strconv.ParseInt(fields[4], 10, 64)
+		b.Sum, err = parseInt(fields[4])
 	}
 	if err != nil {
 		return Bucket{}, fmt.Errorf("client: bucket row %q: %w", line, err)
@@ -282,36 +264,15 @@ func parseBucketRow(line string) (Bucket, error) {
 // QueryFilterEach streams the points of a series whose value falls in
 // [vmin, vmax] through fn in time order, over GET /query?vmin=&vmax=.
 func (c *Client) QueryFilterEach(series string, from, to, vmin, vmax int64, fn func(tsfile.Point) error) error {
-	q := url.Values{}
-	q.Set("series", series)
-	q.Set("from", strconv.FormatInt(from, 10))
-	q.Set("to", strconv.FormatInt(to, 10))
+	q := rangeQuery(series, from, to)
 	q.Set("vmin", strconv.FormatInt(vmin, 10))
 	q.Set("vmax", strconv.FormatInt(vmax, 10))
-	resp, err := c.get(c.base + "/query?" + q.Encode())
+	resp, err := c.queryCSV(q)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		t, v, err := splitCSVLine(sc.Text())
-		if err != nil {
-			return err
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("client: value %q: %w", v, err)
-		}
-		if err := fn(tsfile.Point{T: t, V: n}); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return eachRow(resp.Body, parseInt, fn)
 }
 
 // SeriesKind reports the value kind of a series over GET /kind: "int",
@@ -329,7 +290,7 @@ func (c *Client) SeriesKind(series string) (string, error) {
 // QueryRaw returns the raw CSV body of a range scan — the byte-exact wire
 // form, which tests compare across runs.
 func (c *Client) QueryRaw(series string, from, to int64) ([]byte, error) {
-	resp, err := c.queryCSV(series, from, to)
+	resp, err := c.queryCSV(rangeQuery(series, from, to))
 	if err != nil {
 		return nil, err
 	}
@@ -339,81 +300,121 @@ func (c *Client) QueryRaw(series string, from, to int64) ([]byte, error) {
 
 // Query returns the integer points of a series in [from, to].
 func (c *Client) Query(series string, from, to int64) ([]tsfile.Point, error) {
-	resp, err := c.queryCSV(series, from, to)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out []tsfile.Point
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		t, v, err := splitCSVLine(sc.Text())
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("client: value %q: %w", v, err)
-		}
-		out = append(out, tsfile.Point{T: t, V: n})
-	}
-	return out, sc.Err()
+	return queryAll(c, series, from, to, parseInt)
 }
 
 // QueryFloats returns the float points of a series in [from, to].
 func (c *Client) QueryFloats(series string, from, to int64) ([]tsfile.FloatPoint, error) {
-	resp, err := c.queryCSV(series, from, to)
+	return queryAll(c, series, from, to, parseFloat)
+}
+
+// queryAll collects a range scan's rows, each value parsed by parse.
+func queryAll[V int64 | float64](c *Client, series string, from, to int64, parse func([]byte) (V, error)) ([]tsfile.Sample[V], error) {
+	resp, err := c.queryCSV(rangeQuery(series, from, to))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var out []tsfile.FloatPoint
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		t, v, err := splitCSVLine(sc.Text())
-		if err != nil {
-			return nil, err
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return nil, fmt.Errorf("client: value %q: %w", v, err)
-		}
-		out = append(out, tsfile.FloatPoint{T: t, V: f})
+	var out []tsfile.Sample[V]
+	err = eachRow(resp.Body, parse, func(p tsfile.Sample[V]) error {
+		out = append(out, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
-func splitCSVLine(line string) (int64, string, error) {
-	i := strings.IndexByte(line, ',')
-	if i < 0 {
-		return 0, "", fmt.Errorf("client: malformed row %q", line)
+// Response rows are scanned in place in a pooled buffer, so a scan allocates
+// nothing per row and nothing large per request.
+const (
+	// scanBufSize is the line buffer a scan starts with. It holds many rows
+	// at once; a longer row grows a private buffer up to maxRowBytes.
+	scanBufSize = 64 << 10
+	// maxRowBytes bounds one CSV row; a longer one fails the scan with
+	// bufio.ErrTooLong.
+	maxRowBytes = 1 << 20
+)
+
+var scanBufs = sync.Pool{New: func() any {
+	b := make([]byte, scanBufSize)
+	return &b
+}}
+
+// eachLine calls fn with every line of body, without its line ending. The
+// line is only valid until fn returns.
+func eachLine(body io.Reader, fn func(line []byte) error) error {
+	buf := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(buf)
+	sc := bufio.NewScanner(body)
+	sc.Buffer(*buf, maxRowBytes)
+	for sc.Scan() {
+		if err := fn(sc.Bytes()); err != nil {
+			return err
+		}
 	}
-	t, err := strconv.ParseInt(line[:i], 10, 64)
-	if err != nil {
-		return 0, "", fmt.Errorf("client: timestamp %q: %w", line[:i], err)
-	}
-	return t, line[i+1:], nil
+	return sc.Err()
 }
+
+// eachRow calls fn with every "timestamp,value" row of body, the value
+// parsed by parse.
+func eachRow[V int64 | float64](body io.Reader, parse func([]byte) (V, error), fn func(tsfile.Sample[V]) error) error {
+	return eachLine(body, func(line []byte) error {
+		i := bytes.IndexByte(line, ',')
+		if i < 0 {
+			return fmt.Errorf("client: malformed row %q", line)
+		}
+		t, err := parseInt(line[:i])
+		if err != nil {
+			return fmt.Errorf("client: timestamp %q: %w", line[:i], err)
+		}
+		v, err := parse(line[i+1:])
+		if err != nil {
+			return fmt.Errorf("client: value %q: %w", line[i+1:], err)
+		}
+		return fn(tsfile.Sample[V]{T: t, V: v})
+	})
+}
+
+// parseInt returns exactly what strconv.ParseInt(string(b), 10, 64) returns.
+// An optional sign and at most 18 digits cannot overflow, so they are
+// converted here; anything else, every error included, goes to strconv.
+func parseInt(b []byte) (int64, error) {
+	digits := b
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var n int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if b[0] == '-' {
+		n = -n
+	}
+	return n, nil
+}
+
+// parseFloat parses a float value. string(b) does not escape, so converting
+// any value the server writes (at most 24 bytes) does not allocate.
+func parseFloat(b []byte) (float64, error) { return strconv.ParseFloat(string(b), 64) }
 
 // Agg fetches count/min/max/sum/avg for a series range.
 func (c *Client) Agg(series string, from, to int64) (AggResponse, error) {
-	q := url.Values{}
-	q.Set("series", series)
-	q.Set("from", strconv.FormatInt(from, 10))
-	q.Set("to", strconv.FormatInt(to, 10))
 	var out AggResponse
-	err := c.getJSON("/agg", q, &out)
+	err := c.getJSON("/agg", rangeQuery(series, from, to), &out)
 	return out, err
 }
 
 // Downsample fetches fixed-window aggregates.
 func (c *Client) Downsample(series string, from, to, window int64) ([]BucketJSON, error) {
-	q := url.Values{}
-	q.Set("series", series)
-	q.Set("from", strconv.FormatInt(from, 10))
-	q.Set("to", strconv.FormatInt(to, 10))
+	q := rangeQuery(series, from, to)
 	q.Set("window", strconv.FormatInt(window, 10))
 	var out []BucketJSON
 	err := c.getJSON("/downsample", q, &out)

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -163,5 +165,140 @@ func TestConcurrentIngestMatchesSequential(t *testing.T) {
 	}
 	if err := seqEng.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientConcurrentScans runs 8 goroutines over one shared Client and one
+// server, each issuing every kind of typed scan, and checks every answer
+// against the engine's in-process one. The client's scan buffers come from
+// a pool the goroutines share; CI runs this test under -race.
+func TestClientConcurrentScans(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 3
+		intSeries  = 3
+		points     = 6000 // an answer spans several 64 KiB scan buffers
+	)
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), FlushThreshold: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for s := 0; s < intSeries; s++ {
+		pts := make([]tsfile.Point, points)
+		for i := range pts {
+			v := int64(i*i) - int64(s)*1_000_003
+			if i%97 == 0 {
+				v = math.MaxInt64 - int64(i) // 19 digits
+			}
+			pts[i] = tsfile.Point{T: int64(i)*1000 - 5_000_000, V: v}
+		}
+		if err := eng.InsertBatch(fmt.Sprintf("root.c.i%d", s), pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floats := make([]tsfile.FloatPoint, points/2)
+	for i := range floats {
+		floats[i] = tsfile.FloatPoint{T: int64(i) * 7, V: float64(i)*0.37 - 99.5}
+	}
+	if err := eng.InsertFloatBatch("root.c.f", floats); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, ts.Client())
+
+	const (
+		from, to   = -4_000_000, 4_000_000
+		vmin, vmax = 1000, math.MaxInt64 - 500
+		window     = 250_000
+	)
+	var wantEach, wantFilter [intSeries][]tsfile.Point
+	var wantWindow [intSeries][]Bucket
+	for s := range wantEach {
+		name := fmt.Sprintf("root.c.i%d", s)
+		if wantEach[s], err = eng.Query(name, from, to); err != nil {
+			t.Fatal(err)
+		}
+		err := eng.QueryFilterEach(name, from, to, vmin, vmax, func(p tsfile.Point) error {
+			wantFilter[s] = append(wantFilter[s], p)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantWindow[s], err = eng.Downsample(name, from, to, window); err != nil {
+			t.Fatal(err)
+		}
+		if len(wantEach[s]) < 4000 || len(wantFilter[s]) == 0 || len(wantWindow[s]) == 0 {
+			t.Fatalf("%s: answers too small to test anything", name)
+		}
+	}
+	wantFloats, err := eng.QueryFloats("root.c.f", 0, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			check := func() error {
+				for r := 0; r < rounds; r++ {
+					s := (g + r) % intSeries
+					name := fmt.Sprintf("root.c.i%d", s)
+					var each, filter []tsfile.Point
+					var buckets []Bucket
+					collect := func(out *[]tsfile.Point) func(tsfile.Point) error {
+						return func(p tsfile.Point) error { *out = append(*out, p); return nil }
+					}
+					if err := c.QueryEach(name, from, to, collect(&each)); err != nil {
+						return err
+					}
+					if !reflect.DeepEqual(each, wantEach[s]) {
+						return fmt.Errorf("%s: QueryEach differs from the engine (%d vs %d points)", name, len(each), len(wantEach[s]))
+					}
+					fl, err := c.QueryFloats("root.c.f", 0, math.MaxInt64)
+					if err != nil {
+						return err
+					}
+					if !reflect.DeepEqual(fl, wantFloats) {
+						return fmt.Errorf("QueryFloats differs from the engine (%d vs %d points)", len(fl), len(wantFloats))
+					}
+					if err := c.QueryFilterEach(name, from, to, vmin, vmax, collect(&filter)); err != nil {
+						return err
+					}
+					if !reflect.DeepEqual(filter, wantFilter[s]) {
+						return fmt.Errorf("%s: QueryFilterEach differs from the engine (%d vs %d points)", name, len(filter), len(wantFilter[s]))
+					}
+					err = c.Window(name, from, to, window, func(b Bucket) error {
+						buckets = append(buckets, b)
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+					if !reflect.DeepEqual(buckets, wantWindow[s]) {
+						return fmt.Errorf("%s: Window differs from the engine (%d vs %d buckets)", name, len(buckets), len(wantWindow[s]))
+					}
+				}
+				return nil
+			}
+			if err := check(); err != nil {
+				errc <- fmt.Errorf("goroutine %d: %w", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }

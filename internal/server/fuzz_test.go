@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"testing"
 )
 
@@ -49,6 +51,28 @@ func FuzzLineProtocol(f *testing.F) {
 		}
 		if b.points > maxBatchPoints {
 			t.Fatalf("accepted %d points over the %d cap", b.points, maxBatchPoints)
+		}
+	})
+}
+
+// FuzzParseInt checks the client's byte parser against
+// strconv.ParseInt(s, 10, 64) on arbitrary input: the same value and the
+// same error text.
+func FuzzParseInt(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "+5", "007", "-", "+", "", "1_000", " 1", "1 ", "0x10",
+		"999999999999999999", "-999999999999999999", "1000000000000000000",
+		"9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809", "99999999999999999999",
+		"0.5", "1e3", "\xff",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, gotErr := parseInt(b)
+		want, wantErr := strconv.ParseInt(string(b), 10, 64)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("parseInt(%q) = %d, %v; strconv.ParseInt: %d, %v", b, got, gotErr, want, wantErr)
 		}
 	})
 }

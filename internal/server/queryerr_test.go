@@ -40,6 +40,15 @@ func (b failingScans) QueryFilterEach(_ string, _, _, _, _ int64, fn func(tsfile
 	return b.scan(fn)
 }
 
+// failingFloatScan is a Backend holding one float series whose scan fails.
+type failingFloatScan struct{ Backend }
+
+func (failingFloatScan) SeriesKind(string) (string, error) { return "float", nil }
+
+func (failingFloatScan) QueryFloats(string, int64, int64) ([]tsfile.FloatPoint, error) {
+	return nil, errScan
+}
+
 // TestQueryScanErrorReachesClient checks that a scan failing part-way never
 // reads as a complete answer: before any row is out the server answers 500
 // with the error, and after rows are out it aborts the response, so both
@@ -85,5 +94,32 @@ func TestQueryScanErrorReachesClient(t *testing.T) {
 		}
 		ts.Close()
 		srv.Close()
+	}
+
+	// A float scan returns all its points or an error before the first row
+	// goes out, so its failure is always a 500, which carries no
+	// X-Series-Kind.
+	srv, err := New(Options{Backend: failingFloatScan{Backend: NewEngineBackend(eng)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, err = NewClient(ts.URL, ts.Client()).QueryFloats("s", math.MinInt64, math.MaxInt64)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError || !strings.Contains(se.Message, errScan.Error()) {
+		t.Errorf("QueryFloats: got %v, want a 500 carrying %q", err, errScan)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/query?series=s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("float scan: status %d, want 500", resp.StatusCode)
+	}
+	if k := resp.Header.Get("X-Series-Kind"); k != "" {
+		t.Errorf("float scan: failed response carries X-Series-Kind %q", k)
 	}
 }

@@ -215,7 +215,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if kind == "float" {
 		pts, err := s.be.QueryFloats(series, from, to)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			cw.fail(err)
 			return
 		}
 		for _, p := range pts {

@@ -268,6 +268,28 @@ func (r *Reader) Series() []string {
 	return append([]string(nil), r.order...)
 }
 
+// ValueKind reports whether the file holds series and, if so, whether any
+// of its chunks stores float values. Unlike Chunks it copies nothing.
+func (r *Reader) ValueKind(series string) (found, float bool) {
+	chunks := r.index[series]
+	for _, c := range chunks {
+		if c.Kind != kindInt {
+			return true, true
+		}
+	}
+	return len(chunks) > 0, false
+}
+
+// WithoutCache returns a view of r that decodes every read and neither
+// consults nor fills r's chunk cache. A one-pass reader, such as a
+// compaction merging files it is about to replace, uses it so it does not
+// evict hot entries.
+func (r *Reader) WithoutCache() *Reader {
+	v := *r
+	v.cache = nil
+	return &v
+}
+
 // Chunks exposes the footer metadata of one series.
 func (r *Reader) Chunks(series string) ([]ChunkMeta, error) {
 	chunks, ok := r.index[series]
