@@ -49,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"bos/internal/cluster"
 	"bos/internal/engine"
 	"bos/internal/maintain"
 	"bos/internal/packers"
@@ -163,7 +162,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := serveCluster(router, *addr, p.Name(), mapPath); err != nil {
+		api, err := server.New(server.Options{Backend: router, PackerName: p.Name()})
+		if err != nil {
+			fatal(err)
+		}
+		banner := func(a net.Addr) string {
+			return fmt.Sprintf("serving %d-shard cluster on %s (packer %s, shard map %s)", len(router.Shards()), a, p.Name(), mapPath)
+		}
+		// Shard lifecycles (each local engine's maintenance loop, flush and
+		// close) belong to the router, which closes shards in parallel.
+		if err := serve(api, *addr, banner, router.Close); err != nil {
 			fatal(err)
 		}
 		return
@@ -188,76 +196,56 @@ func main() {
 	if *doMaint {
 		mnt = maintain.New(eng, maintCfg)
 	}
-	if err := serve(eng, mnt, *addr, p.Name()); err != nil {
-		fatal(err)
-	}
-}
-
-func serve(eng *engine.Engine, mnt *maintain.Maintainer, addr, packerName string) error {
-	api, err := server.New(server.Options{Engine: eng, Maintainer: mnt, PackerName: packerName})
+	api, err := server.New(server.Options{Engine: eng, Maintainer: mnt, PackerName: p.Name()})
 	if err != nil {
-		return err
+		fatal(err)
 	}
 	if mnt != nil {
 		mnt.Start()
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: api.Handler()}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	banner := func(a net.Addr) string { return fmt.Sprintf("serving on %s (packer %s)", a, p.Name()) }
+	// The maintenance scheduler stops first (it waits out any in-flight
+	// compaction), so no compaction is mid-commit when the engine closes.
+	closeEngine := func() error {
+		if mnt != nil {
+			mnt.Stop()
+			fmt.Fprintf(os.Stderr, "bosserver: maintenance stopped (%s)\n", mnt.Stats())
+		}
+		return eng.Close()
 	}
-	fmt.Fprintf(os.Stderr, "bosserver: serving on %s (packer %s)\n", ln.Addr(), packerName)
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "bosserver: %v, shutting down\n", s)
-	case err := <-errc:
-		return err
+	if err := serve(api, *addr, banner, closeEngine); err != nil {
+		fatal(err)
 	}
-	// Drain: stop the listener and in-flight HTTP, then the ingest
-	// committer, then the maintenance scheduler (waits out any in-flight
-	// compaction), then flush + close the engine. Order matters: every
-	// acknowledged write reaches the engine before Close, and no compaction
-	// can be mid-commit when the engine shuts down.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := api.Close(); err != nil {
-		return err
-	}
-	if mnt != nil {
-		mnt.Stop()
-		fmt.Fprintf(os.Stderr, "bosserver: maintenance stopped (%s)\n", mnt.Stats())
-	}
-	if err := eng.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "bosserver: clean shutdown")
-	return nil
 }
 
-// serveCluster is serve for a sharded Router: same listener, signal handling
-// and drain order, but shard lifecycles (each local engine's maintenance
-// loop, flush and close) belong to the router.
-func serveCluster(router *cluster.Router, addr, packerName, mapPath string) error {
-	api, err := server.New(server.Options{Backend: router, PackerName: packerName})
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: api.Handler()}
+// Timeouts of every http.Server bosserver runs. A client that never
+// finishes its request headers loses its connection after
+// readHeaderTimeout. An idle keep-alive connection is closed after
+// idleTimeout, which is longer than the 90 s a RemoteShard client keeps an
+// idle pooled connection, so the client side closes shard connections first.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds every http.Server bosserver runs, the API and the
+// pprof listener alike.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// serve listens on addr and serves api until SIGINT or SIGTERM, then shuts
+// down gracefully. banner names what is served, given the bound address.
+// The drain order matters: the listener and in-flight HTTP stop first, then
+// the ingest committer, then closeBackend flushes and releases the storage,
+// so every acknowledged write reaches the backend before it closes.
+func serve(api *server.Server, addr string, banner func(net.Addr) string, closeBackend func() error) error {
+	httpSrv := newHTTPServer(api.Handler())
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bosserver: serving %d-shard cluster on %s (packer %s, shard map %s)\n",
-		len(router.Shards()), ln.Addr(), packerName, mapPath)
+	fmt.Fprintf(os.Stderr, "bosserver: %s\n", banner(ln.Addr()))
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -270,9 +258,6 @@ func serveCluster(router *cluster.Router, addr, packerName, mapPath string) erro
 	case err := <-errc:
 		return err
 	}
-	// Same drain order as single-engine serve: listener and in-flight HTTP,
-	// then the ingest committer, then every shard (maintainer stop + engine
-	// flush/close, in parallel across shards).
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
@@ -281,7 +266,7 @@ func serveCluster(router *cluster.Router, addr, packerName, mapPath string) erro
 	if err := api.Close(); err != nil {
 		return err
 	}
-	if err := router.Close(); err != nil {
+	if err := closeBackend(); err != nil {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "bosserver: clean shutdown")
@@ -298,7 +283,7 @@ func startPprof(addr string) (stop func(), bound net.Addr, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: http.DefaultServeMux}
+	srv := newHTTPServer(http.DefaultServeMux)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	return func() {

@@ -8,6 +8,9 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(Compress(nil, []int64{1, 2, 3, 1000000, -5}, Options{}))
 	f.Add(Compress(nil, []int64{7, 7, 7}, Options{Pipeline: PipelineRLE}))
 	f.Add([]byte{magic0, magic1, kindInt, 0})
+	// Raw pipeline, 1024-value blocks, a count of 2^40 and two stray bytes:
+	// the count must be rejected, not reserved.
+	f.Add([]byte{magic0, magic1, kindInt, byte(PipelineRaw), byte(PostNone), 0x80, 0x08, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		Decompress(data)

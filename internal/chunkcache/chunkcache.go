@@ -23,12 +23,12 @@ type Key struct {
 	Chunk  int // index within the series' chunk list
 }
 
-// entry holds one decoded chunk. Exactly one of IVals / FVals is set.
+// entry holds one decoded chunk: its time column and its value column, a
+// []int64 or a []float64 by the chunk's kind.
 type entry struct {
 	key   Key
 	times []int64
-	ivals []int64   // integer chunk values
-	fvals []float64 // float chunk values
+	vals  any
 	size  int64
 }
 
@@ -72,64 +72,38 @@ func New(maxBytes int64) *Cache {
 	return &Cache{max: maxBytes, lru: list.New(), items: map[Key]*list.Element{}}
 }
 
-// GetInt returns the decoded columns of an integer chunk, or ok=false.
-func (c *Cache) GetInt(file uint64, series string, chunk int) (times, vals []int64, ok bool) {
-	e := c.get(Key{file, series, chunk}, false)
-	if e == nil {
-		return nil, nil, false
-	}
-	return e.times, e.ivals, true
-}
-
-// PutInt caches the decoded columns of an integer chunk. The cache takes
-// shared ownership: the caller must not mutate the slices afterwards.
-func (c *Cache) PutInt(file uint64, series string, chunk int, times, vals []int64) {
-	c.put(&entry{
-		key:   Key{file, series, chunk},
-		times: times,
-		ivals: vals,
-		size:  int64(len(times)+len(vals)) * 8,
-	})
-}
-
-// GetFloat returns the decoded columns of a float chunk, or ok=false.
-func (c *Cache) GetFloat(file uint64, series string, chunk int) (times []int64, vals []float64, ok bool) {
-	e := c.get(Key{file, series, chunk}, true)
-	if e == nil {
-		return nil, nil, false
-	}
-	return e.times, e.fvals, true
-}
-
-// PutFloat caches the decoded columns of a float chunk.
-func (c *Cache) PutFloat(file uint64, series string, chunk int, times []int64, vals []float64) {
-	c.put(&entry{
-		key:   Key{file, series, chunk},
-		times: times,
-		fvals: vals,
-		size:  int64(len(times)+len(vals)) * 8,
-	})
-}
-
-// get looks up k, expecting a float entry when wantFloat is set; a
-// kind-mismatched entry counts as a miss.
-func (c *Cache) get(k Key, wantFloat bool) *entry {
+// Get returns the decoded columns of a chunk of value kind V, or ok=false.
+// An entry of the other kind counts as a miss.
+func Get[V int64 | float64](c *Cache, file uint64, series string, chunk int) (times []int64, vals []V, ok bool) {
 	if c == nil {
-		return nil
+		return nil, nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if ok {
+	if el, found := c.items[Key{file, series, chunk}]; found {
 		e := el.Value.(*entry)
-		if wantFloat == (e.fvals != nil) {
+		if vals, ok = e.vals.([]V); ok {
 			c.hits++
 			c.lru.MoveToFront(el)
-			return e
+			return e.times, vals, true
 		}
 	}
 	c.misses++
-	return nil
+	return nil, nil, false
+}
+
+// Put caches the decoded columns of a chunk. The cache takes shared
+// ownership: the caller must not mutate the slices afterwards.
+func Put[V int64 | float64](c *Cache, file uint64, series string, chunk int, times []int64, vals []V) {
+	if c == nil {
+		return
+	}
+	c.put(&entry{
+		key:   Key{file, series, chunk},
+		times: times,
+		vals:  vals,
+		size:  int64(len(times)+len(vals)) * 8,
+	})
 }
 
 func (c *Cache) put(e *entry) {

@@ -8,18 +8,18 @@ import (
 
 func TestHitMiss(t *testing.T) {
 	c := New(1 << 20)
-	if _, _, ok := c.GetInt(1, "s", 0); ok {
+	if _, _, ok := Get[int64](c, 1, "s", 0); ok {
 		t.Fatal("hit on empty cache")
 	}
 	times := []int64{1, 2, 3}
 	vals := []int64{10, 20, 30}
-	c.PutInt(1, "s", 0, times, vals)
-	gt, gv, ok := c.GetInt(1, "s", 0)
+	Put(c, 1, "s", 0, times, vals)
+	gt, gv, ok := Get[int64](c, 1, "s", 0)
 	if !ok || len(gt) != 3 || gv[2] != 30 {
 		t.Fatalf("got %v %v ok=%v", gt, gv, ok)
 	}
 	// A float lookup on an int entry misses instead of mistyping.
-	if _, _, ok := c.GetFloat(1, "s", 0); ok {
+	if _, _, ok := Get[float64](c, 1, "s", 0); ok {
 		t.Fatal("float hit on int entry")
 	}
 	st := c.Stats()
@@ -36,12 +36,12 @@ func TestHitMiss(t *testing.T) {
 
 func TestFloatEntries(t *testing.T) {
 	c := New(1 << 20)
-	c.PutFloat(7, "f", 2, []int64{1, 2}, []float64{0.5, 1.5})
-	ts, vs, ok := c.GetFloat(7, "f", 2)
+	Put(c, 7, "f", 2, []int64{1, 2}, []float64{0.5, 1.5})
+	ts, vs, ok := Get[float64](c, 7, "f", 2)
 	if !ok || ts[1] != 2 || vs[1] != 1.5 {
 		t.Fatalf("got %v %v ok=%v", ts, vs, ok)
 	}
-	if _, _, ok := c.GetInt(7, "f", 2); ok {
+	if _, _, ok := Get[int64](c, 7, "f", 2); ok {
 		t.Fatal("int hit on float entry")
 	}
 }
@@ -52,18 +52,18 @@ func TestEvictionLRU(t *testing.T) {
 	mk := func() ([]int64, []int64) { return make([]int64, 8), make([]int64, 8) }
 	for i := 0; i < 3; i++ {
 		ts, vs := mk()
-		c.PutInt(1, "s", i, ts, vs)
+		Put(c, 1, "s", i, ts, vs)
 	}
 	// Touch chunk 0 so chunk 1 is the LRU victim.
-	if _, _, ok := c.GetInt(1, "s", 0); !ok {
+	if _, _, ok := Get[int64](c, 1, "s", 0); !ok {
 		t.Fatal("chunk 0 missing")
 	}
 	ts, vs := mk()
-	c.PutInt(1, "s", 3, ts, vs)
-	if _, _, ok := c.GetInt(1, "s", 1); ok {
+	Put(c, 1, "s", 3, ts, vs)
+	if _, _, ok := Get[int64](c, 1, "s", 1); ok {
 		t.Fatal("LRU victim not evicted")
 	}
-	if _, _, ok := c.GetInt(1, "s", 0); !ok {
+	if _, _, ok := Get[int64](c, 1, "s", 0); !ok {
 		t.Fatal("recently used entry evicted")
 	}
 	st := c.Stats()
@@ -74,8 +74,8 @@ func TestEvictionLRU(t *testing.T) {
 
 func TestOversizedBypass(t *testing.T) {
 	c := New(64)
-	c.PutInt(1, "s", 0, make([]int64, 100), make([]int64, 100))
-	if _, _, ok := c.GetInt(1, "s", 0); ok {
+	Put(c, 1, "s", 0, make([]int64, 100), make([]int64, 100))
+	if _, _, ok := Get[int64](c, 1, "s", 0); ok {
 		t.Fatal("oversized entry cached")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -85,18 +85,18 @@ func TestOversizedBypass(t *testing.T) {
 
 func TestInvalidation(t *testing.T) {
 	c := New(1 << 20)
-	c.PutInt(1, "a", 0, []int64{1}, []int64{1})
-	c.PutInt(1, "b", 0, []int64{1}, []int64{1})
-	c.PutInt(2, "a", 0, []int64{1}, []int64{1})
+	Put(c, 1, "a", 0, []int64{1}, []int64{1})
+	Put(c, 1, "b", 0, []int64{1}, []int64{1})
+	Put(c, 2, "a", 0, []int64{1}, []int64{1})
 	c.InvalidateFile(1)
-	if _, _, ok := c.GetInt(1, "a", 0); ok {
+	if _, _, ok := Get[int64](c, 1, "a", 0); ok {
 		t.Fatal("file-1 entry survived InvalidateFile")
 	}
-	if _, _, ok := c.GetInt(2, "a", 0); !ok {
+	if _, _, ok := Get[int64](c, 2, "a", 0); !ok {
 		t.Fatal("file-2 entry lost")
 	}
 	c.InvalidateSeries("a")
-	if _, _, ok := c.GetInt(2, "a", 0); ok {
+	if _, _, ok := Get[int64](c, 2, "a", 0); ok {
 		t.Fatal("series entry survived InvalidateSeries")
 	}
 	st := c.Stats()
@@ -107,8 +107,8 @@ func TestInvalidation(t *testing.T) {
 
 func TestNilCache(t *testing.T) {
 	var c *Cache
-	c.PutInt(1, "s", 0, []int64{1}, []int64{1})
-	if _, _, ok := c.GetInt(1, "s", 0); ok {
+	Put(c, 1, "s", 0, []int64{1}, []int64{1})
+	if _, _, ok := Get[int64](c, 1, "s", 0); ok {
 		t.Fatal("nil cache hit")
 	}
 	c.InvalidateFile(1)
@@ -130,8 +130,8 @@ func TestConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				series := fmt.Sprintf("s%d", i%4)
-				c.PutInt(uint64(g), series, i%16, make([]int64, 8), make([]int64, 8))
-				c.GetInt(uint64(g), series, i%16)
+				Put(c, uint64(g), series, i%16, make([]int64, 8), make([]int64, 8))
+				Get[int64](c, uint64(g), series, i%16)
 				if i%100 == 0 {
 					c.InvalidateFile(uint64(g))
 				}

@@ -20,6 +20,7 @@ type stubShard struct {
 	pts       []tsfile.Point
 	failAfter int // emit this many points, then fail with queryErr (-1 = never)
 	queryErr  error
+	floatErr  error // QueryFloats fails with it when set
 	healthErr error
 }
 
@@ -54,7 +55,7 @@ func (s *stubShard) QueryEach(series string, minT, maxT int64, fn func(tsfile.Po
 }
 
 func (s *stubShard) QueryFloats(string, int64, int64) ([]tsfile.FloatPoint, error) {
-	return nil, nil
+	return nil, s.floatErr
 }
 
 func (s *stubShard) QueryFilterEach(series string, minT, maxT, minV, maxV int64, fn func(tsfile.Point) error) error {
@@ -110,6 +111,18 @@ func seqPoints(n int) []tsfile.Point {
 		pts[i] = tsfile.Point{T: int64(i), V: int64(i)}
 	}
 	return pts
+}
+
+// A shard failing a float scan fails the scatter-gather scan with its error.
+func TestQueryFloatsShardErrorPropagates(t *testing.T) {
+	boom := errors.New("shard exploded")
+	bad := newStubShard(1, nil)
+	bad.floatErr = boom
+	r := stubRouter(t, newStubShard(0, nil), bad)
+
+	if _, err := r.QueryFloats("root.stub", 0, 100); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the shard's error", err)
+	}
 }
 
 // A shard failing mid-stream aborts the scatter-gather scan with its error.

@@ -163,14 +163,14 @@ var errAbortStream = errors.New("cluster: stream aborted")
 // shardStream is one shard's side of a scatter-gather scan: a producer
 // goroutine batches the shard's points into pages; err is valid once ch
 // closes. The consuming side is a Merge source.
-type shardStream struct {
-	ch   chan []tsfile.Point
+type shardStream[V int64 | float64] struct {
+	ch   chan []tsfile.Sample[V]
 	err  error
-	page []tsfile.Point
+	page []tsfile.Sample[V]
 	pos  int
 }
 
-func (s *shardStream) Next() bool {
+func (s *shardStream[V]) Next() bool {
 	for s.pos >= len(s.page) {
 		page, ok := <-s.ch
 		if !ok {
@@ -182,9 +182,9 @@ func (s *shardStream) Next() bool {
 	return true
 }
 
-func (s *shardStream) Point() tsfile.Point { return s.page[s.pos-1] }
+func (s *shardStream[V]) Point() tsfile.Sample[V] { return s.page[s.pos-1] }
 
-func (s *shardStream) Err() error { return s.err }
+func (s *shardStream[V]) Err() error { return s.err }
 
 // mergeOrder lists shard indices in the order Merge takes its sources, least
 // preferred first: the non-owners by ascending ID, then the owner. The owner
@@ -209,7 +209,7 @@ func (r *Router) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point
 	if len(r.shards) == 1 {
 		return r.shards[0].QueryEach(series, minT, maxT, fn)
 	}
-	return r.scatterMerge(r.ring.Owner(series), fn, func(sh Shard, emit func(tsfile.Point) error) error {
+	return scatterMerge(r.shards, r.ring.Owner(series), fn, func(sh Shard, emit func(tsfile.Point) error) error {
 		return sh.QueryEach(series, minT, maxT, emit)
 	})
 }
@@ -224,28 +224,29 @@ func (r *Router) QueryFilterEach(series string, minT, maxT, minV, maxV int64, fn
 	if len(r.shards) == 1 {
 		return r.shards[0].QueryFilterEach(series, minT, maxT, minV, maxV, fn)
 	}
-	return r.scatterMerge(r.ring.Owner(series), fn, func(sh Shard, emit func(tsfile.Point) error) error {
+	return scatterMerge(r.shards, r.ring.Owner(series), fn, func(sh Shard, emit func(tsfile.Point) error) error {
 		return sh.QueryFilterEach(series, minT, maxT, minV, maxV, emit)
 	})
 }
 
 // scatterMerge runs query on every shard concurrently and merges the streams
 // into fn in time order through tsfile.Merge; the owner shard wins timestamp
-// collisions, then the highest shard ID.
-func (r *Router) scatterMerge(owner int, fn func(tsfile.Point) error, query func(sh Shard, emit func(tsfile.Point) error) error) error {
+// collisions, then the highest shard ID. A shard error aborts the merge and
+// is returned.
+func scatterMerge[V int64 | float64](shards []Shard, owner int, fn func(tsfile.Sample[V]) error, query func(sh Shard, emit func(tsfile.Sample[V]) error) error) error {
 	done := make(chan struct{})
 	var closeDone sync.Once
 	abort := func() { closeDone.Do(func() { close(done) }) }
 	defer abort()
 
-	streams := make([]*shardStream, len(r.shards))
-	for i, sh := range r.shards {
-		st := &shardStream{ch: make(chan []tsfile.Point, 4)}
+	streams := make([]*shardStream[V], len(shards))
+	for i, sh := range shards {
+		st := &shardStream[V]{ch: make(chan []tsfile.Sample[V], 4)}
 		streams[i] = st
 		go func(sh Shard) {
 			defer close(st.ch)
-			page := make([]tsfile.Point, 0, streamPage)
-			err := query(sh, func(p tsfile.Point) error {
+			page := make([]tsfile.Sample[V], 0, streamPage)
+			err := query(sh, func(p tsfile.Sample[V]) error {
 				page = append(page, p)
 				if len(page) == streamPage {
 					select {
@@ -253,7 +254,7 @@ func (r *Router) scatterMerge(owner int, fn func(tsfile.Point) error, query func
 					case <-done:
 						return errAbortStream
 					}
-					page = make([]tsfile.Point, 0, streamPage)
+					page = make([]tsfile.Sample[V], 0, streamPage)
 				}
 				return nil
 			})
@@ -269,7 +270,7 @@ func (r *Router) scatterMerge(owner int, fn func(tsfile.Point) error, query func
 		}(sh)
 	}
 
-	srcs := make([]tsfile.Cursor[int64], 0, len(streams))
+	srcs := make([]tsfile.Cursor[V], 0, len(streams))
 	for _, i := range mergeOrder(owner, len(streams)) {
 		srcs = append(srcs, streams[i])
 	}
@@ -282,31 +283,32 @@ func (r *Router) scatterMerge(owner int, fn func(tsfile.Point) error, query func
 	return m.Err()
 }
 
-// QueryFloats scatter-gathers a float range scan; same collision rule as
+// QueryFloats scatter-gathers a float range scan through the same merge as
 // QueryEach (owner wins, then highest shard ID).
 func (r *Router) QueryFloats(series string, minT, maxT int64) ([]tsfile.FloatPoint, error) {
 	if len(r.shards) == 1 {
 		return r.shards[0].QueryFloats(series, minT, maxT)
 	}
-	results := make([][]tsfile.FloatPoint, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
+	out := []tsfile.FloatPoint{}
+	err := scatterMerge(r.shards, r.ring.Owner(series), func(p tsfile.FloatPoint) error {
+		out = append(out, p)
+		return nil
+	}, func(sh Shard, emit func(tsfile.FloatPoint) error) error {
 		pts, err := sh.QueryFloats(series, minT, maxT)
-		results[i] = pts
-		return err
+		if err != nil {
+			return err
+		}
+		for _, p := range pts {
+			if err := emit(p); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	srcs := make([]tsfile.Cursor[float64], 0, len(results))
-	for _, i := range mergeOrder(r.ring.Owner(series), len(results)) {
-		srcs = append(srcs, tsfile.NewSliceCursor(results[i]))
-	}
-	m := tsfile.NewMerge(srcs...)
-	out := []tsfile.FloatPoint{}
-	for m.Next() {
-		out = append(out, m.Point())
-	}
-	return out, m.Err()
+	return out, nil
 }
 
 // Aggregate fans the whole-range fold out per shard and merges the single
@@ -600,13 +602,4 @@ func (r *Router) ShardStatuses() []server.ShardStatus {
 	}
 	wg.Wait()
 	return out
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -11,29 +11,16 @@ import (
 	"bos/internal/tsfile"
 )
 
-// Shard is one storage lane of the cluster. The Router only talks to this
-// interface, so in-process engines and remote bosservers mix freely in one
-// shard map.
+// Shard is one storage lane of the cluster: a server.Backend that can also
+// compact, plus what the Router needs to name, probe and release it. The
+// Router only talks to this interface, so in-process engines and remote
+// bosservers mix freely in one shard map.
 type Shard interface {
+	server.Backend
+	server.Compactor
 	// Target identifies the shard for stats and error messages (the data
 	// dir of a local shard, the base URL of a remote one).
 	Target() string
-	// InsertGrouped commits one per-shard slice of a commit group.
-	InsertGrouped(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) error
-	QueryEach(series string, minT, maxT int64, fn func(tsfile.Point) error) error
-	QueryFloats(series string, minT, maxT int64) ([]tsfile.FloatPoint, error)
-	// QueryFilterEach streams the shard's points with values in [minV, maxV],
-	// in time order.
-	QueryFilterEach(series string, minT, maxT, minV, maxV int64, fn func(tsfile.Point) error) error
-	Downsample(series string, minT, maxT, window int64) ([]engine.Bucket, error)
-	// Aggregate folds the shard's points over [minT, maxT] into one bucket.
-	Aggregate(series string, minT, maxT int64) (engine.Bucket, error)
-	Series() ([]string, error)
-	SeriesKind(series string) (string, error)
-	SeriesStats() ([]engine.SeriesStat, error)
-	Stats() (engine.Stats, error)
-	CompactAll() (engine.CompactStats, error)
-	Flush() error
 	// Health returns nil when the shard can serve.
 	Health() error
 	// Close releases resources the shard owns (a local shard's engine and
@@ -42,8 +29,10 @@ type Shard interface {
 }
 
 // LocalShard is an in-process engine shard: its own data dir, WAL, flush
-// pipeline, and optionally its own maintenance loop.
+// pipeline, and optionally its own maintenance loop. It serves the Backend
+// methods through the single-engine backend.
 type LocalShard struct {
+	server.Backend
 	eng   *engine.Engine
 	maint *maintain.Maintainer
 	dir   string
@@ -52,7 +41,7 @@ type LocalShard struct {
 // NewLocalShard wraps an open engine. maint may be nil; when set, the caller
 // has started it and Close stops it before closing the engine.
 func NewLocalShard(eng *engine.Engine, maint *maintain.Maintainer, dir string) *LocalShard {
-	return &LocalShard{eng: eng, maint: maint, dir: dir}
+	return &LocalShard{Backend: server.NewEngineBackend(eng), eng: eng, maint: maint, dir: dir}
 }
 
 // Engine exposes the underlying engine (tests and the rebalance planner).
@@ -60,60 +49,15 @@ func (s *LocalShard) Engine() *engine.Engine { return s.eng }
 
 func (s *LocalShard) Target() string { return s.dir }
 
-func (s *LocalShard) InsertGrouped(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) error {
-	for _, name := range sortedKeys(ints) {
-		if err := s.eng.InsertBatch(name, ints[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(floats) {
-		if err := s.eng.InsertFloatBatch(name, floats[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *LocalShard) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point) error) error {
-	return s.eng.QueryEach(series, minT, maxT, fn)
-}
-
-func (s *LocalShard) QueryFloats(series string, minT, maxT int64) ([]tsfile.FloatPoint, error) {
-	return s.eng.QueryFloats(series, minT, maxT)
-}
-
-func (s *LocalShard) QueryFilterEach(series string, minT, maxT, minV, maxV int64, fn func(tsfile.Point) error) error {
-	return s.eng.QueryFilterEach(series, minT, maxT, minV, maxV, fn)
-}
-
-func (s *LocalShard) Downsample(series string, minT, maxT, window int64) ([]engine.Bucket, error) {
-	return s.eng.Downsample(series, minT, maxT, window)
-}
-
-func (s *LocalShard) Aggregate(series string, minT, maxT int64) (engine.Bucket, error) {
-	return s.eng.Aggregate(series, minT, maxT)
-}
-
-func (s *LocalShard) Series() ([]string, error) { return s.eng.Series(), nil }
-
-func (s *LocalShard) SeriesKind(series string) (string, error) {
-	return s.eng.SeriesKind(series), nil
-}
-
-func (s *LocalShard) SeriesStats() ([]engine.SeriesStat, error) {
-	return s.eng.SeriesStats(), nil
-}
-
-func (s *LocalShard) Stats() (engine.Stats, error) { return s.eng.Stats(), nil }
-
+// CompactAll runs a full compaction through the shard's maintainer when it
+// has one, so the compaction uses its adaptive packer chooser and counts in
+// its stats.
 func (s *LocalShard) CompactAll() (engine.CompactStats, error) {
 	if s.maint != nil {
 		return s.maint.CompactAll()
 	}
 	return s.eng.CompactWith(nil)
 }
-
-func (s *LocalShard) Flush() error { return s.eng.Flush() }
 
 // Health of an in-process shard is the process's health.
 func (s *LocalShard) Health() error { return nil }

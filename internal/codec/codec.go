@@ -97,7 +97,12 @@ func (b *Blockwise) Decode(src []byte) ([]int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
 	}
-	out := make([]int64, 0, n)
+	if n > MaxBlockLen*64 {
+		return nil, fmt.Errorf("blockwise %s: implausible count %d", b.Packer.Name(), n)
+	}
+	// The count is only a claim until blocks decode: reserve at most one
+	// block's worth and let decoded blocks grow the rest.
+	out := make([]int64, 0, min(n, MaxBlockLen))
 	for uint64(len(out)) < n {
 		out, src, err = b.Packer.Unpack(src, out)
 		if err != nil {

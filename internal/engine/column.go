@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -12,10 +11,11 @@ import (
 
 // Integer and float series share one path through the engine. A column
 // bundles what differs between the two value kinds — the stripe buffers, the
-// file reader, the chunk encoder and the WAL payload encoder — and every
-// memtable, flush, query and compaction routine is written once over
-// column[V]. Only the exported entry points (Insert vs InsertFloat, Query vs
-// QueryFloats) name a kind.
+// chunk encoder and the WAL payload encoder — and every memtable, flush,
+// query and compaction routine is written once over column[V]. File reads
+// need no column: every one goes through fileCursor[V] (scan.go). Only the
+// exported entry points (Insert vs InsertFloat, Query vs QueryFloats) name a
+// kind.
 
 // column is one value kind's path through the engine. The WAL payload
 // encoder is a record kind and a per-value appender rather than one function
@@ -24,29 +24,22 @@ import (
 type column[V int64 | float64] struct {
 	kind     string // "int" or "float", as SeriesKind reports it
 	buf      func(*memStripe) *memBuf[V]
-	read     func(r *tsfile.Reader, series string, minT, maxT int64) ([]tsfile.Sample[V], error)
 	encode   func(opt tsfile.Options, pts []tsfile.Sample[V], packerName string) (tsfile.EncodedChunk, error)
 	walKind  byte
 	walValue func([]byte, V) []byte
 }
 
 var intCol = &column[int64]{
-	kind: "int",
-	buf:  func(st *memStripe) *memBuf[int64] { return &st.ints },
-	read: func(r *tsfile.Reader, series string, minT, maxT int64) ([]tsfile.Point, error) {
-		return r.Query(series, minT, maxT, math.MinInt64, math.MaxInt64)
-	},
+	kind:     "int",
+	buf:      func(st *memStripe) *memBuf[int64] { return &st.ints },
 	encode:   tsfile.EncodeSeries,
 	walKind:  walInsert,
 	walValue: binary.AppendVarint,
 }
 
 var floatCol = &column[float64]{
-	kind: "float",
-	buf:  func(st *memStripe) *memBuf[float64] { return &st.floats },
-	read: func(r *tsfile.Reader, series string, minT, maxT int64) ([]tsfile.FloatPoint, error) {
-		return r.QueryFloats(series, minT, maxT, math.Inf(-1), math.Inf(1))
-	},
+	kind:     "float",
+	buf:      func(st *memStripe) *memBuf[float64] { return &st.floats },
 	encode:   tsfile.EncodeFloatSeries,
 	walKind:  walFloat,
 	walValue: appendFloatBits,
@@ -194,41 +187,26 @@ func memSnapshot[V int64 | float64](e *Engine, col *column[V], series string, mi
 // oldest first, then the memtable. Caller holds structMu (read suffices) and
 // has checked closed.
 func query[V int64 | float64](e *Engine, col *column[V], series string, minT, maxT int64) ([]tsfile.Sample[V], error) {
-	return mergeFiles(col, e.files, e.tombs, series, minT, maxT, memSnapshot(e, col, series, minT, maxT))
+	return mergeFiles(e.files, e.tombs, series, minT, maxT, memSnapshot(e, col, series, minT, maxT))
 }
 
-// mergeFiles merges one series of col's kind over [minT, maxT] across files,
-// oldest first, then newest, with tsfile.Merge's newest-wins rule. Points
-// that tombs hide are dropped.
-func mergeFiles[V int64 | float64](col *column[V], files []*dataFile, tombs tombstones, series string, minT, maxT int64, newest []tsfile.Sample[V]) ([]tsfile.Sample[V], error) {
-	srcs := make([]tsfile.Cursor[V], 0, len(files)+1)
-	total := len(newest)
-	for _, df := range files {
-		pts, err := col.read(df.reader, series, minT, maxT)
-		if err != nil {
-			if errors.Is(err, tsfile.ErrNoSeries) {
-				continue
-			}
-			return nil, err
-		}
-		if len(tombs) > 0 {
-			kept := pts[:0] // read returns a fresh slice
-			for _, p := range pts {
-				if !tombs.hide(series, df.seq, p.T) {
-					kept = append(kept, p)
-				}
-			}
-			pts = kept
-		}
-		srcs = append(srcs, tsfile.NewSliceCursor(pts))
-		total += len(pts)
+// mergeFiles merges one series over [minT, maxT] across files, oldest
+// first, then newest, with tsfile.Merge's newest-wins rule. Points that
+// tombs hide are dropped.
+func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64, newest []tsfile.Sample[V]) ([]tsfile.Sample[V], error) {
+	srcs, err := fileCursors[V](files, tombs, series, minT, maxT)
+	if err != nil {
+		return nil, err
 	}
 	m := tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor(newest))...)
-	out := make([]tsfile.Sample[V], 0, total)
+	var out []tsfile.Sample[V]
 	for m.Next() {
 		out = append(out, m.Point())
 	}
-	return out, m.Err()
+	if err := m.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // prune drops the series' live points in [minT, maxT] (DeleteRange's
@@ -302,7 +280,7 @@ func flushJobs[V int64 | float64](e *Engine, col *column[V]) []encodeJob {
 // dropping tombstoned points (compaction reclaims deleted ranges), and
 // encodes the result.
 func mergeSeries[V int64 | float64](c *Compaction, col *column[V], name string, choose PackerChooser) (r mergedSeries) {
-	pts, err := mergeFiles(col, c.inputs, c.tombs, name, math.MinInt64, math.MaxInt64, nil)
+	pts, err := mergeFiles[V](c.inputs, c.tombs, name, math.MinInt64, math.MaxInt64, nil)
 	if err == nil && len(pts) > 0 {
 		if choose != nil {
 			sd := SeriesData{Name: name}

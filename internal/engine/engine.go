@@ -321,9 +321,7 @@ func (e *Engine) openDataFile(path string) (*dataFile, error) {
 	}
 	e.nextFileID++
 	df := &dataFile{path: path, seq: seq, id: e.nextFileID, f: f, reader: r}
-	if e.cache != nil {
-		r.SetCache(e.cache, df.id)
-	}
+	r.SetCache(e.cache, df.id)
 	return df, nil
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"math"
 	"sync"
 
@@ -64,20 +63,40 @@ func (e *Engine) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point
 	}
 }
 
-// fileCursor is one data file's chunk iterator with tombstone-masked points
-// skipped: a Merge source. prime positions it on its first point ahead of
-// the merge, so a scan can decode every file's first chunk in parallel.
-type fileCursor struct {
-	it     *tsfile.Iterator
+// fileCursor is one data file's iterator over a series of value kind V,
+// with tombstone-masked points skipped: a Merge source, and the only way any
+// engine read reaches a data file. prime positions it on its first point
+// ahead of the merge, so a scan can decode every file's first chunk in
+// parallel.
+type fileCursor[V int64 | float64] struct {
+	it     *tsfile.Iterator[V]
 	series string
 	seq    int
 	tombs  tombstones
 	primed bool // the iterator already sits on the next point
 }
 
-func (c *fileCursor) prime() { c.primed = c.Next() }
+// fileCursors opens a cursor over the series in [minT, maxT] on every file
+// that holds it, oldest first, with room for one more source. A file without
+// the series is skipped from its footer index.
+func fileCursors[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64) ([]tsfile.Cursor[V], error) {
+	srcs := make([]tsfile.Cursor[V], 0, len(files)+1)
+	for _, df := range files {
+		if found, _ := df.reader.ValueKind(series); !found {
+			continue
+		}
+		it, err := tsfile.Iter[V](df.reader, series, minT, maxT)
+		if err != nil {
+			return nil, err
+		}
+		srcs = append(srcs, &fileCursor[V]{it: it, series: series, seq: df.seq, tombs: tombs})
+	}
+	return srcs, nil
+}
 
-func (c *fileCursor) Next() bool {
+func (c *fileCursor[V]) prime() { c.primed = c.Next() }
+
+func (c *fileCursor[V]) Next() bool {
 	if c.primed {
 		c.primed = false
 		return true
@@ -90,9 +109,9 @@ func (c *fileCursor) Next() bool {
 	return false
 }
 
-func (c *fileCursor) Point() tsfile.Point { return c.it.Point() }
+func (c *fileCursor[V]) Point() tsfile.Sample[V] { return c.it.Point() }
 
-func (c *fileCursor) Err() error { return c.it.Err() }
+func (c *fileCursor[V]) Err() error { return c.it.Err() }
 
 // scanState carries one QueryEach call's merge across pages: the file
 // cursors persist, and each page swaps a fresh memtable snapshot in as the
@@ -111,18 +130,11 @@ type scanState struct {
 // file list and generation are stable while held).
 func (e *Engine) rebuildScan(sc *scanState, series string, minT, maxT int64) error {
 	sc.merge = nil
-	var srcs []tsfile.Cursor[int64]
-	for _, df := range e.files {
-		it, err := df.reader.Iter(series, minT, maxT)
-		if err != nil {
-			if errors.Is(err, tsfile.ErrNoSeries) {
-				continue
-			}
-			return err
-		}
-		srcs = append(srcs, &fileCursor{it: it, series: series, seq: df.seq, tombs: e.tombs})
+	srcs, err := fileCursors[int64](e.files, e.tombs, series, minT, maxT)
+	if err != nil {
+		return err
 	}
-	fanOut(len(srcs), len(srcs), func(i int) { srcs[i].(*fileCursor).prime() })
+	fanOut(len(srcs), len(srcs), func(i int) { srcs[i].(*fileCursor[int64]).prime() })
 	sc.mem = len(srcs)
 	sc.merge = tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor[int64](nil))...)
 	sc.gen = e.gen

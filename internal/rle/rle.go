@@ -62,7 +62,8 @@ func (c *Codec) packAll(dst []byte, vals []int64) []byte {
 }
 
 func (c *Codec) unpackN(src []byte, n int) ([]int64, []byte, error) {
-	out := make([]int64, 0, n)
+	// Reserve at most one block's worth: decoded blocks grow the rest.
+	out := make([]int64, 0, min(n, codec.MaxBlockLen))
 	var err error
 	for len(out) < n {
 		before := len(out)
@@ -110,7 +111,7 @@ func (c *Codec) Decode(src []byte) ([]int64, error) {
 		}
 		runLens[k] = int64(rl) + 1
 	}
-	out := make([]int64, 0, n)
+	out := make([]int64, 0, min(n, codec.MaxBlockLen))
 	for k := 0; k < nRuns; k++ {
 		rl := runLens[k]
 		if rl <= 0 || rl > int64(n-len(out)) {

@@ -77,7 +77,8 @@ func (c *Codec) Decode(src []byte) ([]int64, error) {
 		return nil, fmt.Errorf("ts2diff: implausible count %d", n64)
 	}
 	n := int(n64)
-	out := make([]int64, 0, n)
+	// Reserve at most one block's worth: decoded blocks grow the rest.
+	out := make([]int64, 0, min(n, codec.MaxBlockLen))
 	for len(out) < n {
 		before := len(out)
 		out, src, err = c.Packer.Unpack(src, out)

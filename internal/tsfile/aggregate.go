@@ -49,7 +49,7 @@ func (r *Reader) Aggregate(series string, minT, maxT int64, needSum bool) (Aggre
 			agg.Sum = int64(uint64(agg.Sum) + uint64(m.Sum))
 			continue
 		}
-		times, vals, err := r.readChunk(series, ci, m)
+		times, vals, err := readChunk[int64](r, series, ci, m)
 		if err != nil {
 			return Aggregate{}, err
 		}

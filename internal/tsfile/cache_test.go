@@ -78,7 +78,7 @@ func TestReaderChunkCache(t *testing.T) {
 
 	// The iterator path shares the cache with Query.
 	preIter := cache.Stats()
-	it, err := r.Iter("s.int", 0, 1<<40)
+	it, err := Iter[int64](r, "s.int", 0, 1<<40)
 	if err != nil {
 		t.Fatal(err)
 	}

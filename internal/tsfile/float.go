@@ -130,105 +130,43 @@ func encodeFloatChunk(p codec.Packer, blockSize int, kind byte, precision int, t
 
 // ReadAllFloats returns every float point of a series in time order.
 func (r *Reader) ReadAllFloats(series string) ([]FloatPoint, error) {
-	const full = int64(^uint64(0) >> 1)
-	return r.QueryFloats(series, -full-1, full, math.Inf(-1), math.Inf(1))
+	return r.QueryFloats(series, math.MinInt64, math.MaxInt64, math.Inf(-1), math.Inf(1))
 }
 
 // QueryFloats returns the points of a float series with minT <= T <= maxT
-// and minV <= V <= maxV, pruning scaled chunks via their integer statistics.
+// and a value not outside [minV, maxV] (a NaN is never outside), pruning
+// scaled chunks via their integer statistics.
 func (r *Reader) QueryFloats(series string, minT, maxT int64, minV, maxV float64) ([]FloatPoint, error) {
-	chunks, ok := r.index[series]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSeries, series)
-	}
-	var out []FloatPoint
-	for ci, m := range chunks {
-		if m.MaxT < minT || m.MinT > maxT {
-			continue
+	return scan(r, series, minT, maxT, minV, maxV, func(m ChunkMeta) bool {
+		if m.Kind != kindScaled {
+			return true // raw chunks carry no orderable statistics
 		}
-		if m.Kind == kindInt {
-			return nil, fmt.Errorf("%w: %q holds integers; use Query", ErrKindMismatch, series)
+		// Prune on the scaled statistics when the float bounds scale
+		// safely.
+		scale := math.Pow(10, float64(m.Precision))
+		if hi := minV * scale; !math.IsInf(hi, 0) && float64(m.MaxV) < hi {
+			return false
 		}
-		if m.Kind == kindScaled {
-			// Prune on the scaled statistics when the float bounds
-			// scale safely.
-			scale := math.Pow(10, float64(m.Precision))
-			if hi := minV * scale; !math.IsInf(hi, 0) && float64(m.MaxV) < hi {
-				continue
-			}
-			if lo := maxV * scale; !math.IsInf(lo, 0) && float64(m.MinV) > lo {
-				continue
-			}
+		if lo := maxV * scale; !math.IsInf(lo, 0) && float64(m.MinV) > lo {
+			return false
 		}
-		times, vals, err := r.readFloatChunk(series, ci, m)
-		if err != nil {
-			return nil, err
-		}
-		for i, t := range times {
-			if t < minT || t > maxT {
-				continue
-			}
-			if vals[i] < minV || vals[i] > maxV {
-				continue
-			}
-			out = append(out, FloatPoint{t, vals[i]})
-		}
-	}
-	return out, nil
+		return true
+	})
 }
 
-// readFloatChunk loads and decodes one float chunk, consulting the cache
-// first. The cache holds the post-conversion float column, so a hit skips
-// both the bit-unpacking and the scaled-to-float pass. Returned slices may be
-// shared with the cache and must be treated as read-only.
-func (r *Reader) readFloatChunk(series string, ci int, m ChunkMeta) ([]int64, []float64, error) {
-	if r.cache != nil {
-		if times, vals, ok := r.cache.GetFloat(r.cacheID, series, ci); ok {
-			return times, vals, nil
-		}
-	}
-	body, err := r.readChunkBody(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	n64, rest, err := codec.ReadUvarint(body)
-	if err != nil || n64 > codec.MaxBlockLen*64 {
-		return nil, nil, fmt.Errorf("%w: chunk count", ErrCorrupt)
-	}
-	if len(rest) == 0 {
-		return nil, nil, fmt.Errorf("%w: missing kind", ErrCorrupt)
-	}
-	kind := rest[0]
-	rest = rest[1:]
-	precision := 0
+// chunkValues converts a decoded value column to V: an integer chunk's
+// column as it is, a scaled chunk's divided by 10^precision, a raw chunk's
+// reinterpreted as float bits.
+func chunkValues[V int64 | float64](kind byte, precision int, vals []int64) []V {
 	switch kind {
+	case kindInt:
+		return any(vals).([]V)
 	case kindScaled:
-		if len(rest) == 0 {
-			return nil, nil, fmt.Errorf("%w: missing precision", ErrCorrupt)
-		}
-		precision = int(rest[0])
-		rest = rest[1:]
-		if precision > floatconv.MaxPrecision {
-			return nil, nil, fmt.Errorf("%w: precision %d", ErrCorrupt, precision)
-		}
-	case kindRaw:
-	default:
-		return nil, nil, fmt.Errorf("%w: chunk kind %d is not float", ErrKindMismatch, kind)
-	}
-	times, vals, err := decodeColumns(r.packerFor(m), r.opt.BlockSize, rest, int(n64))
-	if err != nil {
-		return nil, nil, err
+		return any(floatconv.FromScaled(vals, precision)).([]V)
 	}
 	fvals := make([]float64, len(vals))
-	if kind == kindScaled {
-		copy(fvals, floatconv.FromScaled(vals, precision))
-	} else {
-		for i, v := range vals {
-			fvals[i] = math.Float64frombits(uint64(v))
-		}
+	for i, v := range vals {
+		fvals[i] = math.Float64frombits(uint64(v))
 	}
-	if r.cache != nil {
-		r.cache.PutFloat(r.cacheID, series, ci, times, fvals)
-	}
-	return times, fvals, nil
+	return any(fvals).([]V)
 }

@@ -178,3 +178,69 @@ func TestFloatUnsortedRejected(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// TestQueryBoundsInclusiveAndNaN pins the value and time predicate both
+// typed range scans share: bounds are inclusive on both axes, and a value
+// test is "not outside [minV, maxV]", so a raw chunk's NaN survives finite
+// float bounds.
+func TestQueryBoundsInclusiveAndNaN(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Options{})
+	if err := w.Append("ints", []Point{{1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendFloats("scaled", []FloatPoint{{1, 1.5}, {2, 2.5}, {3, 3.5}, {4, 4.5}, {5, 5.5}}); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	if err := w.AppendFloats("raw", []FloatPoint{{1, 0.1 + 0.2}, {2, nan}, {3, 2.5}, {4, math.Pi}, {5, 0.25}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file := bytes.NewReader(buf.Bytes())
+	r, err := OpenReader(file, file.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks, _ := r.Chunks("raw"); len(chunks) != 1 || chunks[0].Kind != kindRaw {
+		t.Fatalf("raw series chunks = %+v, want one raw chunk", chunks)
+	}
+
+	ints, err := r.Query("ints", 2, 4, 20, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Point{{2, 20}, {3, 30}, {4, 40}}; !equalSamples(ints, want) {
+		t.Errorf("Query = %v, want %v", ints, want)
+	}
+	scaled, err := r.QueryFloats("scaled", 2, 4, 2.5, 4.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []FloatPoint{{2, 2.5}, {3, 3.5}, {4, 4.5}}; !equalSamples(scaled, want) {
+		t.Errorf("QueryFloats scaled = %v, want %v", scaled, want)
+	}
+	raw, err := r.QueryFloats("raw", 2, 5, 0.25, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []FloatPoint{{2, nan}, {3, 2.5}, {5, 0.25}}; !equalSamples(raw, want) {
+		t.Errorf("QueryFloats raw = %v, want %v", raw, want)
+	}
+}
+
+// equalSamples compares samples by timestamp and value bits, so NaN equals
+// NaN.
+func equalSamples[V int64 | float64](got, want []Sample[V]) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].T != want[i].T || math.Float64bits(float64(got[i].V)) != math.Float64bits(float64(want[i].V)) {
+			return false
+		}
+	}
+	return true
+}

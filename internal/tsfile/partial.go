@@ -3,6 +3,7 @@ package tsfile
 import (
 	"fmt"
 
+	"bos/internal/chunkcache"
 	"bos/internal/codec"
 	"bos/internal/core"
 	"bos/internal/ts2diff"
@@ -27,7 +28,7 @@ func (r *Reader) ChunkColumns(series string, ci int) ([]int64, []int64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.readChunk(series, ci, m)
+	return readChunk[int64](r, series, ci, m)
 }
 
 func (r *Reader) chunkMeta(series string, ci int) (ChunkMeta, error) {
@@ -63,51 +64,32 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !holds[int64](m.Kind) {
+		return nil, kindError(series, m)
+	}
 	h := &ChunkHandle{Meta: m, packer: r.packerFor(m), bsize: r.opt.BlockSize}
-	if r.cache != nil {
-		if times, vals, ok := r.cache.GetInt(r.cacheID, series, ci); ok {
-			h.times, h.vals = times, vals
-			return h, nil
-		}
+	if times, vals, ok := chunkcache.Get[int64](r.cache, r.cacheID, series, ci); ok {
+		h.times, h.vals = times, vals
+		return h, nil
 	}
 	body, err := r.readChunkBody(m)
 	if err != nil {
 		return nil, err
 	}
-	n64, rest, err := codec.ReadUvarint(body)
+	_, cols, err := parseChunkHeader(body, m)
 	if err != nil {
-		return nil, fmt.Errorf("%w: chunk count: %v", ErrCorrupt, err)
+		return nil, err
 	}
-	if n64 > codec.MaxBlockLen*64 {
-		return nil, fmt.Errorf("%w: chunk of %d points", ErrCorrupt, n64)
-	}
-	if len(rest) == 0 {
-		return nil, fmt.Errorf("%w: missing kind", ErrCorrupt)
-	}
-	kind := rest[0]
-	rest = rest[1:]
-	if kind != kindInt {
-		return nil, fmt.Errorf("%w: chunk kind %d is not integer", ErrKindMismatch, kind)
-	}
-	tlen, r2, err := codec.ReadUvarint(rest)
-	if err != nil || tlen > uint64(len(r2)) {
-		return nil, fmt.Errorf("%w: time column frame", ErrCorrupt)
-	}
-	tc := ts2diff.New(h.packer, r.opt.BlockSize)
-	times, err := tc.Decode(r2[:tlen])
+	tcol, rest, err := splitColumn(cols, m.Count, "time")
 	if err != nil {
+		return nil, err
+	}
+	if h.vcol, _, err = splitColumn(rest, m.Count, "value"); err != nil {
+		return nil, err
+	}
+	if h.times, err = ts2diff.New(h.packer, r.opt.BlockSize).Decode(tcol); err != nil {
 		return nil, fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
 	}
-	if uint64(len(times)) != n64 {
-		return nil, fmt.Errorf("%w: time column length %d, want %d", ErrCorrupt, len(times), n64)
-	}
-	rest = r2[tlen:]
-	vlen, r3, err := codec.ReadUvarint(rest)
-	if err != nil || vlen > uint64(len(r3)) {
-		return nil, fmt.Errorf("%w: value column frame", ErrCorrupt)
-	}
-	h.times = times
-	h.vcol = r3[:vlen]
 	return h, nil
 }
 
@@ -117,13 +99,9 @@ func (h *ChunkHandle) Times() []int64 { return h.times }
 // decodeAll decodes and memoizes the full value column.
 func (h *ChunkHandle) decodeAll() ([]int64, error) {
 	if h.vals == nil {
-		vc := codec.NewBlockwise(h.packer, h.bsize)
-		vals, err := vc.Decode(h.vcol)
+		vals, err := codec.NewBlockwise(h.packer, h.bsize).Decode(h.vcol)
 		if err != nil {
 			return nil, fmt.Errorf("%w: value column: %v", ErrCorrupt, err)
-		}
-		if len(vals) != len(h.times) {
-			return nil, fmt.Errorf("%w: value column length %d, want %d", ErrCorrupt, len(vals), len(h.times))
 		}
 		h.vals = vals
 	}

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
+	"bos/internal/chunkcache"
 	"bos/internal/codec"
 	"bos/internal/packers"
 )
@@ -67,18 +69,6 @@ func readZig(src []byte) (int64, []byte, error) {
 	return int64(u>>1) ^ -int64(u&1), rest, err
 }
 
-// ChunkCache caches decoded chunk columns across reads, keyed by an
-// owner-assigned file ID, the series name and the chunk's index in the
-// series' chunk list. Implementations must be safe for concurrent use;
-// internal/chunkcache provides the standard one. Slices returned by Get or
-// handed to Put are shared and must never be mutated.
-type ChunkCache interface {
-	GetInt(file uint64, series string, chunk int) (times, vals []int64, ok bool)
-	PutInt(file uint64, series string, chunk int, times, vals []int64)
-	GetFloat(file uint64, series string, chunk int) (times []int64, vals []float64, ok bool)
-	PutFloat(file uint64, series string, chunk int, times []int64, vals []float64)
-}
-
 // Reader opens a file from any io.ReaderAt.
 type Reader struct {
 	r     io.ReaderAt
@@ -88,15 +78,16 @@ type Reader struct {
 	index map[string][]ChunkMeta
 	order []string
 
-	cache   ChunkCache // nil: decode every read
-	cacheID uint64     // this file's identity inside the cache
+	cache   *chunkcache.Cache // nil: decode every read
+	cacheID uint64            // this file's identity inside the cache
 }
 
-// SetCache attaches a decoded-chunk cache. fileID must be unique among all
-// files sharing the cache for the file's lifetime (and never reused for
-// different content — sequence numbers are NOT safe, compaction recycles
-// them). Call before the Reader is shared between goroutines.
-func (r *Reader) SetCache(c ChunkCache, fileID uint64) {
+// SetCache attaches a decoded-chunk cache; a nil cache decodes every read.
+// fileID must be unique among all files sharing the cache for the file's
+// lifetime (and never reused for different content — sequence numbers are
+// NOT safe, compaction recycles them). Slices the cache holds are shared
+// and never mutated. Call before the Reader is shared between goroutines.
+func (r *Reader) SetCache(c *chunkcache.Cache, fileID uint64) {
 	r.cache = c
 	r.cacheID = fileID
 }
@@ -137,7 +128,7 @@ func OpenReader(r io.ReaderAt, size int64, opt Options) (*Reader, error) {
 		named: map[string]codec.Packer{},
 		index: map[string][]ChunkMeta{},
 	}
-	if err := tr.parseIndex(idx, size); err != nil {
+	if err := tr.parseIndex(idx, size-8-idxLen); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -153,7 +144,10 @@ func (r *Reader) packerFor(m ChunkMeta) codec.Packer {
 	return r.named[m.Packer]
 }
 
-func (r *Reader) parseIndex(idx []byte, size int64) error {
+// parseIndex decodes the footer. dataEnd is where the chunk area ends (the
+// index starts), so every chunk, length prefix and body, must lie in
+// [len(magic), dataEnd).
+func (r *Reader) parseIndex(idx []byte, dataEnd int64) error {
 	nSeries, rest, err := codec.ReadUvarint(idx)
 	if err != nil {
 		return fmt.Errorf("%w: series count", ErrCorrupt)
@@ -252,8 +246,9 @@ func (r *Reader) parseIndex(idx []byte, size int64) error {
 					r.named[m.Packer] = p
 				}
 			}
-			if m.Offset < int64(len(magic)) || m.Offset >= size {
-				return fmt.Errorf("%w: chunk offset %d", ErrCorrupt, m.Offset)
+			body := uint64(m.EncodedBytes)
+			if m.Offset < int64(len(magic)) || m.Offset >= dataEnd || body > uint64(dataEnd) || uvarintLen(body)+body > uint64(dataEnd-m.Offset) {
+				return fmt.Errorf("%w: chunk at %d of %d bytes", ErrCorrupt, m.Offset, m.EncodedBytes)
 			}
 			chunks = append(chunks, m)
 		}
@@ -299,61 +294,90 @@ func (r *Reader) Chunks(series string) ([]ChunkMeta, error) {
 	return append([]ChunkMeta(nil), chunks...), nil
 }
 
-// readChunkBody loads one chunk's raw body.
-func (r *Reader) readChunkBody(m ChunkMeta) ([]byte, error) {
-	hdr := make([]byte, binary.MaxVarintLen64)
-	n, err := r.r.ReadAt(hdr, m.Offset)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("%w: chunk header: %v", ErrCorrupt, err)
+// uvarintLen is the length of v's canonical uvarint encoding, the form the
+// writer frames every chunk body with.
+func uvarintLen(v uint64) uint64 {
+	n := uint64(1)
+	for ; v >= 0x80; v >>= 7 {
+		n++
 	}
-	bodyLen, used := binary.Uvarint(hdr[:n])
-	if used <= 0 || bodyLen > 1<<31 {
-		return nil, fmt.Errorf("%w: chunk length", ErrCorrupt)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := r.r.ReadAt(body, m.Offset+int64(used)); err != nil {
-		return nil, fmt.Errorf("%w: chunk body: %v", ErrCorrupt, err)
-	}
-	return body, nil
+	return n
 }
 
-// readChunk loads and decodes one integer chunk, consulting the cache first.
-// ci is the chunk's index within the series. The returned slices may be
-// shared with the cache and must be treated as read-only.
-func (r *Reader) readChunk(series string, ci int, m ChunkMeta) ([]int64, []int64, error) {
-	if r.cache != nil {
-		if times, vals, ok := r.cache.GetInt(r.cacheID, series, ci); ok {
-			return times, vals, nil
-		}
+// readChunkBody loads one chunk's raw body, length prefix and body in one
+// read. The prefix must equal the footer's EncodedBytes, which open has
+// already bounded by the file, so a corrupt prefix cannot size the read.
+func (r *Reader) readChunkBody(m ChunkMeta) ([]byte, error) {
+	n := uvarintLen(uint64(m.EncodedBytes))
+	buf := make([]byte, n+uint64(m.EncodedBytes))
+	if _, err := r.r.ReadAt(buf, m.Offset); err != nil {
+		return nil, fmt.Errorf("%w: chunk body: %v", ErrCorrupt, err)
+	}
+	if bodyLen, used := binary.Uvarint(buf); used != int(n) || bodyLen != uint64(m.EncodedBytes) {
+		return nil, fmt.Errorf("%w: chunk length prefix does not match the footer", ErrCorrupt)
+	}
+	return buf[n:], nil
+}
+
+// holds reports whether a chunk of the given footer kind stores values of
+// kind V: integer chunks hold int64, scaled and raw chunks float64.
+func holds[V int64 | float64](kind byte) bool {
+	_, isInt := any(V(0)).(int64)
+	return isInt == (kind == kindInt)
+}
+
+// kindError reports a chunk read through the other kind's API.
+func kindError(series string, m ChunkMeta) error {
+	if m.Kind == kindInt {
+		return fmt.Errorf("%w: %q holds integers; use Query", ErrKindMismatch, series)
+	}
+	return fmt.Errorf("%w: %q holds floats; use QueryFloats", ErrKindMismatch, series)
+}
+
+// readChunk loads and decodes one chunk of value kind V, consulting the
+// cache first. ci is the chunk's index within the series. The cache holds
+// the post-conversion value column, so a float hit skips both the
+// bit-unpacking and the conversion. The returned slices may be shared with
+// the cache and must be treated as read-only.
+func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta) ([]int64, []V, error) {
+	if !holds[V](m.Kind) {
+		return nil, nil, kindError(series, m)
+	}
+	if times, vals, ok := chunkcache.Get[V](r.cache, r.cacheID, series, ci); ok {
+		return times, vals, nil
 	}
 	body, err := r.readChunkBody(m)
 	if err != nil {
 		return nil, nil, err
 	}
-	times, vals, err := decodeChunk(r.packerFor(m), r.opt.BlockSize, body)
+	precision, cols, err := parseChunkHeader(body, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	if r.cache != nil {
-		r.cache.PutInt(r.cacheID, series, ci, times, vals)
+	times, ivals, err := decodeColumns(r.packerFor(m), r.opt.BlockSize, cols, m.Count)
+	if err != nil {
+		return nil, nil, err
 	}
+	vals := chunkValues[V](m.Kind, precision, ivals)
+	chunkcache.Put(r.cache, r.cacheID, series, ci, times, vals)
 	return times, vals, nil
 }
 
-// Query returns the points of a series with minT <= T <= maxT and
-// minV <= V <= maxV, in time order, decoding only chunks whose footer
-// statistics overlap the predicate.
-func (r *Reader) Query(series string, minT, maxT, minV, maxV int64) ([]Point, error) {
+// scan returns the points of a series of value kind V with minT <= T <= maxT
+// and a value not outside [minV, maxV] (so a NaN stays), in time order. It
+// decodes only the chunks that overlap the time range and that keep, the
+// caller's footer-statistics prune, lets through.
+func scan[V int64 | float64](r *Reader, series string, minT, maxT int64, minV, maxV V, keep func(ChunkMeta) bool) ([]Sample[V], error) {
 	chunks, ok := r.index[series]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, series)
 	}
-	var out []Point
+	var out []Sample[V]
 	for ci, m := range chunks {
-		if m.MaxT < minT || m.MinT > maxT || m.MaxV < minV || m.MinV > maxV {
+		if m.MaxT < minT || m.MinT > maxT || !keep(m) {
 			continue // pruned without IO beyond the footer
 		}
-		times, vals, err := r.readChunk(series, ci, m)
+		times, vals, err := readChunk[V](r, series, ci, m)
 		if err != nil {
 			return nil, err
 		}
@@ -361,16 +385,24 @@ func (r *Reader) Query(series string, minT, maxT, minV, maxV int64) ([]Point, er
 		lo := sort.Search(len(times), func(i int) bool { return times[i] >= minT })
 		hi := sort.Search(len(times), func(i int) bool { return times[i] > maxT })
 		for i := lo; i < hi; i++ {
-			if vals[i] >= minV && vals[i] <= maxV {
-				out = append(out, Point{times[i], vals[i]})
+			if v := vals[i]; !(v < minV || v > maxV) {
+				out = append(out, Sample[V]{times[i], v})
 			}
 		}
 	}
 	return out, nil
 }
 
+// Query returns the points of a series with minT <= T <= maxT and
+// minV <= V <= maxV, in time order, decoding only chunks whose footer
+// statistics overlap the predicate.
+func (r *Reader) Query(series string, minT, maxT, minV, maxV int64) ([]Point, error) {
+	return scan(r, series, minT, maxT, minV, maxV, func(m ChunkMeta) bool {
+		return m.MaxV >= minV && m.MinV <= maxV
+	})
+}
+
 // ReadAll returns every point of a series in time order.
 func (r *Reader) ReadAll(series string) ([]Point, error) {
-	const full = int64(^uint64(0) >> 1)
-	return r.Query(series, -full-1, full, -full-1, full)
+	return r.Query(series, math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64)
 }

@@ -32,6 +32,7 @@ import (
 
 	"bos/internal/codec"
 	"bos/internal/core"
+	"bos/internal/floatconv"
 	"bos/internal/packers"
 	"bos/internal/ts2diff"
 )
@@ -321,52 +322,60 @@ func appendColumns(p codec.Packer, blockSize int, body []byte, times, vals []int
 	return body
 }
 
-// decodeChunk inverts encodeChunk for integer chunks.
-func decodeChunk(p codec.Packer, blockSize int, body []byte) (times, vals []int64, err error) {
-	n64, rest, err := codec.ReadUvarint(body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: chunk count: %v", ErrCorrupt, err)
+// parseChunkHeader reads the header of a chunk body — point count, kind
+// byte and, for scaled chunks, the decimal precision — and returns the
+// precision and the columns that follow. The count and kind must equal the
+// chunk's footer entry: a body that disagrees with its footer is corrupt.
+func parseChunkHeader(body []byte, m ChunkMeta) (precision int, cols []byte, err error) {
+	n, rest, err := codec.ReadUvarint(body)
+	if err != nil || n != uint64(m.Count) || n > codec.MaxBlockLen*64 {
+		return 0, nil, fmt.Errorf("%w: chunk count does not match the footer's %d", ErrCorrupt, m.Count)
 	}
-	if n64 > codec.MaxBlockLen*64 {
-		return nil, nil, fmt.Errorf("%w: chunk of %d points", ErrCorrupt, n64)
+	if len(rest) == 0 || rest[0] != m.Kind {
+		return 0, nil, fmt.Errorf("%w: chunk kind does not match the footer's %d", ErrCorrupt, m.Kind)
 	}
-	if len(rest) == 0 {
-		return nil, nil, fmt.Errorf("%w: missing kind", ErrCorrupt)
-	}
-	kind := rest[0]
 	rest = rest[1:]
-	if kind != kindInt {
-		return nil, nil, fmt.Errorf("%w: chunk kind %d is not integer", ErrKindMismatch, kind)
+	if m.Kind == kindScaled {
+		if len(rest) == 0 || rest[0] > floatconv.MaxPrecision {
+			return 0, nil, fmt.Errorf("%w: chunk precision", ErrCorrupt)
+		}
+		precision, rest = int(rest[0]), rest[1:]
 	}
-	return decodeColumns(p, blockSize, rest, int(n64))
+	return precision, rest, nil
 }
 
-// decodeColumns inverts appendColumns.
-func decodeColumns(p codec.Packer, blockSize int, rest []byte, n int) (times, vals []int64, err error) {
-	readColumn := func(decode func([]byte) ([]int64, error)) ([]int64, error) {
-		clen, r, err := codec.ReadUvarint(rest)
-		if err != nil || clen > uint64(len(r)) {
-			return nil, fmt.Errorf("column frame: %v", err)
-		}
-		col, err := decode(r[:clen])
-		if err != nil {
-			return nil, err
-		}
-		rest = r[clen:]
-		return col, nil
+// splitColumn cuts one framed column off the front of rest and checks that
+// it declares n values before anything decodes it, so a corrupt column count
+// cannot size an allocation.
+func splitColumn(rest []byte, n int, name string) (col, tail []byte, err error) {
+	clen, r, err := codec.ReadUvarint(rest)
+	if err != nil || clen > uint64(len(r)) {
+		return nil, nil, fmt.Errorf("%w: %s column frame", ErrCorrupt, name)
 	}
-	tc := ts2diff.New(p, blockSize)
-	times, err = readColumn(tc.Decode)
+	col = r[:clen]
+	if count, _, err := codec.ReadUvarint(col); err != nil || count != uint64(n) {
+		return nil, nil, fmt.Errorf("%w: %s column count does not match the chunk's %d", ErrCorrupt, name, n)
+	}
+	return col, r[clen:], nil
+}
+
+// decodeColumns inverts appendColumns for a chunk of n points.
+func decodeColumns(p codec.Packer, blockSize int, rest []byte, n int) (times, vals []int64, err error) {
+	tcol, rest, err := splitColumn(rest, n, "time")
 	if err != nil {
+		return nil, nil, err
+	}
+	vcol, _, err := splitColumn(rest, n, "value")
+	if err != nil {
+		return nil, nil, err
+	}
+	// Both codecs return exactly the count the column declares, or an
+	// error.
+	if times, err = ts2diff.New(p, blockSize).Decode(tcol); err != nil {
 		return nil, nil, fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
 	}
-	vc := codec.NewBlockwise(p, blockSize)
-	vals, err = readColumn(vc.Decode)
-	if err != nil {
+	if vals, err = codec.NewBlockwise(p, blockSize).Decode(vcol); err != nil {
 		return nil, nil, fmt.Errorf("%w: value column: %v", ErrCorrupt, err)
-	}
-	if len(times) != n || len(vals) != n {
-		return nil, nil, fmt.Errorf("%w: column lengths %d/%d, want %d", ErrCorrupt, len(times), len(vals), n)
 	}
 	return times, vals, nil
 }
