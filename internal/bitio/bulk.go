@@ -4,21 +4,23 @@ import "encoding/binary"
 
 // Bulk fixed-width paths for the hot loops of block packing: same stream
 // layout as repeated WriteBits/ReadBits calls, but executed block-at-a-time.
-// When the stream position is byte-aligned and at least 8 values remain, the
-// front doors dispatch into the width-specialized kernels of
-// kernels_*_gen.go (64 values per call, 8 for the tail; whole-word
-// loads/stores, no per-value width dispatch, one bounds check per block).
-// A bit-unaligned read of 8+ values — the BOS inlier plane sits after the
-// n+outliers-bit bitmap, so this is the common decode case — stages each
-// block through a stack buffer shifted to byte alignment (one word-sized
-// shift/or per 8 stream bytes) and runs the aligned kernel on that, for the
-// widths where that beats the scalar loop (see stageUnaligned). Short runs,
-// unaligned writes and buffer tails take the scalar paths below: a value of
-// width <= 56 starting at any bit offset o (0..7) occupies at most o+56 <=
-// 63 bits, so it always fits in the 8 bytes beginning at its first byte —
-// load big-endian, shift, mask. Widths above 56 fall back to per-value
-// ReadBits/WriteBits there, as does the tail of the read buffer where an
-// 8-byte load would run past the end.
+// WriteBulk (with the fused WriteBulkInt64 on top) is the write front door
+// and ReadBulkInt64 the read one. When the stream position is byte-aligned
+// and at least 8 values remain, they dispatch into the width-specialized
+// kernels of kernels_*_gen.go (64 values per call, 8 for the tail;
+// whole-word loads/stores, no per-value width dispatch, one bounds check per
+// block). A bit-unaligned read of 8+ values — the BOS inlier plane sits
+// after the n+outliers-bit bitmap, so this is the common decode case —
+// stages each block through a stack buffer shifted to byte alignment (one
+// word-sized shift/or per 8 stream bytes) and runs the aligned kernel on
+// that, for the widths where that beats the scalar loop (see
+// stageUnaligned); a bit-unaligned write stages the other way (see
+// writeBulkStaged). Short runs and buffer tails take the scalar paths
+// below: a value of width <= 56 starting at any bit offset o (0..7) occupies
+// at most o+56 <= 63 bits, so it always fits in the 8 bytes beginning at its
+// first byte — load big-endian, shift, mask. Widths above 56 fall back to
+// per-value ReadBits/WriteBits there, as does the tail of the read buffer
+// where an 8-byte load would run past the end.
 
 const bulkMaxWidth = 56
 
@@ -226,82 +228,6 @@ func (w *Writer) writeBulkScalar(vals []uint64, width uint) {
 	}
 }
 
-// ReadBulk fills out with consecutive values at the given width and reports
-// how many it decoded. On success that is len(out). When the stream is too
-// short it decodes every value that fits completely, leaves the position
-// after the last decoded value, and returns the count alongside
-// ErrUnexpectedEOF — callers no longer need to re-derive the decoded prefix
-// from BitPos. A width above 64 decodes nothing and returns ErrOverflow.
-//
-//bos:hotpath
-func (r *Reader) ReadBulk(out []uint64, width uint) (int, error) {
-	if width > 64 {
-		return 0, ErrOverflow
-	}
-	if len(out) == 0 {
-		return 0, nil
-	}
-	if width == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return len(out), nil
-	}
-	n := len(out)
-	var short bool
-	if avail := len(r.data)*8 - r.pos; n*int(width) > avail {
-		n = avail / int(width)
-		short = true
-	}
-	out = out[:n]
-	i := 0
-	if r.pos&7 == 0 && n >= kernelTail {
-		data := r.data[r.pos>>3:]
-		k := 0
-		for ; i+kernelBlock <= n; i += kernelBlock {
-			kernelUnpack64(width, data[k:], (*[64]uint64)(out[i:]))
-			k += int(width) * 8
-		}
-		for need := tailBytes(width); i+kernelTail <= n && k+need <= len(data); i += kernelTail {
-			kernelUnpack8(width, data[k:], (*[8]uint64)(out[i:]))
-			k += int(width)
-		}
-		r.pos += i * int(width)
-	} else if n >= kernelTail && stageUnaligned(width) {
-		// Unaligned: 64 values span exactly width*8 bytes and 8 values
-		// exactly width bytes, so the sub-byte offset repeats block to
-		// block. Stage each block through a stack buffer shifted to byte
-		// alignment (one word-sized shift/or per 8 stream bytes) and run
-		// the aligned kernel on it. The staging arrays are scoped so a
-		// short run only pays for zeroing the 64-byte one.
-		o := uint(r.pos) & 7
-		k := r.pos >> 3
-		if n >= kernelBlock {
-			var tmp [kernelBlock * 8]byte
-			bb := int(width) * 8
-			for ; i+kernelBlock <= n && k+bb < len(r.data); i += kernelBlock {
-				realign(r.data, k, o, tmp[:bb])
-				kernelUnpack64(width, tmp[:bb], (*[64]uint64)(out[i:]))
-				k += bb
-			}
-		}
-		var tmp8 [kernelTail * 8]byte
-		for need := tailBytes(width); i+kernelTail <= n && k+need < len(r.data); i += kernelTail {
-			realign(r.data, k, o, tmp8[:need])
-			kernelUnpack8(width, tmp8[:need], (*[8]uint64)(out[i:]))
-			k += int(width)
-		}
-		r.pos += i * int(width)
-	}
-	if err := r.readBulkScalar(out[i:], width); err != nil {
-		return i, err // unreachable: the prefix is sized to fit
-	}
-	if short {
-		return n, ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
 // stageUnaligned reports whether the staged-realignment path beats the
 // scalar fallback for a bit-unaligned read at the given width. Staging
 // copies one stream byte per value per 8 values before unpacking, so in the
@@ -327,49 +253,13 @@ func realign(data []byte, k int, o uint, dst []byte) {
 	}
 }
 
-// readBulkScalar is the pre-kernel ReadBulk inner loop: one unaligned
-// 8-byte big-endian load per value while the buffer allows it, per-value
-// ReadBits near the end and for widths above 56. The caller guarantees
-// len(out)*width bits remain. Kept verbatim as the unaligned/short-run
-// fallback and the differential-test baseline.
-//
-//bos:hotpath
-func (r *Reader) readBulkScalar(out []uint64, width uint) error {
-	if width > bulkMaxWidth {
-		for i := range out {
-			v, err := r.ReadBits(width)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return nil
-	}
-	mask := uint64(1)<<width - 1
-	pos := r.pos
-	i := 0
-	for ; i < len(out) && pos>>3+8 <= len(r.data); i++ {
-		o := uint(pos) & 7
-		w := binary.BigEndian.Uint64(r.data[pos>>3:])
-		out[i] = w >> (64 - o - width) & mask
-		pos += int(width)
-	}
-	r.pos = pos
-	for ; i < len(out); i++ { // last few values near the buffer end
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
-}
-
 // ReadBulkInt64 reads len(out) consecutive width-bit offsets and stores
-// base+offset as int64 — the fused frame-of-reference decode loop shared by
-// the block decoders (saves a scratch buffer and a second pass). Unlike
-// ReadBulk it is all-or-nothing: a stream too short for len(out) values
-// returns ErrUnexpectedEOF without decoding anything or moving the position.
+// base+offset as int64 — the fused frame-of-reference decode loop behind
+// every block decoder, each of which stores offsets from a base (a decoder
+// that wants the raw offsets passes its base and subtracts it again). It is
+// all-or-nothing: a stream too short for len(out) values returns
+// ErrUnexpectedEOF without decoding anything or moving the position, and a
+// width above 64 returns ErrOverflow.
 //
 //bos:hotpath
 func (r *Reader) ReadBulkInt64(out []int64, width uint, base uint64) error {
@@ -402,8 +292,12 @@ func (r *Reader) ReadBulkInt64(out []int64, width uint, base uint64) error {
 		}
 		r.pos += i * int(width)
 	} else if len(out) >= kernelTail && stageUnaligned(width) {
-		// Unaligned staging, as in ReadBulk: shift each block to byte
-		// alignment on the stack, then run the aligned kernel.
+		// Unaligned: 64 values span exactly width*8 bytes and 8 values
+		// exactly width bytes, so the sub-byte offset repeats block to
+		// block. Stage each block through a stack buffer shifted to byte
+		// alignment (one word-sized shift/or per 8 stream bytes) and run
+		// the aligned kernel on it. The staging arrays are scoped so a
+		// short run only pays for zeroing the 64-byte one.
 		o := uint(r.pos) & 7
 		k := r.pos >> 3
 		if len(out) >= kernelBlock {
@@ -426,8 +320,11 @@ func (r *Reader) ReadBulkInt64(out []int64, width uint, base uint64) error {
 	return r.readBulkInt64Scalar(out[i:], width, base)
 }
 
-// readBulkInt64Scalar is the pre-kernel ReadBulkInt64 inner loop; see
-// readBulkScalar.
+// readBulkInt64Scalar is the pre-kernel ReadBulkInt64 inner loop: one
+// unaligned 8-byte big-endian load per value while the buffer allows it,
+// per-value ReadBits near the end and for widths above 56. The caller
+// guarantees len(out)*width bits remain. Kept verbatim as the
+// unaligned/short-run fallback and the differential-test baseline.
 //
 //bos:hotpath
 func (r *Reader) readBulkInt64Scalar(out []int64, width uint, base uint64) error {

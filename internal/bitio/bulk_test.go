@@ -19,6 +19,7 @@ func TestBulkMatchesScalar(t *testing.T) {
 			}
 		}
 		lead := uint(rng.Intn(8)) // random misalignment
+		base := rng.Uint64()
 
 		scalar := NewWriter(64)
 		scalar.WriteBits(1, lead)
@@ -40,19 +41,22 @@ func TestBulkMatchesScalar(t *testing.T) {
 			}
 		}
 
-		// Bulk read must recover the values from either stream.
+		// The fused bulk read must recover base+value from the stream.
 		r := NewReader(bb)
 		if _, err := r.ReadBits(lead); err != nil {
 			t.Fatal(err)
 		}
-		got := make([]uint64, n)
-		if m, err := r.ReadBulk(got, width); err != nil || m != n {
-			t.Fatalf("ReadBulk = %d, %v; want %d, nil", m, err, n)
+		got := make([]int64, n)
+		if err := r.ReadBulkInt64(got, width, base); err != nil {
+			t.Fatalf("iter %d: ReadBulkInt64: %v", iter, err)
 		}
 		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("iter %d: value %d: got %d want %d", iter, i, got[i], vals[i])
+			if want := int64(base + vals[i]); got[i] != want {
+				t.Fatalf("iter %d: value %d: got %d want %d", iter, i, got[i], want)
 			}
+		}
+		if want := int(lead) + n*int(width); r.BitPos() != want {
+			t.Fatalf("iter %d: BitPos %d want %d", iter, r.BitPos(), want)
 		}
 	}
 }
@@ -116,30 +120,28 @@ func TestWriteBulkMidStream(t *testing.T) {
 	}
 }
 
-// TestBulkReadPastEnd pins the short-buffer contract: ReadBulk decodes the
-// values that fit completely, reports how many, leaves the position after
-// the last decoded value, and returns ErrUnexpectedEOF.
+// TestBulkReadPastEnd pins the all-or-nothing contract of ReadBulkInt64: a
+// read the stream is too short for returns ErrUnexpectedEOF, writes nothing
+// to out and leaves the position where it was, so the bits that are there
+// still read normally.
 func TestBulkReadPastEnd(t *testing.T) {
 	// 16 bits of stream, 7-bit values: exactly 2 fit, the third does not.
 	r := NewReader([]byte{0xff, 0xff})
-	out := []uint64{99, 99, 99}
-	n, err := r.ReadBulk(out, 7)
-	if err != ErrUnexpectedEOF {
+	out := []int64{99, 99, 99}
+	if err := r.ReadBulkInt64(out, 7, 1); err != ErrUnexpectedEOF {
 		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
 	}
-	if n != 2 {
-		t.Errorf("n = %d, want 2", n)
+	for i, v := range out {
+		if v != 99 {
+			t.Errorf("out[%d] overwritten: %d", i, v)
+		}
 	}
-	if out[0] != 0x7f || out[1] != 0x7f {
-		t.Errorf("decoded prefix = %v, want 0x7f 0x7f", out[:2])
+	if got := r.BitPos(); got != 0 {
+		t.Errorf("BitPos = %d, want 0", got)
 	}
-	if out[2] != 99 {
-		t.Errorf("out[2] overwritten: %d", out[2])
-	}
-	// Position sits after the 2 decoded values; the remaining 2 bits read
-	// normally.
-	if got := r.BitPos(); got != 14 {
-		t.Errorf("BitPos = %d, want 14", got)
+	// The two values that fit, then the remaining 2 bits, read normally.
+	if err := r.ReadBulkInt64(out[:2], 7, 1); err != nil || out[0] != 0x80 || out[1] != 0x80 {
+		t.Errorf("prefix read = %v, %v; want [128 128], nil", out[:2], err)
 	}
 	if got, err := r.ReadBits(2); err != nil || got != 3 {
 		t.Errorf("tail read: %d, %v", got, err)
@@ -157,33 +159,47 @@ func TestBulkReadPastEndKernelAligned(t *testing.T) {
 	w.WriteBulk(vals, 5)
 	data := w.Bytes() // 500 bits -> 63 bytes: 100 values, then padding
 	r := NewReader(data)
-	out := make([]uint64, 120)
-	n, err := r.ReadBulk(out, 5)
-	if err != ErrUnexpectedEOF {
+	out := make([]int64, 120)
+	for i := range out {
+		out[i] = -1
+	}
+	if err := r.ReadBulkInt64(out, 5, 0); err != ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 	}
-	if want := len(data) * 8 / 5; n != want {
-		t.Fatalf("n = %d, want %d", n, want)
-	}
-	for i := range vals {
-		if out[i] != vals[i] {
-			t.Fatalf("value %d: got %d want %d", i, out[i], vals[i])
+	for i, v := range out {
+		if v != -1 {
+			t.Fatalf("out[%d] overwritten: %d", i, v)
 		}
 	}
-	if got := r.BitPos(); got != n*5 {
-		t.Fatalf("BitPos = %d, want %d", got, n*5)
+	if got := r.BitPos(); got != 0 {
+		t.Fatalf("BitPos = %d, want 0", got)
+	}
+	// Every value that fits still decodes once the read is sized to it.
+	fit := out[:len(data)*8/5]
+	if err := r.ReadBulkInt64(fit, 5, 0); err != nil {
+		t.Fatalf("fitting read: %v", err)
+	}
+	for i := range vals {
+		if fit[i] != int64(vals[i]) {
+			t.Fatalf("value %d: got %d want %d", i, fit[i], vals[i])
+		}
+	}
+	if got := r.BitPos(); got != len(fit)*5 {
+		t.Fatalf("BitPos = %d, want %d", got, len(fit)*5)
 	}
 }
 
 func TestBulkZeroWidth(t *testing.T) {
 	r := NewReader(nil)
-	out := []uint64{7, 7}
-	n, err := r.ReadBulk(out, 0)
-	if err != nil || n != 2 {
-		t.Fatalf("ReadBulk = %d, %v", n, err)
+	out := []int64{7, 7}
+	if err := r.ReadBulkInt64(out, 0, 5); err != nil {
+		t.Fatalf("ReadBulkInt64: %v", err)
 	}
-	if out[0] != 0 || out[1] != 0 {
-		t.Errorf("out = %v", out)
+	if out[0] != 5 || out[1] != 5 {
+		t.Errorf("out = %v, want [5 5]", out)
+	}
+	if got := r.BitPos(); got != 0 {
+		t.Errorf("BitPos = %d, want 0", got)
 	}
 }
 
@@ -263,46 +279,6 @@ func BenchmarkWriteBulkScalar(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w.Reset()
 				w.writeBulkScalar(vals, width)
-			}
-		})
-	}
-}
-
-func BenchmarkReadBulk(b *testing.B) {
-	for _, width := range benchWidths {
-		b.Run(fmt.Sprintf("w%02d", width), func(b *testing.B) {
-			vals := benchVals(width, 1024)
-			w := NewWriter(1 << 14)
-			w.WriteBulk(vals, width)
-			data := w.Bytes()
-			out := make([]uint64, 1024)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := NewReader(data)
-				if _, err := r.ReadBulk(out, width); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkReadBulkScalar measures the pre-kernel per-value load loop on the
-// same streams (the "before" column of BENCH_kernels.json).
-func BenchmarkReadBulkScalar(b *testing.B) {
-	for _, width := range benchWidths {
-		b.Run(fmt.Sprintf("w%02d", width), func(b *testing.B) {
-			vals := benchVals(width, 1024)
-			w := NewWriter(1 << 14)
-			w.WriteBulk(vals, width)
-			data := w.Bytes()
-			out := make([]uint64, 1024)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := NewReader(data)
-				if err := r.readBulkScalar(out, width); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

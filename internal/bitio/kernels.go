@@ -8,11 +8,14 @@ package bitio
 // Each bit width W in 1..64 gets branch-free pack/unpack functions working a
 // whole block at a time — 64 values (exactly W big-endian words) or an
 // 8-value tail (ceil(W/8) words) — with a fixed shift/mask schedule and a
-// single bounds check per block. The ReadBulk/ReadBulkInt64/WriteBulk front
-// doors in bulk.go dispatch into them through the generated jump-table
-// switches (kernelUnpack64 and friends) whenever the stream position is
-// byte-aligned and at least 8 values remain, and fall back to the scalar
-// paths otherwise. CI regenerates the kernels and fails on any diff, so the
+// single bounds check per block. There is one pack family and one unpack
+// family; the unpack kernels add a frame-of-reference base to every offset,
+// since every decoder in the repository stores offsets from a base. The
+// ReadBulkInt64/WriteBulk front doors in bulk.go dispatch into them through
+// the generated jump-table switches (kernelUnpack64Int64 and friends)
+// whenever at least 8 values remain, staging a bit-unaligned stream through
+// a stack buffer where that pays, and fall back to the scalar paths
+// otherwise. CI regenerates the kernels and fails on any diff, so the
 // checked-in files can never drift from the generator.
 
 // kernelBlock and kernelTail are the two generated block sizes.

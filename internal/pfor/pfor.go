@@ -228,13 +228,12 @@ func (Packer) Unpack(src []byte, out []int64) ([]int64, []byte, error) {
 		}
 		first = int(f64)
 	}
-	slots := make([]uint64, n)
-	if _, err := r.ReadBulk(slots, b); err != nil {
-		return out, nil, fmt.Errorf("%w: slots: %v", errCorrupt, err)
-	}
+	// Slots decode straight into out as xmin+slot; an exception's slot
+	// holds its link, recovered below by subtracting xmin again.
 	base := len(out)
-	for _, s := range slots {
-		out = append(out, int64(uint64(xmin)+s))
+	out = append(out, make([]int64, n)...)
+	if err := r.ReadBulkInt64(out[base:], b, uint64(xmin)); err != nil {
+		return out[:base], nil, fmt.Errorf("%w: slots: %v", errCorrupt, err)
 	}
 	idx := first
 	for k := 0; k < nExc; k++ {
@@ -245,7 +244,12 @@ func (Packer) Unpack(src []byte, out []int64) ([]int64, []byte, error) {
 		if idx >= n {
 			return out, nil, fmt.Errorf("%w: exception chain escaped the block", errCorrupt)
 		}
-		link := slots[idx]
+		// The encoder's links are gaps inside the block, so a link of n or
+		// more is corrupt; rejecting it also keeps idx from overflowing.
+		link := uint64(out[base+idx]) - uint64(xmin)
+		if link >= uint64(n) {
+			return out, nil, fmt.Errorf("%w: exception link %d out of range", errCorrupt, link)
+		}
 		out[base+idx] = int64(uint64(xmin) + exc)
 		idx += int(link) + 1
 	}

@@ -1,6 +1,8 @@
 package pfor
 
 import (
+	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -181,6 +183,31 @@ func TestCorruptionNeverPanics(t *testing.T) {
 			}
 			cor = cor[:rng.Intn(len(cor)+1)]
 			p.Unpack(cor, nil)
+		}
+	}
+}
+
+// TestCorruptLinkRejected decodes classic PFOR blocks whose exception link
+// points outside the block. A link of 2^63 once made the chain index
+// negative and panicked; one of 2^64-2 steps back one slot, onto the values
+// of an earlier block already in out. Both must be errCorrupt, with the
+// earlier values left alone. Each stream is n=2, xmin=0, b=64, wmax=0, two
+// exceptions, first=0, then the two 64-bit slots.
+func TestCorruptLinkRejected(t *testing.T) {
+	for _, stream := range []string{
+		"020040000200" + "8000000000000000" + "0000000000000000",
+		"020040000200" + "fffffffffffffffe" + "0000000000000000",
+	} {
+		src, err := hex.DecodeString(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Packer{}.Unpack(src, []int64{42})
+		if !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: err = %v, want errCorrupt", stream, err)
+		}
+		if len(got) == 0 || got[0] != 42 {
+			t.Errorf("%s: earlier value overwritten: %v", stream, got)
 		}
 	}
 }

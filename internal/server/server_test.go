@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,8 +10,9 @@ import (
 	"bos/internal/tsfile"
 )
 
-// newTestServer opens an engine over dir and mounts a Server on httptest.
-func newTestServer(t *testing.T, dir string) (*Client, *Server, func()) {
+// newTestServer opens an engine over dir and mounts a Server on httptest,
+// inside the given wrappers if any.
+func newTestServer(t *testing.T, dir string, wrap ...func(http.Handler) http.Handler) (*Client, *Server, func()) {
 	t.Helper()
 	eng, err := engine.Open(engine.Options{Dir: dir})
 	if err != nil {
@@ -20,7 +22,11 @@ func newTestServer(t *testing.T, dir string) (*Client, *Server, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	for _, w := range wrap {
+		h = w(h)
+	}
+	ts := httptest.NewServer(h)
 	cleanup := func() {
 		ts.Close()
 		if err := srv.Close(); err != nil {
