@@ -1,11 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"bos/internal/cluster"
@@ -113,68 +113,8 @@ func runRebalance(man *cluster.Manifest, root string, opt engine.Options, newMap
 	return emitJSON(plan)
 }
 
-// clusterBenchReport is the BENCH_cluster.json shape: the same workload run
-// once against a single engine and once against an in-process cluster, with
-// the ingest speedup called out.
-type clusterBenchReport struct {
-	Config struct {
-		benchConfig
-		Shards  int  `json:"shards"`
-		VNodes  int  `json:"vnodes"`
-		SyncWAL bool `json:"sync_wal"`
-		// Cores is GOMAXPROCS at run time. It bounds what sharding can win:
-		// on one core only the WAL-fsync overlap shows up; the per-shard CPU
-		// lanes (encode, parse, insert) need real cores to run concurrently.
-		Cores int `json:"cores"`
-	} `json:"config"`
-	Single  benchReport `json:"single"`
-	Cluster benchReport `json:"cluster"`
-	Speedup struct {
-		IngestPointsPerSec float64 `json:"ingest_points_per_sec"`
-	} `json:"speedup"`
-}
-
-// runClusterBench benches the same config twice — single-engine baseline,
-// then an n-shard in-process cluster — under root, and emits the combined
-// report.
-func runClusterBench(root string, opt engine.Options, cfg benchConfig, n int) error {
-	single := opt
-	single.Dir = filepath.Join(root, "bench-single")
-	eng, err := engine.Open(single)
-	if err != nil {
-		return err
-	}
-	singleRep, err := benchRun(server.NewEngineBackend(eng), cfg)
-	if cerr := eng.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-
-	man := cluster.DefaultManifest(n)
-	router, err := cluster.Open(man, filepath.Join(root, "bench-cluster"), opt)
-	if err != nil {
-		return err
-	}
-	clusterRep, err := benchRun(router, cfg)
-	if cerr := router.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-
-	var out clusterBenchReport
-	out.Config.benchConfig = cfg
-	out.Config.Shards = n
-	out.Config.VNodes = man.VNodes
-	out.Config.SyncWAL = opt.SyncWAL
-	out.Config.Cores = runtime.GOMAXPROCS(0)
-	out.Single = singleRep
-	out.Cluster = clusterRep
-	if singleRep.Ingest.PointsSec > 0 {
-		out.Speedup.IngestPointsPerSec = round3(clusterRep.Ingest.PointsSec / singleRep.Ingest.PointsSec)
-	}
-	return emitJSON(out)
+func emitJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

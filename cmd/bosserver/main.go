@@ -1,5 +1,5 @@
 // Command bosserver serves the BOS storage engine over HTTP (see
-// internal/server for the API) and doubles as a load generator for it.
+// internal/server for the API).
 //
 // Serve mode (default): open the data directory and listen until SIGINT or
 // SIGTERM, then shut down gracefully — stop accepting, drain in-flight
@@ -13,27 +13,14 @@
 //	curl 'localhost:8086/query?series=root.d1.temp&from=0&to=200'
 //	curl 'localhost:8086/stats'
 //
-// Bench mode: spin up an in-process server over -dir, run -writers concurrent
-// ingest clients and -readers query clients against it, and report points/sec
-// plus p50/p99 latency as JSON on stdout:
-//
-//	bosserver -bench -dir ./benchdata -writers 8 -readers 4 -points 400000
-//
-// -bench-pushdown compares the compressed-domain query executor (footer
-// statistics + inlier-plane partial decode) against full-decode scan folds on
-// the same windowed aggregate, whole-range aggregate and value filter:
-//
-//	bosserver -bench-pushdown -dir ./benchdata -points 400000
-//
 // Cluster mode: -cluster N shards the keyspace across N in-process engines
 // behind the same HTTP API (consistent hashing on series names; shard map
 // persisted at <dir>/shardmap.json, override with -shard-map). -rebalance
-// newmap.json prints the per-series move plan onto a new map and exits.
-// -bench -cluster N runs the workload against a single engine and an N-shard
-// cluster and reports both with the ingest speedup:
+// newmap.json prints the per-series move plan onto a new map and exits:
 //
 //	bosserver -dir ./data -cluster 4
-//	bosserver -bench -dir ./benchdata -cluster 4 -writers 16
+//
+// cmd/bosperf is the benchmark for this serving stack.
 package main
 
 import (
@@ -75,15 +62,6 @@ func main() {
 		maintIvl  = flag.Duration("maintain-interval", 30*time.Second, "serve: base maintenance interval (jittered)")
 		maintRate = flag.Int64("maintain-rate", 0, "serve: maintenance rate limit in input bytes/sec (0 = unlimited)")
 		adaptive  = flag.Bool("adaptive", true, "serve: adaptive per-series repacking during maintenance")
-
-		bench         = flag.Bool("bench", false, "run the load generator instead of serving")
-		benchPushdown = flag.Bool("bench-pushdown", false, "bench the compressed-domain query executor against full decode, print JSON, exit")
-		writers       = flag.Int("writers", 8, "bench: concurrent ingest clients")
-		readers       = flag.Int("readers", 4, "bench: concurrent query clients")
-		points        = flag.Int("points", 400000, "bench: total points to ingest")
-		batch         = flag.Int("batch", 1000, "bench: points per ingest request")
-		seed          = flag.Int64("seed", 1, "bench: value generator seed")
-		perSerie      = flag.Int("series-per-writer", 4, "bench: series per writer")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -109,41 +87,16 @@ func main() {
 		defer stopPprof()
 	}
 
-	benchCfg := benchConfig{
-		Packer:          p.Name(),
-		Writers:         *writers,
-		Readers:         *readers,
-		Points:          *points,
-		Batch:           *batch,
-		Seed:            *seed,
-		SeriesPerWriter: *perSerie,
-	}
 	maintCfg := maintain.Config{
 		Interval:    *maintIvl,
 		BytesPerSec: *maintRate,
 		Adaptive:    *adaptive,
 	}
 
-	if *benchPushdown {
-		if err := runPushdownBench(*dir, engOpts, *points, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	// Cluster mode: any of the cluster flags swaps the single engine for a
 	// sharded Router behind the same HTTP API. The default path below stays
 	// exactly what it was.
 	if *clusterN > 1 || *shardMap != "" || *rebalance != "" {
-		if *bench {
-			if *clusterN < 2 {
-				fatal(errors.New("-bench cluster comparison needs -cluster >= 2"))
-			}
-			if err := runClusterBench(*dir, engOpts, benchCfg, *clusterN); err != nil {
-				fatal(err)
-			}
-			return
-		}
 		man, mapPath, err := loadOrInitManifest(*dir, *shardMap, *clusterN)
 		if err != nil {
 			fatal(err)
@@ -182,21 +135,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *bench {
-		err = runBench(server.NewEngineBackend(eng), benchCfg)
-		if cerr := eng.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
 	var mnt *maintain.Maintainer
 	if *doMaint {
 		mnt = maintain.New(eng, maintCfg)
 	}
-	api, err := server.New(server.Options{Engine: eng, Maintainer: mnt, PackerName: p.Name()})
+	api, err := server.New(server.Options{Backend: server.NewEngineBackend(eng), Maintainer: mnt, PackerName: p.Name()})
 	if err != nil {
 		fatal(err)
 	}

@@ -107,9 +107,6 @@ func (r *Reader) AlignByte() {
 // BitPos reports the current absolute bit position.
 func (r *Reader) BitPos() int { return r.pos }
 
-// Remaining reports the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.data)*8 - r.pos }
-
 // Rest returns the unread suffix of the underlying buffer, rounding the
 // current position up to a byte boundary first. It is used to hand the tail
 // of a multi-section stream to another decoder.

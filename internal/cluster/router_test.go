@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bos/internal/engine"
@@ -280,4 +283,145 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 	clustered2, cluster2Done := mount(t, router2)
 	defer cluster2Done()
 	compareBackends(t, single, clustered2, intSeries, floatSeries, pointsPer)
+}
+
+// TestRouterConcurrentIngestQuery drives a 4-shard Router the way a
+// deployment does: 16 HTTP writers, each owning four series (the last one
+// float), post 500-point batches while two readers query and the shards
+// flush under the load. No ingest may fail, every read must come back in
+// range and in time order, and afterwards every series must read back
+// identical to a single engine fed the same batches.
+func TestRouterConcurrentIngestQuery(t *testing.T) {
+	const (
+		writers   = 16
+		perWriter = 4 // series per writer
+		batch     = 500
+		rounds    = 2 // batches per series; each overwrites half the last
+		readers   = 2
+		pointsPer = batch * (rounds + 1) / 2
+	)
+	rng := rand.New(rand.NewSource(1))
+	var intSeries, floatSeries []string
+	posts := make([][][]byte, writers) // each writer's batches, in order
+	for w := range posts {
+		names := make([]string, perWriter)
+		for s := range names {
+			names[s] = fmt.Sprintf("root.load.w%02d.s%d", w, s)
+			if s == perWriter-1 {
+				floatSeries = append(floatSeries, names[s])
+			} else {
+				intSeries = append(intSeries, names[s])
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			for s, name := range names {
+				var b bytes.Buffer
+				for i := 0; i < batch; i++ {
+					ts := r*batch/2 + i
+					if s == perWriter-1 {
+						fmt.Fprintf(&b, "%s,%d,%.3f\n", name, ts, rng.NormFloat64()*40)
+						continue
+					}
+					v := int64(rng.NormFloat64()*50) + 1000
+					if rng.Intn(100) == 0 {
+						v += rng.Int63n(1 << 20)
+					}
+					fmt.Fprintf(&b, "%s,%d,%d\n", name, ts, v)
+				}
+				posts[w] = append(posts[w], b.Bytes())
+			}
+		}
+	}
+
+	// A small flush threshold makes every shard flush while writers post
+	// and readers scan.
+	router, err := Open(DefaultManifest(4), t.TempDir(), engine.Options{FlushThreshold: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := router.Close(); err != nil {
+			t.Errorf("router close: %v", err)
+		}
+	}()
+	clustered, clusterDone := mount(t, router)
+	defer clusterDone()
+
+	var writeWG, readWG sync.WaitGroup
+	for _, batches := range posts {
+		writeWG.Add(1)
+		go func(batches [][]byte) {
+			defer writeWG.Done()
+			for _, b := range batches {
+				if _, err := clustered.IngestLines(b); err != nil {
+					t.Errorf("ingest: %v", err)
+					return
+				}
+			}
+		}(batches)
+	}
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		readWG.Add(1)
+		go func(rng *rand.Rand) {
+			defer readWG.Done()
+			for {
+				lo := rng.Int63n(pointsPer)
+				hi := lo + rng.Int63n(256)
+				var ts []int64
+				var err error
+				if rng.Intn(4) == 0 {
+					var pts []tsfile.FloatPoint
+					pts, err = clustered.QueryFloats(floatSeries[rng.Intn(len(floatSeries))], lo, hi)
+					for _, p := range pts {
+						ts = append(ts, p.T)
+					}
+				} else {
+					var pts []tsfile.Point
+					pts, err = clustered.Query(intSeries[rng.Intn(len(intSeries))], lo, hi)
+					for _, p := range pts {
+						ts = append(ts, p.T)
+					}
+				}
+				// A reader can outrun the writer that creates a series.
+				var se *server.StatusError
+				if err != nil && !(errors.As(err, &se) && se.Code == http.StatusNotFound) {
+					t.Errorf("query [%d,%d]: %v", lo, hi, err)
+				}
+				for i, x := range ts {
+					if x < lo || x > hi || (i > 0 && x <= ts[i-1]) {
+						t.Errorf("query [%d,%d]: timestamps %v out of range or order", lo, hi, ts)
+						break
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(rand.New(rand.NewSource(int64(100 + r))))
+	}
+	writeWG.Wait()
+	close(done)
+	readWG.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	single, singleDone := mount(t, server.NewEngineBackend(eng))
+	defer singleDone()
+	for _, batches := range posts {
+		for _, b := range batches {
+			if _, err := single.IngestLines(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compareBackends(t, single, clustered, intSeries, floatSeries, pointsPer)
 }

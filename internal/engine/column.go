@@ -163,10 +163,17 @@ func dedupeSort[V int64 | float64](pts []tsfile.Sample[V]) []tsfile.Sample[V] {
 // masked by any tombstone that arrived after the snapshot was taken —
 // DeleteRange cannot prune the in-flight maps. Callers hold structMu shared
 // (masking reads e.tombs and e.flushSeq).
-func memSnapshot[V int64 | float64](e *Engine, col *column[V], series string, minT, maxT int64) []tsfile.Sample[V] {
+//
+// Every typed read takes this snapshot, so it is where a read of the other
+// value kind fails: with tsfile.ErrKindMismatch, from the stripe's kind
+// record, whether the series' points are buffered, in flight or on disk.
+func memSnapshot[V int64 | float64](e *Engine, col *column[V], series string, minT, maxT int64) ([]tsfile.Sample[V], error) {
 	st := e.stripe(series)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	if kind, ok := st.kinds[series]; ok && kind != col.kind {
+		return nil, fmt.Errorf("%w: %q holds %s points", tsfile.ErrKindMismatch, series, kind)
+	}
 	b := col.buf(st)
 	live, flush := b.mem[series], b.flush[series]
 	pts := make([]tsfile.Sample[V], 0, len(live)+len(flush))
@@ -180,14 +187,18 @@ func memSnapshot[V int64 | float64](e *Engine, col *column[V], series string, mi
 			pts = append(pts, p)
 		}
 	}
-	return dedupeSort(pts)
+	return dedupeSort(pts), nil
 }
 
 // query merges one series of col's kind over [minT, maxT]: every data file,
 // oldest first, then the memtable. Caller holds structMu (read suffices) and
 // has checked closed.
 func query[V int64 | float64](e *Engine, col *column[V], series string, minT, maxT int64) ([]tsfile.Sample[V], error) {
-	return mergeFiles(e.files, e.tombs, series, minT, maxT, memSnapshot(e, col, series, minT, maxT))
+	mem, err := memSnapshot(e, col, series, minT, maxT)
+	if err != nil {
+		return nil, err
+	}
+	return mergeFiles(e.files, e.tombs, series, minT, maxT, mem)
 }
 
 // mergeFiles merges one series over [minT, maxT] across files, oldest

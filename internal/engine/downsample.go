@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"bos/internal/pushdown"
-	"bos/internal/tsfile"
 )
 
 // Bucket is one downsampled window. It is internal/pushdown's bucket type:
@@ -26,18 +25,4 @@ func (e *Engine) Downsample(series string, minT, maxT, window int64) ([]Bucket, 
 		return nil, ErrBadWindow
 	}
 	return e.WindowAgg(series, minT, maxT, window)
-}
-
-// DownsampleAvg is a convenience wrapper returning (window start, mean)
-// points, ready to plot.
-func (e *Engine) DownsampleAvg(series string, minT, maxT, window int64) ([]tsfile.Point, error) {
-	buckets, err := e.Downsample(series, minT, maxT, window)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tsfile.Point, len(buckets))
-	for i, b := range buckets {
-		out[i] = tsfile.Point{T: b.Start, V: int64(b.Avg())}
-	}
-	return out, nil
 }

@@ -33,11 +33,6 @@ func TestDownsample(t *testing.T) {
 	if buckets[2].Start != 20 || buckets[2].Count != 1 {
 		t.Errorf("window 20 = %+v", buckets[2])
 	}
-
-	avg, err := e.DownsampleAvg("s", 0, 29, 10)
-	if err != nil || len(avg) != 3 || avg[1].V != 75 {
-		t.Fatalf("avg = %v err %v", avg, err)
-	}
 }
 
 func TestDownsampleSkipsEmptyWindows(t *testing.T) {

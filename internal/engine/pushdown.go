@@ -75,7 +75,10 @@ func (e *Engine) planPushdown(series string, minT, maxT int64) ([]chunkRef, [][2
 	// Chunk-vs-memtable: a buffered point inside a chunk's interval is fresher
 	// than the chunk. memSnapshot is sorted and already tombstone-masked, so
 	// it is exactly what the merged scan would add.
-	mem := memSnapshot(e, intCol, series, minT, maxT)
+	mem, err := memSnapshot(e, intCol, series, minT, maxT)
+	if err != nil {
+		return nil, nil, err
+	}
 	for i, ref := range refs {
 		if blocked[i] || len(mem) == 0 {
 			continue

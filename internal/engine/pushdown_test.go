@@ -183,24 +183,36 @@ func TestWindowAggOverlappingFiles(t *testing.T) {
 }
 
 func TestWindowAggFloatSeries(t *testing.T) {
-	e := openTest(t, Options{DisableWAL: true, FlushThreshold: 1 << 30})
-	defer e.Close()
-	if err := e.InsertFloatBatch("f", []tsfile.FloatPoint{{T: 1, V: 1.5}, {T: 2, V: 2.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Int-path reads of a float series fail identically on both executors.
-	if _, err := e.Query("f", 0, 10); !errors.Is(err, tsfile.ErrKindMismatch) {
-		t.Fatalf("Query on float series: %v", err)
-	}
-	if _, err := e.WindowAgg("f", 0, 10, 5); !errors.Is(err, tsfile.ErrKindMismatch) {
-		t.Fatalf("WindowAgg on float series: %v", err)
-	}
-	err := e.QueryFilterEach("f", 0, 10, -1, 1, func(tsfile.Point) error { return nil })
-	if !errors.Is(err, tsfile.ErrKindMismatch) {
-		t.Fatalf("QueryFilterEach on float series: %v", err)
+	for _, flushed := range []bool{false, true} {
+		e := openTest(t, Options{DisableWAL: true, FlushThreshold: 1 << 30})
+		if err := e.InsertFloatBatch("f", []tsfile.FloatPoint{{T: 1, V: 1.5}, {T: 2, V: 2.5}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InsertBatch("i", []tsfile.Point{{T: 1, V: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		if flushed {
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Reads of the other kind fail identically on every path, whether
+		// the points are buffered or on disk.
+		reads := map[string]error{}
+		_, reads["Query"] = e.Query("f", 0, 10)
+		reads["QueryEach"] = e.QueryEach("f", 0, 10, func(tsfile.Point) error { return nil })
+		_, reads["WindowAgg"] = e.WindowAgg("f", 0, 10, 5)
+		_, reads["Aggregate"] = e.Aggregate("f", 0, 10)
+		reads["QueryFilterEach"] = e.QueryFilterEach("f", 0, 10, -1, 1, func(tsfile.Point) error { return nil })
+		_, reads["QueryFloats"] = e.QueryFloats("i", 0, 10)
+		for name, err := range reads {
+			if !errors.Is(err, tsfile.ErrKindMismatch) {
+				t.Errorf("flushed=%v: %s of the other kind: %v", flushed, name, err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

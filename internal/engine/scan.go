@@ -152,12 +152,16 @@ func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, page [
 	if e.closed.Load() {
 		return nil, false, ErrClosed
 	}
+	mem, err := memSnapshot(e, intCol, series, minT, maxT)
+	if err != nil {
+		return nil, false, err
+	}
 	if sc.merge == nil || sc.gen != e.gen {
 		if err := e.rebuildScan(sc, series, minT, maxT); err != nil {
 			return nil, false, err
 		}
 	}
-	sc.merge.Reset(sc.mem, tsfile.NewSliceCursor(memSnapshot(e, intCol, series, minT, maxT)))
+	sc.merge.Reset(sc.mem, tsfile.NewSliceCursor(mem))
 	out := page[:0]
 	for len(out) < cap(out) && sc.merge.Next() {
 		out = append(out, sc.merge.Point())

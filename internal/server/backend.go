@@ -82,8 +82,8 @@ type engineBackend struct {
 	eng *engine.Engine
 }
 
-// NewEngineBackend wraps a single engine as a Backend. cmd/bosserver's bench
-// harness uses it so one driver covers single-engine and clustered runs.
+// NewEngineBackend wraps a single engine as a Backend, the storage a
+// single-node Server serves.
 func NewEngineBackend(eng *engine.Engine) Backend { return engineBackend{eng: eng} }
 
 // InsertGrouped inserts the group's series in sorted order, integers first —

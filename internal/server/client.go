@@ -18,8 +18,8 @@ import (
 )
 
 // Client is the typed Go client for the serving API. It speaks the same line
-// protocol and JSON shapes the handlers emit, and is what cmd/bosserver's
-// load generator and internal/cluster's remote shards drive.
+// protocol and JSON shapes the handlers emit, and is what cmd/bosperf's
+// workloads and internal/cluster's remote shards drive.
 type Client struct {
 	base string
 	hc   *http.Client

@@ -18,7 +18,7 @@ func newMaintainedServer(t *testing.T) (*Client, *engine.Engine, func()) {
 		t.Fatal(err)
 	}
 	mnt := maintain.New(eng, maintain.Config{Adaptive: true})
-	srv, err := New(Options{Engine: eng, Maintainer: mnt, PackerName: "BOS-B"})
+	srv, err := New(Options{Backend: NewEngineBackend(eng), Maintainer: mnt, PackerName: "BOS-B"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestConcurrentIngestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestConcurrentIngestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqSrv, err := New(Options{Engine: seqEng})
+	seqSrv, err := New(Options{Backend: NewEngineBackend(seqEng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestClientConcurrentScans(t *testing.T) {
 	if err := eng.InsertFloatBatch("root.c.f", floats); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}

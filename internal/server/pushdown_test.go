@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,7 +23,7 @@ func TestWindowAndFilteredQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +135,50 @@ func TestWindowAndFilteredQuery(t *testing.T) {
 	}
 	if err := c.Window("no.such", 0, 10, 5, func(Bucket) error { return nil }); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("window on unknown series: %v", err)
+	}
+}
+
+// TestIntReadsOfFloatSeries pins the answer of every read that folds or
+// filters integer values on a float series: a 400, whether the points are
+// buffered or flushed. An unknown series keeps /agg's and /downsample's
+// empty answers.
+func TestIntReadsOfFloatSeries(t *testing.T) {
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	c := NewClient(ts.URL, ts.Client())
+	if _, err := c.IngestFloats("root.f", []tsfile.FloatPoint{{T: 1, V: 0.5}, {T: 2, V: 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, flushed := range []bool{false, true} {
+		if flushed {
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, aggErr := c.Agg("root.f", 0, 10)
+		_, dsErr := c.Downsample("root.f", 0, 10, 5)
+		for name, err := range map[string]error{"agg": aggErr, "downsample": dsErr} {
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+				t.Errorf("flushed=%v: %s of a float series: %v, want a 400", flushed, name, err)
+			}
+		}
+	}
+	if agg, err := c.Agg("no.such", 0, 10); err != nil || agg.Count != 0 {
+		t.Fatalf("agg of an unknown series = %+v, %v", agg, err)
+	}
+	if bs, err := c.Downsample("no.such", 0, 10, 5); err != nil || len(bs) != 0 {
+		t.Fatalf("downsample of an unknown series = %+v, %v", bs, err)
 	}
 }
 

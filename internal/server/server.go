@@ -20,12 +20,9 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Engine is the single-node storage engine to serve. The caller keeps
-	// ownership: Server.Close flushes it but does not close it. Exactly one
-	// of Engine and Backend must be set.
-	Engine *engine.Engine
-	// Backend serves a storage backend other than a single in-process
-	// engine — internal/cluster's Router routes here for sharded serving.
+	// Backend is the storage to serve: NewEngineBackend for a single
+	// engine, internal/cluster's Router for a sharded one. The caller keeps
+	// ownership: Server.Close flushes it but does not close it. Required.
 	Backend Backend
 	// Maintainer, when set, backs the POST /compact admin endpoint and adds
 	// maintenance counters to /stats. The caller keeps ownership (start and
@@ -58,16 +55,11 @@ type Server struct {
 	queries atomic.Int64
 }
 
-// New builds a Server over an open engine or a sharded backend.
+// New builds a Server over a storage backend.
 func New(opt Options) (*Server, error) {
 	be := opt.Backend
-	switch {
-	case be == nil && opt.Engine == nil:
-		return nil, errors.New("server: one of Options.Engine or Options.Backend is required")
-	case be != nil && opt.Engine != nil:
-		return nil, errors.New("server: Options.Engine and Options.Backend are mutually exclusive")
-	case be == nil:
-		be = engineBackend{eng: opt.Engine}
+	if be == nil {
+		return nil, errors.New("server: Options.Backend is required")
 	}
 	s := &Server{
 		opt:   opt,
@@ -240,8 +232,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // queryWindowed serves /query?window=N: windowed aggregate rows
 // "start,count,min,max,sum,avg", one CSV line per non-empty window.
 func (s *Server) queryWindowed(w http.ResponseWriter, r *http.Request, series, kind string, from, to int64) {
-	if kind != "int" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("window requires an integer series; %q is %s", series, kind))
+	if !intOnly(w, series, kind, "window") {
 		return
 	}
 	window, err := strconv.ParseInt(r.FormValue("window"), 10, 64)
@@ -278,8 +269,7 @@ func (s *Server) queryWindowed(w http.ResponseWriter, r *http.Request, series, k
 // queryFiltered serves /query?vmin=&vmax=: the points whose value falls in
 // [vmin, vmax] (either bound may be omitted), streamed as "timestamp,value".
 func (s *Server) queryFiltered(w http.ResponseWriter, r *http.Request, series, kind string, from, to int64) {
-	if kind != "int" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("vmin/vmax require an integer series; %q is %s", series, kind))
+	if !intOnly(w, series, kind, "vmin/vmax") {
 		return
 	}
 	vmin, vmax := int64(math.MinInt64), int64(math.MaxInt64)
@@ -311,6 +301,19 @@ func (s *Server) queryFiltered(w http.ResponseWriter, r *http.Request, series, k
 	}
 	//bos:nolint(checkederr): a failed final write means the client is gone, and no one is left to tell
 	cw.flush()
+}
+
+// intOnly ends a read that folds or filters integer values (/agg,
+// /downsample, /query?window= and /query?vmin=) with a 400 when kind, the
+// series' Backend.SeriesKind, is float. It reports whether the read goes on.
+// An unknown series ("") goes on, so each endpoint keeps its own answer for
+// one.
+func intOnly(w http.ResponseWriter, series, kind, read string) bool {
+	if kind != "float" {
+		return true
+	}
+	httpError(w, http.StatusBadRequest, fmt.Errorf("%s requires an integer series; %q is float", read, series))
+	return false
 }
 
 // chunkedCSV batches CSV rows and flushes them through the ResponseWriter in
@@ -433,6 +436,14 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
+	kind, err := s.be.SeriesKind(series)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if !intOnly(w, series, kind, "agg") {
+		return
+	}
 	// The pushdown executor folds whole chunks in from footer statistics;
 	// an empty range returns a zero bucket, matching the old fold's shape.
 	b, err := s.be.Aggregate(series, from, to)
@@ -480,6 +491,14 @@ func (s *Server) handleDownsample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
+	kind, err := s.be.SeriesKind(series)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if !intOnly(w, series, kind, "downsample") {
+		return
+	}
 	buckets, err := s.be.Downsample(series, from, to, window)
 	if err != nil {
 		status := http.StatusInternalServerError

@@ -18,7 +18,7 @@ func newTestServer(t *testing.T, dir string, wrap ...func(http.Handler) http.Han
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{Engine: eng, PackerName: "BOS-B"})
+	srv, err := New(Options{Backend: NewEngineBackend(eng), PackerName: "BOS-B"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	small, err := New(Options{Engine: eng, MaxBodyBytes: 16})
+	small, err := New(Options{Backend: NewEngineBackend(eng), MaxBodyBytes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestShutdownKeepsAcknowledgedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestIngestAfterServerCloseReturns503(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,17 +253,6 @@ func encodePacker(opt Options, name string) (codec.Packer, error) {
 	return opt.Packer, nil
 }
 
-// SeriesEncodedBytes sums the encoded chunk payload bytes written so far for
-// one series (0 for an unknown series). Compaction uses it to report
-// bytes-after per series.
-func (w *Writer) SeriesEncodedBytes(series string) int64 {
-	var n int64
-	for _, m := range w.index[series] {
-		n += int64(m.EncodedBytes)
-	}
-	return n
-}
-
 // writeChunk frames one encoded chunk body and records its metadata.
 func (w *Writer) writeChunk(series string, meta ChunkMeta, body []byte) error {
 	var hdr [binary.MaxVarintLen64]byte
