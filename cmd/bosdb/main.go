@@ -189,26 +189,15 @@ func runAgg(e *engine.Engine, series string, from, to int64) error {
 	if series == "" {
 		return fmt.Errorf("-series is required")
 	}
-	pts, err := e.Query(series, from, to)
+	b, err := e.Aggregate(series, from, to)
 	if err != nil {
 		return err
 	}
-	if len(pts) == 0 {
+	if b.Count == 0 {
 		fmt.Println("count=0")
 		return nil
 	}
-	min, max, sum := pts[0].V, pts[0].V, int64(0)
-	for _, p := range pts {
-		if p.V < min {
-			min = p.V
-		}
-		if p.V > max {
-			max = p.V
-		}
-		sum += p.V
-	}
-	fmt.Printf("count=%d min=%d max=%d sum=%d avg=%.2f\n",
-		len(pts), min, max, sum, float64(sum)/float64(len(pts)))
+	fmt.Printf("count=%d min=%d max=%d sum=%d avg=%.2f\n", b.Count, b.Min, b.Max, b.Sum, b.Avg())
 	return nil
 }
 

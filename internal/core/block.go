@@ -179,11 +179,166 @@ func classOf(plan *Plan, v int64) class {
 // Scratch carries reusable decode state across DecodeBlockScratch calls so
 // steady-state block decode allocates nothing. marks is the compact outlier
 // list the bitmap pass produces (position<<1 | class bit, 1 = upper); with
-// blocks capped at maxBlockLen (1<<22) values a position always fits. A
-// Scratch is single-goroutine state: concurrent decodes each need their own
-// (Packer.Unpack borrows one per call).
+// blocks capped at maxBlockLen (1<<22) values a position always fits. vals
+// holds the values FilterBlock decodes before it filters them. A Scratch is
+// single-goroutine state: concurrent decodes each need their own
+// (Packer.Unpack and FilterBlock borrow one per call).
 type Scratch struct {
 	marks []uint32
+	vals  []int64
+}
+
+// blockHead is the parsed header of one block (Figure 7). A plain block
+// reads as a BOS block with no outliers and no bitmap: its one width is beta
+// and its minimum is both xmin and minXc. A parts block stops after the mode
+// byte; decodeParts reads the rest of its header.
+type blockHead struct {
+	n                  int
+	mode               byte
+	xmin, minXc, minXu int64
+	nl, nu             int
+	alpha, beta, gamma uint
+}
+
+// bodyBits is the exact bit length of a plain or BOS body: the positional
+// bitmap (one bit per value plus a second bit per outlier) and the value
+// section. Bounded by maxBlockLen * 66 bits, so it cannot overflow int.
+func (h *blockHead) bodyBits() int {
+	bits := (h.n-h.nl-h.nu)*int(h.beta) + h.nl*int(h.alpha) + h.nu*int(h.gamma)
+	if h.mode == modeBOS {
+		bits += h.n + h.nl + h.nu
+	}
+	return bits
+}
+
+// readHead reads and validates the header of the block at r: the count, the
+// mode and the plain or BOS fields. Every block read starts here, so all of
+// them reject the same malformed headers, including a plain or BOS body
+// longer than the buffer.
+//
+//bos:hotpath
+func readHead(r *bitio.Reader) (blockHead, error) {
+	var h blockHead
+	n64, err := r.ReadUvarint()
+	if err != nil {
+		return h, corrupte("count", err)
+	}
+	if n64 > maxBlockLen {
+		// Width-0 bodies pack arbitrarily many values into a few
+		// header bytes, so the count can only be bounded by the
+		// absolute block cap; beyond it is garbage.
+		return h, corruptn("implausible count", int64(n64))
+	}
+	h.n = int(n64)
+	if h.n == 0 {
+		return h, nil // an empty plain block: no mode byte, no body
+	}
+	mode, err := r.ReadBits(8)
+	if err != nil {
+		return h, corrupte("mode", err)
+	}
+	h.mode = byte(mode)
+	switch h.mode {
+	case modeParts:
+		return h, nil
+	case modePlain:
+		if h.xmin, err = r.ReadVarint(); err != nil {
+			return h, corrupte("xmin", err)
+		}
+		width, err := r.ReadBits(8)
+		if err != nil {
+			return h, corrupte("width", err)
+		}
+		if width > 64 {
+			return h, corruptn("width", int64(width))
+		}
+		h.minXc, h.beta = h.xmin, uint(width)
+	case modeBOS:
+		if h.xmin, err = r.ReadVarint(); err != nil {
+			return h, corrupte("xmin", err)
+		}
+		nl64, err := r.ReadUvarint()
+		if err != nil {
+			return h, corrupte("nl", err)
+		}
+		nu64, err := r.ReadUvarint()
+		if err != nil {
+			return h, corrupte("nu", err)
+		}
+		// Checked one at a time before the sum, so a wrapping uint64 sum
+		// cannot sneak absurd counts past the bound.
+		if nl64 > n64 || nu64 > n64 || nl64+nu64 > n64 {
+			return h, corruptn("outlier counts exceed block size", int64(nl64), int64(nu64), int64(n64))
+		}
+		h.nl, h.nu = int(nl64), int(nu64)
+		offC, err := r.ReadUvarint()
+		if err != nil {
+			return h, corrupte("minXc", err)
+		}
+		offU, err := r.ReadUvarint()
+		if err != nil {
+			return h, corrupte("minXu", err)
+		}
+		h.minXc = int64(uint64(h.xmin) + offC)
+		h.minXu = int64(uint64(h.xmin) + offU)
+		widths, err := r.ReadBits(24)
+		if err != nil {
+			return h, corrupte("widths", err)
+		}
+		h.alpha = uint(widths >> 16 & 0xff)
+		h.beta = uint(widths >> 8 & 0xff)
+		h.gamma = uint(widths & 0xff)
+		if h.alpha > 64 || h.beta > 64 || h.gamma > 64 {
+			return h, corruptn("widths", int64(h.alpha), int64(h.beta), int64(h.gamma))
+		}
+	default:
+		return h, corruptn("unknown mode", int64(mode))
+	}
+	// The body's exact length is known from the header, so it is bounded
+	// once here; after that no bitmap or value read can run out mid-body.
+	if data, pos := r.Data(); pos+h.bodyBits() > len(data)*8 {
+		return h, corrupte("body", bitio.ErrUnexpectedEOF)
+	}
+	return h, nil
+}
+
+// readMarks is the bitmap pass of a BOS block: it walks the positional
+// bitmap word-at-a-time through a bitio.RunReader — ZeroRun's LeadingZeros64
+// jumps over whole center gaps in one instruction — and returns only the
+// compact outlier mark list, reusing marks' storage. It leaves rr at the
+// value section. A bitmap whose lower or upper marks differ in number from
+// the header's nl and nu is corrupt: the value section's length follows from
+// those counts, so a disagreement would end the block in one place for a
+// full decode and in another for SkipBlock.
+//
+//bos:hotpath
+func readMarks(rr *bitio.RunReader, h *blockHead, marks []uint32) ([]uint32, error) {
+	declared := h.nl + h.nu
+	marks = marks[:0]
+	upper := 0
+	for i := 0; i < h.n; {
+		i += rr.ZeroRun(h.n - i)
+		if i >= h.n {
+			break
+		}
+		// The next bit is an outlier mark and consumes a second bit;
+		// readHead's bound covers only the declared outliers, so one
+		// more would overrun the bitmap.
+		if len(marks) == declared {
+			return marks, corruptn("bitmap marks more outliers than declared", int64(declared))
+		}
+		mb, err := rr.ReadBits(2)
+		if err != nil {
+			return marks, corrupte("bitmap", err)
+		}
+		upper += int(mb & 1)
+		marks = append(marks, uint32(i)<<1|uint32(mb&1))
+		i++
+	}
+	if len(marks) != declared || upper != h.nu {
+		return marks, corruptn("bitmap marks differ from declared outliers", int64(len(marks)-upper), int64(upper), int64(h.nl), int64(h.nu))
+	}
+	return marks, nil
 }
 
 // DecodeBlock decodes one block from the front of src, appends the values to
@@ -200,55 +355,14 @@ func DecodeBlock(src []byte, out []int64) ([]int64, []byte, error) {
 //bos:hotpath
 func DecodeBlockScratch(src []byte, out []int64, sc *Scratch) ([]int64, []byte, error) {
 	r := bitio.NewReader(src)
-	n64, err := r.ReadUvarint()
+	h, err := readHead(r)
 	if err != nil {
-		return out, nil, corrupte("count", err)
+		return out, nil, err
 	}
-	if n64 > maxBlockLen {
-		// Width-0 bodies pack arbitrarily many values into a few
-		// header bytes, so the count can only be bounded by the
-		// absolute block cap; beyond it is garbage.
-		return out, nil, corruptn("implausible count", int64(n64))
+	if h.mode == modeParts {
+		return decodeParts(r, h.n, out)
 	}
-	n := int(n64)
-	if n == 0 {
-		return out, r.Rest(), nil
-	}
-	mode, err := r.ReadBits(8)
-	if err != nil {
-		return out, nil, corrupte("mode", err)
-	}
-	switch byte(mode) {
-	case modePlain:
-		return decodePlain(r, n, out)
-	case modeBOS:
-		return decodeBOS(r, n, out, sc)
-	case modeParts:
-		return decodeParts(r, n, out)
-	default:
-		return out, nil, corruptn("unknown mode", int64(mode))
-	}
-}
-
-//bos:hotpath
-func decodePlain(r *bitio.Reader, n int, out []int64) ([]int64, []byte, error) {
-	xmin, err := r.ReadVarint()
-	if err != nil {
-		return out, nil, corrupte("xmin", err)
-	}
-	width, err := r.ReadBits(8)
-	if err != nil {
-		return out, nil, corrupte("width", err)
-	}
-	if width > 64 {
-		return out, nil, corruptn("width", int64(width))
-	}
-	base := len(out)
-	out = growInt64(out, n)
-	if err := r.ReadBulkInt64(out[base:], uint(width), uint64(xmin)); err != nil {
-		return out[:base], nil, corrupte("values", err)
-	}
-	return out, r.Rest(), nil
+	return decodeBOS(r, &h, out, sc)
 }
 
 // growInt64 extends s by n elements without the temporary slice that
@@ -267,106 +381,42 @@ func growInt64(s []int64, n int) []int64 {
 	return ns
 }
 
-// decodeBOS is the run-fused block decoder. The bitmap pass walks the
-// positional bitmap word-at-a-time through a bitio.RunReader — ZeroRun's
-// LeadingZeros64 jumps over whole center gaps in one instruction — and emits
-// only the compact outlier mark list into sc (no per-value class slice). The
-// value pass then reads straight off the same window: the marks delimit the
-// center runs, short runs decode through the gather kernels, long runs
-// through the bulk jump tables, and outliers come out of the cached window
-// without per-call Reader entry cost.
+// decodeBOS is the run-fused decoder of plain and BOS bodies. readMarks
+// turns the bitmap into the outlier mark list in sc (a plain body has no
+// bitmap and no marks). The value pass then reads straight off the same
+// stream window: the marks delimit the center runs, short runs decode
+// through the gather kernels, long runs through the bulk jump tables, and
+// outliers come out of the cached window without per-call Reader entry cost.
 //
 //bos:hotpath
-func decodeBOS(r *bitio.Reader, n int, out []int64, sc *Scratch) ([]int64, []byte, error) {
-	fail := func(what string, err error) ([]int64, []byte, error) {
-		return out, nil, corrupte(what, err)
-	}
-	xmin, err := r.ReadVarint()
-	if err != nil {
-		return fail("xmin", err)
-	}
-	nl64, err := r.ReadUvarint()
-	if err != nil {
-		return fail("nl", err)
-	}
-	nu64, err := r.ReadUvarint()
-	if err != nil {
-		return fail("nu", err)
-	}
-	if nl64+nu64 > uint64(n) {
-		return out, nil, corruptn("outlier counts exceed block size", int64(nl64), int64(nu64), int64(n))
-	}
-	offC, err := r.ReadUvarint()
-	if err != nil {
-		return fail("minXc", err)
-	}
-	offU, err := r.ReadUvarint()
-	if err != nil {
-		return fail("minXu", err)
-	}
-	widths, err := r.ReadBits(24)
-	if err != nil {
-		return fail("widths", err)
-	}
-	alpha := uint(widths >> 16 & 0xff)
-	beta := uint(widths >> 8 & 0xff)
-	gamma := uint(widths & 0xff)
-	if alpha > 64 || beta > 64 || gamma > 64 {
-		return out, nil, corruptn("widths", int64(alpha), int64(beta), int64(gamma))
-	}
-	minXc := int64(uint64(xmin) + offC)
-	minXu := int64(uint64(xmin) + offU)
-
-	// First pass: the positional bitmap. Its exact length (n + nl + nu
-	// bits) is known from the header, so bounds are checked once up front;
-	// after that ZeroRun and ReadBits cannot run out mid-bitmap.
-	if data, pos := r.Data(); pos+n+int(nl64+nu64) > len(data)*8 {
-		return fail("bitmap", bitio.ErrUnexpectedEOF)
-	}
-	declared := int(nl64 + nu64)
-	marks := sc.marks[:0]
+func decodeBOS(r *bitio.Reader, h *blockHead, out []int64, sc *Scratch) ([]int64, []byte, error) {
 	rr := r.Run()
-	for i := 0; i < n; {
-		i += rr.ZeroRun(n - i)
-		if i >= n {
-			break
-		}
-		// The next bit is an outlier mark and consumes a second bit; the
-		// bounds check above only covers the declared outlier count, so
-		// more marks than declared is corruption (and would otherwise
-		// overrun the section).
-		if len(marks) == declared {
-			return out, nil, corruptn("bitmap marks more outliers than declared", int64(declared))
-		}
-		mb, err := rr.ReadBits(2)
+	marks := sc.marks[:0]
+	if h.mode == modeBOS {
+		var err error
+		marks, err = readMarks(&rr, h, marks)
+		sc.marks = marks
 		if err != nil {
-			return fail("bitmap", err)
+			return out, nil, err
 		}
-		marks = append(marks, uint32(i)<<1|uint32(mb&1))
-		i++
 	}
-	sc.marks = marks
-	// Second pass: the values in original order, continuing on the same
-	// stream window. The marks delimit the maximal center runs directly;
-	// outliers decode individually, and a zero-width outlier class stores
-	// nothing — every member IS its class minimum.
+	// The values in original order, continuing on the same stream window.
+	// A zero-width outlier class stores nothing: every member IS its class
+	// minimum.
 	base := len(out)
-	out = growInt64(out, n)
+	out = growInt64(out, h.n)
 	vals := out[base:]
 	prev := 0
 	for _, m := range marks {
 		p := int(m >> 1)
 		if p > prev {
-			if err := rr.ReadRunInt64(vals[prev:p], beta, uint64(minXc)); err != nil {
+			if err := rr.ReadRunInt64(vals[prev:p], h.beta, uint64(h.minXc)); err != nil {
 				return out[:base], nil, corruptne("values at", int64(prev), err)
 			}
 		}
-		var vbase uint64
-		var width uint
-		if m&1 == 0 {
-			vbase, width = uint64(xmin), alpha
-		} else {
-			vbase, width = uint64(minXu), gamma
+		vbase, width := uint64(h.xmin), h.alpha
+		if m&1 != 0 {
+			vbase, width = uint64(h.minXu), h.gamma
 		}
 		if width == 0 {
 			vals[p] = int64(vbase)
@@ -379,8 +429,8 @@ func decodeBOS(r *bitio.Reader, n int, out []int64, sc *Scratch) ([]int64, []byt
 		}
 		prev = p + 1
 	}
-	if prev < n {
-		if err := rr.ReadRunInt64(vals[prev:], beta, uint64(minXc)); err != nil {
+	if prev < h.n {
+		if err := rr.ReadRunInt64(vals[prev:], h.beta, uint64(h.minXc)); err != nil {
 			return out[:base], nil, corruptne("values at", int64(prev), err)
 		}
 	}

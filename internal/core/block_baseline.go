@@ -12,86 +12,28 @@ import "bos/internal/bitio"
 // bytes produced for every plan. It is frozen code; do not optimize it.
 
 // decodeBlockRef mirrors DecodeBlock but routes modeBOS through the old
-// decoder. Other modes share the live implementation (they were not touched
-// by the rewrite).
+// decoder. The header parser and the other modes share the live
+// implementation (the rewrite did not touch them).
 func decodeBlockRef(src []byte, out []int64) ([]int64, []byte, error) {
 	r := bitio.NewReader(src)
-	n64, err := r.ReadUvarint()
+	h, err := readHead(r)
 	if err != nil {
-		return out, nil, corrupte("count", err)
+		return out, nil, err
 	}
-	if n64 > maxBlockLen {
-		return out, nil, corruptn("implausible count", int64(n64))
+	if h.mode != modeBOS {
+		return DecodeBlock(src, out)
 	}
-	n := int(n64)
-	if n == 0 {
-		return out, r.Rest(), nil
-	}
-	mode, err := r.ReadBits(8)
-	if err != nil {
-		return out, nil, corrupte("mode", err)
-	}
-	switch byte(mode) {
-	case modePlain:
-		return decodePlain(r, n, out)
-	case modeBOS:
-		return decodeBOSRef(r, n, out)
-	case modeParts:
-		return decodeParts(r, n, out)
-	default:
-		return out, nil, corruptn("unknown mode", int64(mode))
-	}
+	return decodeBOSRef(r, &h, out)
 }
 
-func decodeBOSRef(r *bitio.Reader, n int, out []int64) ([]int64, []byte, error) {
-	fail := func(what string, err error) ([]int64, []byte, error) {
-		return out, nil, corrupte(what, err)
-	}
-	xmin, err := r.ReadVarint()
-	if err != nil {
-		return fail("xmin", err)
-	}
-	nl64, err := r.ReadUvarint()
-	if err != nil {
-		return fail("nl", err)
-	}
-	nu64, err := r.ReadUvarint()
-	if err != nil {
-		return fail("nu", err)
-	}
-	if nl64+nu64 > uint64(n) {
-		return out, nil, corruptn("outlier counts exceed block size", int64(nl64), int64(nu64), int64(n))
-	}
-	offC, err := r.ReadUvarint()
-	if err != nil {
-		return fail("minXc", err)
-	}
-	offU, err := r.ReadUvarint()
-	if err != nil {
-		return fail("minXu", err)
-	}
-	widths, err := r.ReadBits(24)
-	if err != nil {
-		return fail("widths", err)
-	}
-	alpha := uint(widths >> 16 & 0xff)
-	beta := uint(widths >> 8 & 0xff)
-	gamma := uint(widths & 0xff)
-	if alpha > 64 || beta > 64 || gamma > 64 {
-		return out, nil, corruptn("widths", int64(alpha), int64(beta), int64(gamma))
-	}
-	minXc := int64(uint64(xmin) + offC)
-	minXu := int64(uint64(xmin) + offU)
-
+func decodeBOSRef(r *bitio.Reader, h *blockHead, out []int64) ([]int64, []byte, error) {
+	n := h.n
 	// First pass: the positional bitmap, one bit at a time, into a
-	// per-value class slice.
+	// per-value class slice. readHead bounded the body.
 	data, pos := r.Data()
-	if pos+n+int(nl64+nu64) > len(data)*8 {
-		return fail("bitmap", bitio.ErrUnexpectedEOF)
-	}
 	classes := make([]class, n)
-	declared := int(nl64 + nu64)
-	outliers := 0
+	declared := h.nl + h.nu
+	outliers, upper := 0, 0
 	for i := 0; i < n; {
 		if pos&7 == 0 && i+8 <= n && data[pos>>3] == 0 {
 			i += 8 // classes are zero-initialized to classCenter
@@ -112,9 +54,13 @@ func decodeBOSRef(r *bitio.Reader, n int, out []int64) ([]int64, []byte, error) 
 			classes[i] = classLower
 		} else {
 			classes[i] = classUpper
+			upper++
 		}
 		pos++
 		i++
+	}
+	if outliers != declared || upper != h.nu {
+		return out, nil, corruptn("bitmap marks differ from declared outliers", int64(outliers-upper), int64(upper), int64(h.nl), int64(h.nu))
 	}
 	r.SetBitPos(pos)
 	// Second pass: the values in original order.
@@ -126,7 +72,7 @@ func decodeBOSRef(r *bitio.Reader, n int, out []int64) ([]int64, []byte, error) 
 			for j < n && classes[j] == classCenter {
 				j++
 			}
-			if err := r.ReadBulkInt64(out[base+i:base+j], beta, uint64(minXc)); err != nil {
+			if err := r.ReadBulkInt64(out[base+i:base+j], h.beta, uint64(h.minXc)); err != nil {
 				return out[:base], nil, corruptne("values at", int64(i), err)
 			}
 			i = j
@@ -135,9 +81,9 @@ func decodeBOSRef(r *bitio.Reader, n int, out []int64) ([]int64, []byte, error) 
 		var vbase uint64
 		var width uint
 		if classes[i] == classLower {
-			vbase, width = uint64(xmin), alpha
+			vbase, width = uint64(h.xmin), h.alpha
 		} else {
-			vbase, width = uint64(minXu), gamma
+			vbase, width = uint64(h.minXu), h.gamma
 		}
 		if width == 0 {
 			// Zero-width outlier class: every member equals the class

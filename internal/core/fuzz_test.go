@@ -2,12 +2,42 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
+
+	"bos/internal/bitio"
 )
+
+// probeBlock writes a 16-value BOS block header declaring nl lower and nu
+// upper outliers at widths alpha, beta, gamma (all class minima 0), then the
+// given bitmap bits (each written as a 2-bit mark if non-zero, a 0 bit
+// otherwise) and no value bits, then the trailing bytes aa bb cc.
+func probeBlock(nl, nu uint64, alpha, beta, gamma uint, bitmap []uint64) []byte {
+	w := bitio.NewWriter(32)
+	w.WriteUvarint(16)
+	w.WriteBits(uint64(modeBOS), 8)
+	w.WriteVarint(0)
+	w.WriteUvarint(nl)
+	w.WriteUvarint(nu)
+	w.WriteUvarint(0)
+	w.WriteUvarint(0)
+	w.WriteBits(uint64(alpha)<<16|uint64(beta)<<8|uint64(gamma), 24)
+	for _, m := range bitmap {
+		if m == 0 {
+			w.WriteBits(0, 1)
+		} else {
+			w.WriteBits(m, 2)
+		}
+	}
+	return append(w.Bytes(), 0xaa, 0xbb, 0xcc)
+}
 
 // FuzzDecodeBlock drives the block decoder with arbitrary bytes: it must
 // return an error or a value slice, never panic, and any block it accepts
-// must re-encode deterministically through the round trip.
+// must re-encode deterministically through the round trip. Every other block
+// read must agree with it on an accepted block: SkipBlock on the count and
+// the remainder, FilterBlock on exactly the values a predicate keeps.
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add(EncodeBlock(nil, introSeries, SeparationValue))
 	f.Add(EncodeBlock(nil, Fig1Series, SeparationMedian))
@@ -15,10 +45,56 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(EncodeBlockParts(nil, Fig1Series, 5))
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x01})
+	// Outlier counts whose uint64 sum wraps: nl = 2^64-1, nu = 1.
+	f.Add(probeBlock(math.MaxUint64, 1, 0, 0, 0, make([]uint64, 16)))
+	// One lower outlier declared, none marked.
+	f.Add(probeBlock(1, 0, 0, 0, 0, make([]uint64, 16)))
+	// One lower and one upper outlier declared, two lowers marked.
+	f.Add(probeBlock(1, 1, 8, 0, 0, append([]uint64{0b10, 0b10}, make([]uint64, 14)...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vals, rest, err := DecodeBlock(data, nil)
 		if err != nil {
 			return
+		}
+		n, skipRest, err := SkipBlock(data)
+		if err != nil || n != len(vals) || len(skipRest) != len(rest) {
+			t.Fatalf("SkipBlock n=%d rest=%x err=%v; DecodeBlock n=%d rest=%x", n, skipRest, err, len(vals), rest)
+		}
+		preds := [][2]int64{{math.MinInt64, math.MaxInt64}}
+		if len(vals) > 0 {
+			lo, hi := vals[0], vals[len(vals)/2]
+			preds = append(preds, [2]int64{min(lo, hi), max(lo, hi)})
+		}
+		if info, _, err := InspectBlock(data); err == nil && info.Mode == "bos" {
+			// The center band alone, and everything above it: one skips
+			// the outlier planes, the other the center plane.
+			if top, ok := bandMax(info.MinXc, info.Beta); ok {
+				preds = append(preds, [2]int64{info.MinXc, top})
+				if top < math.MaxInt64 {
+					preds = append(preds, [2]int64{top + 1, math.MaxInt64})
+				}
+			}
+		}
+		for _, p := range preds {
+			var got []int64
+			fn, _, frest, err := FilterBlock(data, p[0], p[1], func(i int, v int64) {
+				if v != vals[i] {
+					t.Fatalf("filter [%d,%d] emitted %d at %d, decode has %d", p[0], p[1], v, i, vals[i])
+				}
+				got = append(got, int64(i))
+			})
+			if err != nil || fn != len(vals) || len(frest) != len(rest) {
+				t.Fatalf("filter [%d,%d]: n=%d rest=%x err=%v; decode n=%d rest=%x", p[0], p[1], fn, frest, err, len(vals), rest)
+			}
+			var want []int64
+			for i, v := range vals {
+				if v >= p[0] && v <= p[1] {
+					want = append(want, int64(i))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("filter [%d,%d] kept positions %v, want %v", p[0], p[1], got, want)
+			}
 		}
 		// Accepted input: re-encoding the decoded values and decoding
 		// again must give the same values (decode/encode stability).
@@ -35,7 +111,6 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("value %d drifted: %d -> %d", i, vals[i], again[i])
 			}
 		}
-		_ = rest
 	})
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"bos/internal/bitio"
-)
+import "bos/internal/bitio"
 
 // BlockInfo is the parsed header of one encoded block, for debugging and
 // storage inspection (cmd/bosinspect). It reports what the planner chose
@@ -31,88 +27,34 @@ type BlockInfo struct {
 
 // InspectBlock parses the header of the next block in src and returns its
 // description plus the remainder after the whole block. The values are
-// decoded (and discarded) only to find the block boundary.
+// decoded (and discarded) only to find the block boundary, so a block is
+// described only if it decodes.
 func InspectBlock(src []byte) (BlockInfo, []byte, error) {
-	var info BlockInfo
 	r := bitio.NewReader(src)
-	n64, err := r.ReadUvarint()
+	h, err := readHead(r)
 	if err != nil {
-		return info, nil, fmt.Errorf("%w: count: %v", errCorrupt, err)
+		return BlockInfo{}, nil, err
 	}
-	if n64 > maxBlockLen {
-		return info, nil, fmt.Errorf("%w: implausible count %d", errCorrupt, n64)
-	}
-	info.N = int(n64)
-	if info.N == 0 {
-		info.Mode = "plain"
-		rest := r.Rest()
-		info.BodyBytes = len(src) - len(rest)
-		return info, rest, nil
-	}
-	mode, err := r.ReadBits(8)
-	if err != nil {
-		return info, nil, fmt.Errorf("%w: mode: %v", errCorrupt, err)
-	}
-	switch byte(mode) {
+	info := BlockInfo{N: h.n, Xmin: h.xmin}
+	switch h.mode {
 	case modePlain:
-		info.Mode = "plain"
-		if info.Xmin, err = r.ReadVarint(); err != nil {
-			return info, nil, fmt.Errorf("%w: xmin: %v", errCorrupt, err)
-		}
-		w, err := r.ReadBits(8)
-		if err != nil || w > 64 {
-			return info, nil, fmt.Errorf("%w: width", errCorrupt)
-		}
-		info.Width = uint(w)
+		info.Mode, info.Width = "plain", h.beta
 	case modeBOS:
 		info.Mode = "bos"
-		if info.Xmin, err = r.ReadVarint(); err != nil {
-			return info, nil, fmt.Errorf("%w: xmin: %v", errCorrupt, err)
-		}
-		nl, err := r.ReadUvarint()
-		if err != nil {
-			return info, nil, fmt.Errorf("%w: nl: %v", errCorrupt, err)
-		}
-		nu, err := r.ReadUvarint()
-		if err != nil {
-			return info, nil, fmt.Errorf("%w: nu: %v", errCorrupt, err)
-		}
-		if nl+nu > n64 {
-			return info, nil, fmt.Errorf("%w: outlier counts", errCorrupt)
-		}
-		info.NL, info.NU = int(nl), int(nu)
-		offC, err := r.ReadUvarint()
-		if err != nil {
-			return info, nil, fmt.Errorf("%w: minXc: %v", errCorrupt, err)
-		}
-		offU, err := r.ReadUvarint()
-		if err != nil {
-			return info, nil, fmt.Errorf("%w: minXu: %v", errCorrupt, err)
-		}
-		info.MinXc = int64(uint64(info.Xmin) + offC)
-		info.MinXu = int64(uint64(info.Xmin) + offU)
-		widths, err := r.ReadBits(24)
-		if err != nil {
-			return info, nil, fmt.Errorf("%w: widths: %v", errCorrupt, err)
-		}
-		info.Alpha = uint(widths >> 16 & 0xff)
-		info.Beta = uint(widths >> 8 & 0xff)
-		info.Gamma = uint(widths & 0xff)
-	case modeParts:
+		info.NL, info.NU = h.nl, h.nu
+		info.MinXc, info.MinXu = h.minXc, h.minXu
+		info.Alpha, info.Beta, info.Gamma = h.alpha, h.beta, h.gamma
+	default:
 		info.Mode = "parts"
-		k, err := r.ReadUvarint()
-		if err != nil || k == 0 || k > 64 {
-			return info, nil, fmt.Errorf("%w: parts k", errCorrupt)
+		k, err := r.ReadUvarint() // decodeParts checks its range below
+		if err != nil {
+			return BlockInfo{}, nil, corrupte("parts k", err)
 		}
 		info.K = int(k)
-	default:
-		return info, nil, fmt.Errorf("%w: unknown mode %d", errCorrupt, mode)
 	}
-	// Find the block boundary by decoding (the payload is bit-packed; the
-	// header alone does not determine byte length for parts blocks).
 	_, rest, err := DecodeBlock(src, nil)
 	if err != nil {
-		return info, nil, err
+		return BlockInfo{}, nil, err
 	}
 	info.BodyBytes = len(src) - len(rest)
 	return info, rest, nil

@@ -53,50 +53,6 @@ func TestSkipBlockEmpty(t *testing.T) {
 	}
 }
 
-func TestDecodeBlockRangeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for iter := 0; iter < 200; iter++ {
-		vals := genSeries(rng)
-		for _, enc := range genBlockEncodings(vals) {
-			enc = append(enc, 0x55)
-			want, wantRest, err := DecodeBlock(enc, nil)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			// Random sub-range plus the degenerate and full ranges.
-			lo := rng.Intn(len(vals) + 1)
-			hi := lo + rng.Intn(len(vals)-lo+1)
-			for _, r := range [][2]int{{lo, hi}, {0, len(vals)}, {0, 0}, {len(vals), len(vals)}, {-3, len(vals) + 3}} {
-				got, rest, err := DecodeBlockRange(enc, nil, r[0], r[1])
-				if err != nil {
-					t.Fatalf("range [%d,%d): %v", r[0], r[1], err)
-				}
-				if len(rest) != len(wantRest) {
-					t.Fatalf("range [%d,%d): rest %d bytes, want %d", r[0], r[1], len(rest), len(wantRest))
-				}
-				clo, chi := r[0], r[1]
-				if clo < 0 {
-					clo = 0
-				}
-				if chi > len(vals) {
-					chi = len(vals)
-				}
-				if clo > chi {
-					chi = clo
-				}
-				if len(got) != chi-clo {
-					t.Fatalf("range [%d,%d): %d values, want %d", r[0], r[1], len(got), chi-clo)
-				}
-				for i := range got {
-					if got[i] != want[clo+i] {
-						t.Fatalf("range [%d,%d) value %d: got %d want %d", r[0], r[1], i, got[i], want[clo+i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // predicates worth probing: inside the center band, below everything, above
 // everything, one-sided, full int64 range, empty, single exact value.
 func genPredicates(rng *rand.Rand, vals []int64) [][2]int64 {
@@ -206,7 +162,7 @@ func TestFilterBlockSkipsPlanes(t *testing.T) {
 }
 
 // TestPartialCorruptRobustness: truncations and bit flips must error or
-// succeed, never panic, across all three partial kernels.
+// succeed, never panic, across both partial kernels.
 func TestPartialCorruptRobustness(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for iter := 0; iter < 40; iter++ {
@@ -226,7 +182,6 @@ func TestPartialCorruptRobustness(t *testing.T) {
 
 func probePartial(src []byte) {
 	_, _, _ = SkipBlock(src)
-	_, _, _ = DecodeBlockRange(src, nil, 1, 7)
 	_, _, _, _ = FilterBlock(src, -100, 100, func(int, int64) {})
 }
 

@@ -71,7 +71,9 @@ func refWindows(pts []tsfile.Point, minT, maxT, window int64) []Bucket {
 	return out
 }
 
-func eval(t *testing.T, r *tsfile.Reader, minT, maxT, window int64) ([]Bucket, Snapshot) {
+// eval folds every chunk of series "s" through an Evaluator. clearStats
+// hands each chunk over with HasStats false, the shape a legacy footer has.
+func eval(t *testing.T, r *tsfile.Reader, minT, maxT, window int64, clearStats bool) ([]Bucket, Snapshot) {
 	t.Helper()
 	var tiers Tiers
 	w := NewWindows(minT, window)
@@ -81,6 +83,7 @@ func eval(t *testing.T, r *tsfile.Reader, minT, maxT, window int64) ([]Bucket, S
 		t.Fatal(err)
 	}
 	for ci, m := range chunks {
+		m.HasStats = m.HasStats && !clearStats
 		if err := ev.EvalChunk(ci, m); err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +122,11 @@ func TestEvalEquivalence(t *testing.T) {
 		cases = append(cases, [3]int64{lo, lo + rng.Int63n(total-lo), 1 + rng.Int63n(2000)})
 	}
 	for _, c := range cases {
-		got, _ := eval(t, r, c[0], c[1], c[2])
-		requireEqual(t, got, refWindows(all, c[0], c[1], c[2]))
+		want := refWindows(all, c[0], c[1], c[2])
+		for _, clearStats := range []bool{false, true} {
+			got, _ := eval(t, r, c[0], c[1], c[2], clearStats)
+			requireEqual(t, got, want)
+		}
 	}
 }
 
@@ -129,7 +135,7 @@ func TestEvalTiers(t *testing.T) {
 	total := int64(len(all))
 	// Window of two chunks, range clipping half of the first chunk: the
 	// clipped chunk must go tier-2, interior chunks tier-1.
-	got, snap := eval(t, r, 256, total-1, 1024)
+	got, snap := eval(t, r, 256, total-1, 1024, false)
 	requireEqual(t, got, refWindows(all, 256, total-1, 1024))
 	if snap.Stats == 0 {
 		t.Fatalf("no stats-tier chunks: %+v", snap)
@@ -138,7 +144,7 @@ func TestEvalTiers(t *testing.T) {
 		t.Fatalf("no inlier-tier chunks: %+v", snap)
 	}
 	// Windows smaller than chunks force full decodes.
-	_, snap = eval(t, r, 0, total-1, 100)
+	_, snap = eval(t, r, 0, total-1, 100, false)
 	if snap.Full == 0 {
 		t.Fatalf("no full-tier chunks: %+v", snap)
 	}

@@ -76,8 +76,6 @@ func readEverything(data []byte) []error {
 		} else {
 			drain(it.Next, it.Err)
 		}
-		_, err = r.Aggregate(s, math.MinInt64, math.MaxInt64, true)
-		note(err)
 		chunks, err := r.Chunks(s)
 		note(err)
 		for ci, m := range chunks {

@@ -12,8 +12,10 @@ import (
 // This file is the partial-decode surface internal/pushdown builds on: a
 // ChunkHandle exposes one integer chunk's fully-decoded time column next to
 // its still-encoded value column, so the evaluator can binary-search the time
-// window first and then touch only the value bits that matter, through the
-// core partial kernels (SkipBlock / DecodeBlockRange / FilterBlock).
+// window first and then touch only the value bits that matter. A position
+// range skips the blocks before it by header arithmetic (core.SkipBlock) and
+// decodes the blocks it overlaps whole; a value filter skips the value
+// planes its band cannot reach (core.FilterBlock).
 //
 // Partial decode is only possible for chunks packed by a BOS-family packer
 // (*core.Packer); any other packer — and any chunk already decoded into the
@@ -120,9 +122,10 @@ func (h *ChunkHandle) openBlocks() ([]byte, error) {
 
 // ValueRange returns the chunk's values at positions [lo, hi) (clamped),
 // read-only. When the column is BOS-packed and the range is a strict
-// sub-range, only the needed blocks are range-decoded and the rest are
-// skipped by header arithmetic; the second result reports whether that
-// partial path ran (false means the full column was decoded or cached).
+// sub-range, the blocks before lo are skipped by header arithmetic, the
+// blocks overlapping the range are decoded whole, and the blocks after hi
+// are never touched; the second result reports whether that partial path ran
+// (false means the full column was decoded or cached).
 func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
 	n := len(h.times)
 	if lo < 0 {
@@ -148,25 +151,25 @@ func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	out := make([]int64, 0, hi-lo)
+	vals := make([]int64, 0, hi-lo) // the overlapping blocks, decoded whole
+	first := 0                      // chunk position of vals[0]
 	for seen := 0; seen < hi && len(blocks) > 0; {
 		bn, rest, err := core.SkipBlock(blocks)
 		if err != nil {
 			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
-		if bn > 0 && seen+bn > lo {
-			out, _, err = core.DecodeBlockRange(blocks, out, lo-seen, hi-seen)
-			if err != nil {
-				return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
-			}
+		if seen+bn <= lo {
+			first = seen + bn
+		} else if vals, _, err = h.packer.Unpack(blocks, vals); err != nil {
+			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
 		seen += bn
 		blocks = rest
 	}
-	if len(out) != hi-lo {
-		return nil, false, fmt.Errorf("%w: value column holds %d of [%d,%d)", ErrCorrupt, len(out), lo, hi)
+	if first+len(vals) < hi {
+		return nil, false, fmt.Errorf("%w: value column holds %d of [%d,%d)", ErrCorrupt, first+len(vals), lo, hi)
 	}
-	return out, true, nil
+	return vals[lo-first : hi-first], true, nil
 }
 
 // FilterValues calls emit(i, v), in position order, for every value v of the

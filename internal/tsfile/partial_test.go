@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bos/internal/bitpack"
 	"bos/internal/chunkcache"
 	"bos/internal/codec"
+	"bos/internal/dataset"
 )
 
 // encodeLegacyIndex replicates the pre-v2 footer byte for byte: series count
@@ -69,8 +71,8 @@ func rewriteAsLegacy(t *testing.T, file *bytes.Reader, opt Options) *bytes.Reade
 	return bytes.NewReader(out)
 }
 
-// TestLegacyFooterCompat: a file with the old footer still opens, reads and
-// aggregates identically; its chunks just carry no stats.
+// TestLegacyFooterCompat: a file with the old footer still opens and reads
+// identically; its chunks just carry no stats.
 func TestLegacyFooterCompat(t *testing.T) {
 	opt := Options{}
 	v2File, want := buildFile(t, opt)
@@ -79,10 +81,6 @@ func TestLegacyFooterCompat(t *testing.T) {
 	lr, err := OpenReader(legacy, legacy.Size(), opt)
 	if err != nil {
 		t.Fatalf("open legacy: %v", err)
-	}
-	v2r, err := OpenReader(v2File, v2File.Size(), opt)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for series, pts := range want {
 		chunks, err := lr.Chunks(series)
@@ -104,22 +102,6 @@ func TestLegacyFooterCompat(t *testing.T) {
 		for i := range got {
 			if got[i] != pts[i] {
 				t.Fatalf("legacy point %d: got %+v want %+v", i, got[i], pts[i])
-			}
-		}
-		// Aggregates agree between legacy (decode fallback) and v2 (footer
-		// sums), on full range and on a sub-range.
-		minT, maxT := pts[0].T, pts[len(pts)-1].T
-		for _, rg := range [][2]int64{{minT, maxT}, {minT + (maxT-minT)/4, maxT - (maxT-minT)/4}} {
-			la, err := lr.Aggregate(series, rg[0], rg[1], true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			va, err := v2r.Aggregate(series, rg[0], rg[1], true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if la != va {
-				t.Fatalf("aggregate mismatch legacy %+v vs v2 %+v", la, va)
 			}
 		}
 	}
@@ -196,7 +178,8 @@ func TestFloatFooterSum(t *testing.T) {
 func TestChunkHandlePartialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	for _, opt := range []Options{
-		{},                         // BOS-B default: the partial path
+		{},                         // BOS-B default: the partial path, one block per chunk
+		{BlockSize: 128},           // 4-8 blocks per chunk: ranges start and end mid-block
 		{Packer: bitpack.Packer{}}, // non-core packer: full-decode fallback
 	} {
 		file, _ := buildFile(t, opt)
@@ -214,16 +197,20 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h, err := r.OpenChunk(series, ci)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(h.Times()) != len(wantT) {
-					t.Fatalf("handle times %d, want %d", len(h.Times()), len(wantT))
-				}
 				n := len(wantV)
 				for _, rg := range [][2]int{{0, n}, {0, 0}, {n / 3, 2 * n / 3}, {rng.Intn(n + 1), n}, {-5, n + 5}} {
-					got, _, err := h.ValueRange(rg[0], rg[1])
+					// A fresh handle per read: ValueRange(0, n) memoizes
+					// the full column, which would bypass the
+					// block-skipping path (and FilterValues' band
+					// skipping below).
+					h, err := r.OpenChunk(series, ci)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(h.Times()) != len(wantT) {
+						t.Fatalf("handle times %d, want %d", len(h.Times()), len(wantT))
+					}
+					got, partial, err := h.ValueRange(rg[0], rg[1])
 					if err != nil {
 						t.Fatalf("range %v: %v", rg, err)
 					}
@@ -237,6 +224,9 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 					if lo > hi {
 						lo = hi
 					}
+					if want := opt.Packer == nil && hi-lo < n; partial != want {
+						t.Fatalf("range %v: partial %v, want %v", rg, partial, want)
+					}
 					if len(got) != hi-lo {
 						t.Fatalf("range %v: %d values, want %d", rg, len(got), hi-lo)
 					}
@@ -246,17 +236,14 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 						}
 					}
 				}
-				// Filter equivalence on a fresh handle (ValueRange(0,n)
-				// memoizes the full column, which would bypass the
-				// band-skipping path).
-				h2, err := r.OpenChunk(series, ci)
+				h, err := r.OpenChunk(series, ci)
 				if err != nil {
 					t.Fatal(err)
 				}
 				minV := wantV[rng.Intn(n)]
 				maxV := minV + 50
 				var got []Point
-				if _, err := h2.FilterValues(minV, maxV, func(i int, v int64) {
+				if _, err := h.FilterValues(minV, maxV, func(i int, v int64) {
 					got = append(got, Point{int64(i), v})
 				}); err != nil {
 					t.Fatal(err)
@@ -312,5 +299,55 @@ func TestChunkHandleCacheHit(t *testing.T) {
 	}
 	if len(h.Times()) != len(wantT) {
 		t.Fatal("cached times length mismatch")
+	}
+}
+
+// BenchmarkChunkPartial times the two partial reads the pushdown tier runs on
+// an exclusive chunk, on one 16,384-point BOS-B chunk per dataset stand-in:
+// ValueRange over 8,192 positions starting mid-block (agg_cold's window
+// shape) and FilterValues(p99, MaxInt64) (its filter shape). The handle is
+// opened once, so only the value column's reads are timed.
+func BenchmarkChunkPartial(b *testing.B) {
+	const n, span, lo = 16384, 8192, 4000
+	for _, d := range dataset.All() {
+		vals := d.Ints(n)
+		pts := make([]Point, n)
+		for i, v := range vals {
+			pts[i] = Point{T: int64(i), V: v}
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf, Options{})
+		if err := w.Append("s", pts); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		file := bytes.NewReader(buf.Bytes())
+		r, err := OpenReader(file, file.Size(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := r.OpenChunk("s", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
+		p99 := sorted[n*99/100]
+		b.Run(d.Abbr+"/range", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got, partial, err := h.ValueRange(lo, lo+span); err != nil || !partial || len(got) != span {
+					b.Fatalf("range: %d values, partial %v, err %v", len(got), partial, err)
+				}
+			}
+		})
+		b.Run(d.Abbr+"/filter", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := h.FilterValues(p99, math.MaxInt64, func(int, int64) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
