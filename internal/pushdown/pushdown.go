@@ -6,10 +6,10 @@
 //	                  window, and carries v2 footer statistics: its
 //	                  count/min/max/sum fold into the bucket with zero IO.
 //	tier 2 (inlier) — only part of the chunk matters: the time column is
-//	                  decoded, but the value column is touched only at the
-//	                  needed positions (range decode) or the needed planes
-//	                  (band-filtered decode that skips outlier or inlier
-//	                  planes the predicate cannot reach).
+//	                  decoded, but the value column is decoded only in the
+//	                  blocks the needed positions fall in, or in the needed
+//	                  planes (band-filtered decode that skips outlier or
+//	                  inlier planes the predicate cannot reach).
 //	tier 3 (full)   — everything else: classic full chunk decode.
 //
 // The package is deliberately engine-agnostic: internal/engine plans which
