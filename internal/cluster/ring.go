@@ -1,9 +1,9 @@
 // Package cluster is the sharded-serving subsystem: a consistent-hash Router
 // that spreads series across N storage shards (in-process engines or remote
-// bosservers over the HTTP line protocol), a small versioned shard-map
-// manifest that pins the layout to disk, scatter-gather query fan-out with
-// merge-by-timestamp, shard-aware grouped ingest, and an offline rebalance
-// planner that emits per-series move lists.
+// bosservers over the HTTP API: line-protocol writes, point-stream reads), a
+// small versioned shard-map manifest that pins the layout to disk,
+// scatter-gather query fan-out with merge-by-timestamp, shard-aware grouped
+// ingest, and an offline rebalance planner that emits per-series move lists.
 //
 // The design promotes the engine's internal 16-way series striping from
 // threads to whole engine instances: each shard owns its data directory, WAL,

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -95,6 +96,18 @@ func compareBackends(t *testing.T, single, clustered *server.Client, intSeries, 
 			if !bytes.Equal(want, got) {
 				t.Fatalf("%s [%d,%d]: CSV differs\nsingle:\n%scluster:\n%s", name, r[0], r[1], want, got)
 			}
+			// The typed reads decode the point stream instead.
+			wantF, err := single.QueryFloats(name, r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotF, err := clustered.QueryFloats(name, r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantF, gotF) {
+				t.Fatalf("%s [%d,%d]: QueryFloats differs\nsingle  %v\ncluster %v", name, r[0], r[1], wantF, gotF)
+			}
 		}
 		wantKind, err := single.SeriesKind(name)
 		if err != nil {
@@ -109,6 +122,20 @@ func compareBackends(t *testing.T, single, clustered *server.Client, intSeries, 
 		}
 	}
 	for _, name := range intSeries {
+		each := func(c *server.Client) []tsfile.Point {
+			var out []tsfile.Point
+			err := c.QueryEach(name, 0, int64(pointsPer), func(p tsfile.Point) error {
+				out = append(out, p)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		if wantE, gotE := each(single), each(clustered); !reflect.DeepEqual(wantE, gotE) {
+			t.Fatalf("%s: QueryEach differs\nsingle  %v\ncluster %v", name, wantE, gotE)
+		}
 		wantAgg, err := single.Agg(name, 0, int64(pointsPer))
 		if err != nil {
 			t.Fatal(err)
@@ -176,10 +203,83 @@ func compareBackends(t *testing.T, single, clustered *server.Client, intSeries, 
 	}
 }
 
+// shardInput stands up the four shards of a Router over a data root:
+// reopened over the same root, they serve what was written before.
+type shardInput struct {
+	name string
+	// open returns the Router, a flush of every shard to disk and a close
+	// of every shard.
+	open func(t *testing.T, root string) (r *Router, flush, close func() error)
+}
+
+// localShards are in-process engine shards.
+var localShards = shardInput{name: "local", open: func(t *testing.T, root string) (*Router, func() error, func() error) {
+	router, err := Open(DefaultManifest(4), root, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return router, router.Flush, router.Close
+}}
+
+// remoteShards are four bosservers, each server.New over its own engine
+// behind httptest, reached through RemoteShard: every read of the Router
+// decodes their point streams.
+var remoteShards = shardInput{name: "remote", open: func(t *testing.T, root string) (*Router, func() error, func() error) {
+	var (
+		shards  []Shard
+		engines []*engine.Engine
+		closers []func() error
+	)
+	for i := 0; i < 4; i++ {
+		eng, err := engine.Open(engine.Options{Dir: filepath.Join(root, fmt.Sprintf("shard-%03d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		api, err := server.New(server.Options{Backend: server.NewEngineBackend(eng)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(api.Handler())
+		shards = append(shards, NewRemoteShard(ts.URL, ts.Client()))
+		engines = append(engines, eng)
+		closers = append(closers, func() error {
+			ts.Close()
+			return errors.Join(api.Close(), eng.Close())
+		})
+	}
+	router, err := New(DefaultManifest(4), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := func() error {
+		for _, eng := range engines {
+			if err := eng.Flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	closeAll := func() error {
+		var errs []error
+		for _, c := range closers {
+			errs = append(errs, c())
+		}
+		return errors.Join(errs...)
+	}
+	return router, flush, closeAll
+}}
+
 // The tentpole acceptance test: a 4-shard cluster answers every read
 // byte-identically to a single engine fed the same ingest — through fresh
-// writes, full compaction, and a close/reopen of every shard.
+// writes, full compaction, and a close/reopen of every shard — whether its
+// shards are in-process engines or remote bosservers.
 func TestRouterMatchesSingleEngine(t *testing.T) {
+	for _, in := range []shardInput{localShards, remoteShards} {
+		t.Run(in.name, func(t *testing.T) { routerMatchesSingleEngine(t, in) })
+	}
+}
+
+func routerMatchesSingleEngine(t *testing.T, in shardInput) {
 	const pointsPer = 60
 	payloads, intSeries, floatSeries := testWorkload(12, 6, pointsPer)
 
@@ -192,11 +292,7 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 	defer singleDone()
 
 	root := t.TempDir()
-	man := DefaultManifest(4)
-	router, err := Open(man, root, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	router, flushShards, closeShards := in.open(t, root)
 	clustered, clusterDone := mount(t, router)
 
 	for _, p := range payloads {
@@ -211,7 +307,7 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 		if err := eng.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := router.Flush(); err != nil {
+		if err := flushShards(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,16 +364,13 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 	// Close every shard and reopen the cluster from disk: WAL replay and
 	// chunk reads must still answer identically.
 	clusterDone()
-	if err := router.Close(); err != nil {
+	if err := closeShards(); err != nil {
 		t.Fatal(err)
 	}
-	router2, err := Open(man, root, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	router2, _, closeShards2 := in.open(t, root)
 	defer func() {
-		if err := router2.Close(); err != nil {
-			t.Errorf("router close: %v", err)
+		if err := closeShards2(); err != nil {
+			t.Errorf("shards close: %v", err)
 		}
 	}()
 	clustered2, cluster2Done := mount(t, router2)

@@ -69,9 +69,10 @@ func (s *LocalShard) Close() error {
 	return s.eng.Close()
 }
 
-// RemoteShard serves a shard over the existing HTTP/line protocol through
-// the typed client — the same wire format a human client speaks, so a remote
-// shard is just another bosserver.
+// RemoteShard serves a shard over the HTTP API through the typed client:
+// writes go out in the ingest line protocol, /query reads come back as the
+// point stream and the rest as JSON, so a remote shard is just another
+// bosserver.
 type RemoteShard struct {
 	c    *server.Client
 	addr string

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -10,15 +9,15 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"bos/internal/engine"
 	"bos/internal/tsfile"
 )
 
-// Client is the typed Go client for the serving API. It speaks the same line
-// protocol and JSON shapes the handlers emit, and is what cmd/bosperf's
+// Client is the typed Go client for the serving API. It writes the ingest
+// line protocol, reads every /query answer as the point stream
+// (pointstream.go) and the other endpoints' JSON, and is what cmd/bosperf's
 // workloads and internal/cluster's remote shards drive.
 type Client struct {
 	base string
@@ -72,10 +71,15 @@ func decodeError(resp *http.Response) error {
 	return se
 }
 
-// get issues a GET through the retry layer.
-func (c *Client) get(u string) (*http.Response, error) {
+// get issues a GET through the retry layer, with an Accept header unless
+// accept is "".
+func (c *Client) get(u, accept string) (*http.Response, error) {
 	return c.doRetry(func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, u, nil)
+		req, err := http.NewRequest(http.MethodGet, u, nil)
+		if err == nil && accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		return req, err
 	})
 }
 
@@ -101,7 +105,7 @@ func (c *Client) getJSON(path string, q url.Values, out any) error {
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	resp, err := c.get(u)
+	resp, err := c.get(u, "")
 	if err != nil {
 		return err
 	}
@@ -177,10 +181,10 @@ func rangeQuery(series string, from, to int64) url.Values {
 	return q
 }
 
-// queryCSV issues GET /query with q. A status other than 200 is returned as
-// a *StatusError.
-func (c *Client) queryCSV(q url.Values) (*http.Response, error) {
-	resp, err := c.get(c.base + "/query?" + q.Encode())
+// query issues GET /query with q. A status other than 200 is returned as a
+// *StatusError.
+func (c *Client) query(q url.Values, accept string) (*http.Response, error) {
+	resp, err := c.get(c.base+"/query?"+q.Encode(), accept)
 	if err != nil {
 		return nil, err
 	}
@@ -190,16 +194,29 @@ func (c *Client) queryCSV(q url.Values) (*http.Response, error) {
 	return resp, nil
 }
 
-// QueryEach streams the integer points of a series in [from, to] through fn
-// without buffering the whole result. fn returning an error aborts the scan
-// and returns that error.
-func (c *Client) QueryEach(series string, from, to int64, fn func(tsfile.Point) error) error {
-	resp, err := c.queryCSV(rangeQuery(series, from, to))
+// scan issues GET /query with q, asks for the point stream and calls fn
+// with each record of the answer; want is the stream kind the read takes
+// (readStream).
+func (c *Client) scan(q url.Values, want byte, fn func(kind byte, r *record) error) error {
+	resp, err := c.query(q, pointsMediaType)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	return eachRow(resp.Body, parseInt, fn)
+	if ct := resp.Header.Get("Content-Type"); ct != pointsMediaType {
+		return fmt.Errorf("client: /query answered %q, want %q", ct, pointsMediaType)
+	}
+	return readStream(resp.Body, want, fn)
+}
+
+// QueryEach streams the integer points of a series in [from, to] through fn
+// without buffering the whole result. fn returning an error aborts the scan
+// and returns that error. A float series is an error wrapping
+// tsfile.ErrKindMismatch.
+func (c *Client) QueryEach(series string, from, to int64, fn func(tsfile.Point) error) error {
+	return c.scan(rangeQuery(series, from, to), kindInt, func(_ byte, r *record) error {
+		return fn(tsfile.Point{T: r.t, V: r.v})
+	})
 }
 
 // Window streams windowed aggregates over GET /query?window= through fn in
@@ -209,57 +226,11 @@ func (c *Client) QueryEach(series string, from, to int64, fn func(tsfile.Point) 
 func (c *Client) Window(series string, from, to, window int64, fn func(Bucket) error) error {
 	q := rangeQuery(series, from, to)
 	q.Set("window", strconv.FormatInt(window, 10))
-	resp, err := c.queryCSV(q)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return eachLine(resp.Body, func(line []byte) error {
-		b, err := parseBucketRow(line)
-		if err != nil {
-			return err
-		}
-		return fn(b)
-	})
+	return c.scan(q, kindWindow, func(_ byte, r *record) error { return fn(r.b) })
 }
 
 // Bucket is one windowed-aggregate row as the client surfaces it.
 type Bucket = engine.Bucket
-
-// parseBucketRow parses one "start,count,min,max,sum,avg" CSV row in place.
-// The avg column is derived (it re-computes from sum/count) and is ignored.
-func parseBucketRow(line []byte) (Bucket, error) {
-	var fields [6][]byte
-	if bytes.Count(line, []byte{','}) != len(fields)-1 {
-		return Bucket{}, fmt.Errorf("client: malformed bucket row %q", line)
-	}
-	rest := line
-	for i := range fields[:len(fields)-1] {
-		j := bytes.IndexByte(rest, ',')
-		fields[i], rest = rest[:j], rest[j+1:]
-	}
-	fields[len(fields)-1] = rest
-	var b Bucket
-	var err error
-	if b.Start, err = parseInt(fields[0]); err == nil {
-		// Atoi, like Bucket.Count's int, is range-checked at the platform's
-		// int width.
-		b.Count, err = strconv.Atoi(string(fields[1]))
-	}
-	if err == nil {
-		b.Min, err = parseInt(fields[2])
-	}
-	if err == nil {
-		b.Max, err = parseInt(fields[3])
-	}
-	if err == nil {
-		b.Sum, err = parseInt(fields[4])
-	}
-	if err != nil {
-		return Bucket{}, fmt.Errorf("client: bucket row %q: %w", line, err)
-	}
-	return b, nil
-}
 
 // QueryFilterEach streams the points of a series whose value falls in
 // [vmin, vmax] through fn in time order, over GET /query?vmin=&vmax=.
@@ -267,12 +238,9 @@ func (c *Client) QueryFilterEach(series string, from, to, vmin, vmax int64, fn f
 	q := rangeQuery(series, from, to)
 	q.Set("vmin", strconv.FormatInt(vmin, 10))
 	q.Set("vmax", strconv.FormatInt(vmax, 10))
-	resp, err := c.queryCSV(q)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return eachRow(resp.Body, parseInt, fn)
+	return c.scan(q, kindInt, func(_ byte, r *record) error {
+		return fn(tsfile.Point{T: r.t, V: r.v})
+	})
 }
 
 // SeriesKind reports the value kind of a series over GET /kind: "int",
@@ -288,9 +256,10 @@ func (c *Client) SeriesKind(series string) (string, error) {
 }
 
 // QueryRaw returns the raw CSV body of a range scan — the byte-exact wire
-// form, which tests compare across runs.
+// form a client without the point stream's media type gets, which tests
+// compare across runs.
 func (c *Client) QueryRaw(series string, from, to int64) ([]byte, error) {
-	resp, err := c.queryCSV(rangeQuery(series, from, to))
+	resp, err := c.query(rangeQuery(series, from, to), "")
 	if err != nil {
 		return nil, err
 	}
@@ -298,25 +267,11 @@ func (c *Client) QueryRaw(series string, from, to int64) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Query returns the integer points of a series in [from, to].
+// Query returns the integer points of a series in [from, to]. A float
+// series is an error wrapping tsfile.ErrKindMismatch.
 func (c *Client) Query(series string, from, to int64) ([]tsfile.Point, error) {
-	return queryAll(c, series, from, to, parseInt)
-}
-
-// QueryFloats returns the float points of a series in [from, to].
-func (c *Client) QueryFloats(series string, from, to int64) ([]tsfile.FloatPoint, error) {
-	return queryAll(c, series, from, to, parseFloat)
-}
-
-// queryAll collects a range scan's rows, each value parsed by parse.
-func queryAll[V int64 | float64](c *Client, series string, from, to int64, parse func([]byte) (V, error)) ([]tsfile.Sample[V], error) {
-	resp, err := c.queryCSV(rangeQuery(series, from, to))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out []tsfile.Sample[V]
-	err = eachRow(resp.Body, parse, func(p tsfile.Sample[V]) error {
+	var out []tsfile.Point
+	err := c.QueryEach(series, from, to, func(p tsfile.Point) error {
 		out = append(out, p)
 		return nil
 	})
@@ -326,84 +281,23 @@ func queryAll[V int64 | float64](c *Client, series string, from, to int64, parse
 	return out, nil
 }
 
-// Response rows are scanned in place in a pooled buffer, so a scan allocates
-// nothing per row and nothing large per request.
-const (
-	// scanBufSize is the line buffer a scan starts with. It holds many rows
-	// at once; a longer row grows a private buffer up to maxRowBytes.
-	scanBufSize = 64 << 10
-	// maxRowBytes bounds one CSV row; a longer one fails the scan with
-	// bufio.ErrTooLong.
-	maxRowBytes = 1 << 20
-)
-
-var scanBufs = sync.Pool{New: func() any {
-	b := make([]byte, scanBufSize)
-	return &b
-}}
-
-// eachLine calls fn with every line of body, without its line ending. The
-// line is only valid until fn returns.
-func eachLine(body io.Reader, fn func(line []byte) error) error {
-	buf := scanBufs.Get().(*[]byte)
-	defer scanBufs.Put(buf)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(*buf, maxRowBytes)
-	for sc.Scan() {
-		if err := fn(sc.Bytes()); err != nil {
-			return err
+// QueryFloats returns the points of a series in [from, to] as floats; the
+// values of an integer series convert with float64(v).
+func (c *Client) QueryFloats(series string, from, to int64) ([]tsfile.FloatPoint, error) {
+	var out []tsfile.FloatPoint
+	err := c.scan(rangeQuery(series, from, to), kindFloat, func(kind byte, r *record) error {
+		v := r.f
+		if kind == kindInt {
+			v = float64(r.v)
 		}
-	}
-	return sc.Err()
-}
-
-// eachRow calls fn with every "timestamp,value" row of body, the value
-// parsed by parse.
-func eachRow[V int64 | float64](body io.Reader, parse func([]byte) (V, error), fn func(tsfile.Sample[V]) error) error {
-	return eachLine(body, func(line []byte) error {
-		i := bytes.IndexByte(line, ',')
-		if i < 0 {
-			return fmt.Errorf("client: malformed row %q", line)
-		}
-		t, err := parseInt(line[:i])
-		if err != nil {
-			return fmt.Errorf("client: timestamp %q: %w", line[:i], err)
-		}
-		v, err := parse(line[i+1:])
-		if err != nil {
-			return fmt.Errorf("client: value %q: %w", line[i+1:], err)
-		}
-		return fn(tsfile.Sample[V]{T: t, V: v})
+		out = append(out, tsfile.FloatPoint{T: r.t, V: v})
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
-
-// parseInt returns exactly what strconv.ParseInt(string(b), 10, 64) returns.
-// An optional sign and at most 18 digits cannot overflow, so they are
-// converted here; anything else, every error included, goes to strconv.
-func parseInt(b []byte) (int64, error) {
-	digits := b
-	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
-		digits = digits[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		return strconv.ParseInt(string(b), 10, 64)
-	}
-	var n int64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return strconv.ParseInt(string(b), 10, 64)
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if b[0] == '-' {
-		n = -n
-	}
-	return n, nil
-}
-
-// parseFloat parses a float value. string(b) does not escape, so converting
-// any value the server writes (at most 24 bytes) does not allocate.
-func parseFloat(b []byte) (float64, error) { return strconv.ParseFloat(string(b), 64) }
 
 // Agg fetches count/min/max/sum/avg for a series range.
 func (c *Client) Agg(series string, from, to int64) (AggResponse, error) {
@@ -459,7 +353,7 @@ func (c *Client) Stats() (StatsResponse, error) {
 // Health checks /healthz. A degraded sharded server answers 503 with
 // per-shard detail; that body is folded into the returned error.
 func (c *Client) Health() error {
-	resp, err := c.get(c.base + "/healthz")
+	resp, err := c.get(c.base+"/healthz", "")
 	if err != nil {
 		return err
 	}

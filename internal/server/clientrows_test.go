@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -9,179 +9,159 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
 	"bos/internal/tsfile"
 )
 
-// bodyClient returns a client whose every request is answered 200 with body.
-func bodyClient(t *testing.T, body string) *Client {
+// bodyClient returns a client whose every request is answered 200 with body
+// under contentType.
+func bodyClient(t *testing.T, contentType string, body []byte) *Client {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/csv")
-		io.WriteString(w, body)
+		w.Header().Set("Content-Type", contentType)
+		w.Write(body)
 	}))
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client())
 }
 
-// Checks on the error a client call returns for a malformed body.
-func wantErrIs(target error) func(error) bool {
-	return func(err error) bool { return errors.Is(err, target) }
+// streamOf returns the point stream of the given kind that the server's
+// rowWriter sends for the rows write adds.
+func streamOf(kind byte, write func(cw *rowWriter)) []byte {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/query", nil)
+	req.Header.Set("Accept", pointsMediaType)
+	cw := newRowWriter(rec, req, "int", kind)
+	defer cw.release()
+	write(cw)
+	cw.end()
+	return rec.Body.Bytes()
 }
 
-func wantErrText(sub string) func(error) bool {
-	return func(err error) bool {
-		var se *StatusError
-		return err != nil && !errors.As(err, &se) && strings.Contains(err.Error(), sub)
+// typedScan is one typed /query read of the client: the stream kind it
+// takes, and a run that returns what it read. returns marks the calls that
+// hand back a slice rather than stream through a callback.
+type typedScan struct {
+	name    string
+	kind    byte
+	returns bool
+	run     func(c *Client) (any, error)
+}
+
+func typedScans() []typedScan {
+	points := func(scan func(c *Client, fn func(tsfile.Point) error) error) func(c *Client) (any, error) {
+		return func(c *Client) (any, error) {
+			var out []tsfile.Point
+			err := scan(c, func(p tsfile.Point) error { out = append(out, p); return nil })
+			return out, err
+		}
 	}
-}
-
-// longRow is one row past the client's 1 MiB row limit.
-var longRow = strings.Repeat("1", 1<<20) + ",1\n"
-
-// TestClientParsesRows feeds fixed CSV bodies to every typed scan call of the
-// client and checks the rows it accepts and the ones it refuses.
-func TestClientParsesRows(t *testing.T) {
-	intScans := map[string]func(c *Client) ([]tsfile.Point, error){
-		"QueryEach": func(c *Client) ([]tsfile.Point, error) {
-			var out []tsfile.Point
-			err := c.QueryEach("s", math.MinInt64, math.MaxInt64, func(p tsfile.Point) error {
-				out = append(out, p)
-				return nil
-			})
-			return out, err
-		},
-		"QueryFilterEach": func(c *Client) ([]tsfile.Point, error) {
-			var out []tsfile.Point
-			err := c.QueryFilterEach("s", math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64, func(p tsfile.Point) error {
-				out = append(out, p)
-				return nil
-			})
-			return out, err
-		},
-		"Query": func(c *Client) ([]tsfile.Point, error) {
+	return []typedScan{
+		{name: "QueryEach", kind: kindInt, run: points(func(c *Client, fn func(tsfile.Point) error) error {
+			return c.QueryEach("s", math.MinInt64, math.MaxInt64, fn)
+		})},
+		{name: "QueryFilterEach", kind: kindInt, run: points(func(c *Client, fn func(tsfile.Point) error) error {
+			return c.QueryFilterEach("s", math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64, fn)
+		})},
+		{name: "Query", kind: kindInt, returns: true, run: func(c *Client) (any, error) {
 			return c.Query("s", math.MinInt64, math.MaxInt64)
-		},
+		}},
+		{name: "QueryFloats", kind: kindFloat, returns: true, run: func(c *Client) (any, error) {
+			return c.QueryFloats("s", math.MinInt64, math.MaxInt64)
+		}},
+		{name: "Window", kind: kindWindow, run: func(c *Client) (any, error) {
+			var out []Bucket
+			err := c.Window("s", 0, math.MaxInt64, 10, func(b Bucket) error { out = append(out, b); return nil })
+			return out, err
+		}},
 	}
-	intCases := []struct {
-		name string
-		body string
-		want []tsfile.Point
-		err  func(error) bool // nil: the body parses to want
-	}{
-		{name: "empty", body: ""},
-		{
-			name: "extremes",
-			body: "-9223372036854775808,9223372036854775807\n9223372036854775807,-9223372036854775808\n",
-			want: []tsfile.Point{{T: math.MinInt64, V: math.MaxInt64}, {T: math.MaxInt64, V: math.MinInt64}},
-		},
-		{
-			name: "18 and 19 digits",
-			body: "999999999999999999,-999999999999999999\n1000000000000000000,-1000000000000000000\n",
-			want: []tsfile.Point{{T: 999999999999999999, V: -999999999999999999}, {T: 1e18, V: -1e18}},
-		},
-		{
-			name: "signs and leading zeros",
-			body: "-0,+5\n+0,-0\n007,-0010\n00000000000000000000000000001,2\n",
-			want: []tsfile.Point{{T: 0, V: 5}, {T: 0, V: 0}, {T: 7, V: -10}, {T: 1, V: 2}},
-		},
-		{name: "no final newline", body: "1,2\n3,4", want: []tsfile.Point{{T: 1, V: 2}, {T: 3, V: 4}}},
-		{name: "CRLF rows", body: "1,2\r\n3,4\r\n", want: []tsfile.Point{{T: 1, V: 2}, {T: 3, V: 4}}},
-		{name: "no comma", body: "1,2\n3\n", err: wantErrText("malformed row")},
-		{name: "empty line", body: "1,2\n\n3,4\n", err: wantErrText("malformed row")},
-		{name: "empty timestamp", body: ",5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "non-numeric timestamp", body: "1x,5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "underscore timestamp", body: "1_000,5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "sign only", body: "-,5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "empty value", body: "1,\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "extra field", body: "1,2,3\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "timestamp out of range", body: "-9223372036854775809,1\n", err: wantErrIs(strconv.ErrRange)},
-		{name: "value out of range", body: "1,9223372036854775808\n", err: wantErrIs(strconv.ErrRange)},
-		{name: "float value", body: "1,2\n2,0.5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "row over 1 MiB", body: "1,2\n" + longRow, err: wantErrIs(bufio.ErrTooLong)},
+}
+
+// TestClientParsesRows feeds fixed point streams to every typed scan of the
+// client: a valid stream of each kind reads back exactly, and every
+// malformed one is an error, never a partial answer.
+func TestClientParsesRows(t *testing.T) {
+	ints := []tsfile.Point{{T: math.MinInt64, V: math.MaxInt64}, {T: math.MaxInt64, V: math.MinInt64}, {T: 0, V: -1}}
+	floats := []tsfile.FloatPoint{{T: math.MinInt64, V: 0.5}, {T: math.MaxInt64, V: math.Inf(-1)}, {T: 0, V: -1e300}}
+	buckets := []Bucket{
+		{Start: math.MinInt64, Count: 3, Min: -1, Max: math.MaxInt64, Sum: 7},
+		{Start: 10, Count: math.MaxInt, Min: math.MinInt64, Max: 4, Sum: math.MinInt64},
 	}
-	for _, tc := range intCases {
-		c := bodyClient(t, tc.body)
-		for name, scan := range intScans {
-			got, err := scan(c)
+	valid := map[byte][]byte{
+		kindInt: streamOf(kindInt, func(cw *rowWriter) {
+			for _, p := range ints {
+				cw.writeInt(p.T, p.V)
+			}
+		}),
+		kindFloat: streamOf(kindFloat, func(cw *rowWriter) {
+			for _, p := range floats {
+				cw.writeFloat(p.T, p.V)
+			}
+		}),
+		kindWindow: streamOf(kindWindow, func(cw *rowWriter) {
+			for _, b := range buckets {
+				cw.writeBucket(b)
+			}
+		}),
+	}
+	want := map[byte]any{kindInt: ints, kindFloat: floats, kindWindow: buckets}
+	// The stream each read refuses as the wrong kind.
+	wrong := map[byte]byte{kindInt: kindFloat, kindFloat: kindWindow, kindWindow: kindInt}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	for _, sc := range typedScans() {
+		good := valid[sc.kind]
+		got, err := sc.run(bodyClient(t, pointsMediaType, good))
+		if err != nil || !reflect.DeepEqual(got, want[sc.kind]) {
+			t.Errorf("%s of a valid stream: got %v, %v; want %v", sc.name, got, err, want[sc.kind])
+		}
+		for _, tc := range []struct {
+			name        string
+			contentType string
+			body        []byte
+			is          error // when set, the error must wrap it
+		}{
+			{name: "empty body", body: nil, is: io.ErrUnexpectedEOF},
+			{name: "cut mid-record", body: good[:4], is: io.ErrUnexpectedEOF},
+			{name: "cut before the end frame", body: good[:len(good)-1], is: io.ErrUnexpectedEOF},
+			{name: "bytes after the end frame", body: cat(good, []byte{0})},
+			{name: "unknown kind byte", body: cat([]byte{'x'}, good[1:])},
+			{name: "wrong kind", body: valid[wrong[sc.kind]]},
+			{name: "over-long varint", body: cat([]byte{sc.kind, 1}, bytes.Repeat([]byte{0xff}, 11), []byte{0})},
+			{name: "CSV body", contentType: "text/csv", body: []byte("1,2\n3,4\n")},
+		} {
+			if tc.contentType == "" {
+				tc.contentType = pointsMediaType
+			}
+			if tc.name == "wrong kind" && sc.kind == kindInt {
+				tc.is = tsfile.ErrKindMismatch
+			}
+			got, err := sc.run(bodyClient(t, tc.contentType, tc.body))
+			var se *StatusError
 			switch {
-			case tc.err != nil && !tc.err(err):
-				t.Errorf("%s %s: got error %v", tc.name, name, err)
-			case tc.err == nil && err != nil:
-				t.Errorf("%s %s: %v", tc.name, name, err)
-			case tc.err == nil && !reflect.DeepEqual(got, tc.want):
-				t.Errorf("%s %s: got %v, want %v", tc.name, name, got, tc.want)
+			case err == nil:
+				t.Errorf("%s, %s: no error, read %v", sc.name, tc.name, got)
+			case errors.As(err, &se):
+				t.Errorf("%s, %s: got status error %v", sc.name, tc.name, err)
+			case tc.is != nil && !errors.Is(err, tc.is):
+				t.Errorf("%s, %s: got %v, want an error wrapping %v", sc.name, tc.name, err, tc.is)
+			case sc.returns && reflect.ValueOf(got).Len() != 0:
+				t.Errorf("%s, %s: returned %v beside %v", sc.name, tc.name, got, err)
 			}
 		}
 	}
 
-	floatCases := []struct {
-		name string
-		body string
-		want []tsfile.FloatPoint
-		err  func(error) bool
-	}{
-		{
-			name: "values",
-			body: "-9223372036854775808,0.5\n-1,-1e+300\n0,5\n+7,-0.0\n9223372036854775807,2.5e-7\n",
-			want: []tsfile.FloatPoint{
-				{T: math.MinInt64, V: 0.5}, {T: -1, V: -1e300}, {T: 0, V: 5},
-				{T: 7, V: math.Copysign(0, -1)}, {T: math.MaxInt64, V: 2.5e-7},
-			},
-		},
-		{name: "no comma", body: "1\n", err: wantErrText("malformed row")},
-		{name: "non-numeric timestamp", body: "x,0.5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "float timestamp", body: "1.5,0.5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "non-numeric value", body: "1,abc\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "value out of range", body: "1,1e400\n", err: wantErrIs(strconv.ErrRange)},
-		{name: "row over 1 MiB", body: longRow, err: wantErrIs(bufio.ErrTooLong)},
+	// A float read of int points converts each value as ParseFloat does its
+	// decimal text.
+	got, err := bodyClient(t, pointsMediaType, valid[kindInt]).QueryFloats("s", math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range floatCases {
-		got, err := bodyClient(t, tc.body).QueryFloats("s", math.MinInt64, math.MaxInt64)
-		switch {
-		case tc.err != nil && !tc.err(err):
-			t.Errorf("%s QueryFloats: got error %v", tc.name, err)
-		case tc.err == nil && err != nil:
-			t.Errorf("%s QueryFloats: %v", tc.name, err)
-		case tc.err == nil && !reflect.DeepEqual(got, tc.want):
-			t.Errorf("%s QueryFloats: got %v, want %v", tc.name, got, tc.want)
-		}
-	}
-
-	bucketCases := []struct {
-		name string
-		body string
-		want []Bucket
-		err  func(error) bool
-	}{
-		{
-			name: "rows",
-			body: "0,3,-1,9223372036854775807,7,2.3333333333333335\n10,1,+4,4,4,x\n",
-			want: []Bucket{{Start: 0, Count: 3, Min: -1, Max: math.MaxInt64, Sum: 7}, {Start: 10, Count: 1, Min: 4, Max: 4, Sum: 4}},
-		},
-		{name: "five fields", body: "0,1,2,3,4\n", err: wantErrText("malformed bucket row")},
-		{name: "seven fields", body: "0,1,2,3,4,5,6\n", err: wantErrText("malformed bucket row")},
-		{name: "empty line", body: "\n", err: wantErrText("malformed bucket row")},
-		{name: "non-numeric count", body: "0,x,2,3,4,5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "float min", body: "0,1,2.5,3,4,5\n", err: wantErrIs(strconv.ErrSyntax)},
-		{name: "sum out of range", body: "0,1,2,3,99999999999999999999,5\n", err: wantErrIs(strconv.ErrRange)},
-		{name: "row over 1 MiB", body: strings.Repeat("1", 1<<20) + ",1,1,1,1,1\n", err: wantErrIs(bufio.ErrTooLong)},
-	}
-	for _, tc := range bucketCases {
-		var got []Bucket
-		err := bodyClient(t, tc.body).Window("s", 0, math.MaxInt64, 10, func(b Bucket) error {
-			got = append(got, b)
-			return nil
-		})
-		switch {
-		case tc.err != nil && !tc.err(err):
-			t.Errorf("%s Window: got error %v", tc.name, err)
-		case tc.err == nil && err != nil:
-			t.Errorf("%s Window: %v", tc.name, err)
-		case tc.err == nil && !reflect.DeepEqual(got, tc.want):
-			t.Errorf("%s Window: got %v, want %v", tc.name, got, tc.want)
+	for i, p := range ints {
+		text := strconv.FormatInt(p.V, 10)
+		if f, _ := strconv.ParseFloat(text, 64); got[i] != (tsfile.FloatPoint{T: p.T, V: f}) {
+			t.Errorf("QueryFloats of int point %v: got %v, want value %v", p, got[i], f)
 		}
 	}
 }

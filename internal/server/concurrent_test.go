@@ -170,14 +170,15 @@ func TestConcurrentIngestMatchesSequential(t *testing.T) {
 
 // TestClientConcurrentScans runs 8 goroutines over one shared Client and one
 // server, each issuing every kind of typed scan, and checks every answer
-// against the engine's in-process one. The client's scan buffers come from
-// a pool the goroutines share; CI runs this test under -race.
+// against the engine's in-process one. The client's decode buffers and the
+// server's row buffers come from pools the goroutines share; CI runs this
+// test under -race.
 func TestClientConcurrentScans(t *testing.T) {
 	const (
 		goroutines = 8
 		rounds     = 3
 		intSeries  = 3
-		points     = 6000 // an answer spans several 64 KiB scan buffers
+		points     = 20000 // an int answer spans two frames, the float one four
 	)
 	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), FlushThreshold: 4000})
 	if err != nil {

@@ -2,8 +2,9 @@
 // HTTP API (stdlib-only) with a batched line-protocol ingest path that
 // group-commits concurrent client batches, streaming range-scan / aggregate /
 // downsample query endpoints, stats and health reporting, and a typed Go
-// client. cmd/bosserver wires it to a listener and doubles as a load
-// generator.
+// client. A range scan streams CSV, or a delta-varint point stream
+// (pointstream.go) to a client that asks for it, as the typed client does.
+// cmd/bosserver wires the API to a listener; cmd/bosperf benchmarks it.
 package server
 
 import (

@@ -140,8 +140,9 @@ func TestWindowAndFilteredQuery(t *testing.T) {
 
 // TestIntReadsOfFloatSeries pins the answer of every read that folds or
 // filters integer values on a float series: a 400, whether the points are
-// buffered or flushed. An unknown series keeps /agg's and /downsample's
-// empty answers.
+// buffered or flushed. The client's raw int scans of one fail with
+// tsfile.ErrKindMismatch, buffered or flushed. An unknown series keeps
+// /agg's and /downsample's empty answers.
 func TestIntReadsOfFloatSeries(t *testing.T) {
 	eng, err := engine.Open(engine.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -173,6 +174,16 @@ func TestIntReadsOfFloatSeries(t *testing.T) {
 				t.Errorf("flushed=%v: %s of a float series: %v, want a 400", flushed, name, err)
 			}
 		}
+		// Raw scans read as ints fail on the kind, not on a garbled value.
+		_, queryErr := c.Query("root.f", 0, 10)
+		eachErr := c.QueryEach("root.f", 0, 10, func(p tsfile.Point) error {
+			return fmt.Errorf("QueryEach read %v", p)
+		})
+		for name, err := range map[string]error{"Query": queryErr, "QueryEach": eachErr} {
+			if !errors.Is(err, tsfile.ErrKindMismatch) {
+				t.Errorf("flushed=%v: %s of a float series: %v, want tsfile.ErrKindMismatch", flushed, name, err)
+			}
+		}
 	}
 	if agg, err := c.Agg("no.such", 0, 10); err != nil || agg.Count != 0 {
 		t.Fatalf("agg of an unknown series = %+v, %v", agg, err)
@@ -197,9 +208,11 @@ func TestWindowRetries(t *testing.T) {
 			conn.Close()
 			return
 		}
-		w.Header().Set("Content-Type", "text/csv")
-		fmt.Fprintln(w, "0,2,1,3,4,2")
-		fmt.Fprintln(w, "10,1,5,5,5,5")
+		cw := newRowWriter(w, r, "int", kindWindow)
+		defer cw.release()
+		cw.writeBucket(Bucket{Start: 0, Count: 2, Min: 1, Max: 3, Sum: 4})
+		cw.writeBucket(Bucket{Start: 10, Count: 1, Min: 5, Max: 5, Sum: 5})
+		cw.end()
 	}))
 	defer ts.Close()
 	c := NewClient(ts.URL, retryTestHTTPClient(), WithRetry(4, time.Millisecond))

@@ -123,3 +123,32 @@ func TestQueryScanErrorReachesClient(t *testing.T) {
 		t.Errorf("float scan: failed response carries X-Series-Kind %q", k)
 	}
 }
+
+// TestQueryScanErrorAbortsStream checks the point stream's abort: a 5000-point
+// failing scan fits in the first frame and still answers 500, so this scan
+// fails after 20000 points, when frames have gone out. The server then
+// aborts the response, the end frame never arrives, and the client returns
+// an error that is not a StatusError after the points it read.
+func TestQueryScanErrorAbortsStream(t *testing.T) {
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Options{Backend: failingScans{Backend: NewEngineBackend(eng), n: 20000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	got := 0
+	err = NewClient(ts.URL, ts.Client()).QueryEach("s", math.MinInt64, math.MaxInt64, func(tsfile.Point) error {
+		got++
+		return nil
+	})
+	var se *StatusError
+	if err == nil || errors.As(err, &se) || got == 0 {
+		t.Errorf("QueryEach read %d points, error %v; want points, then an aborted body", got, err)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -162,10 +164,11 @@ func timeRange(r *http.Request) (int64, int64, error) {
 	return from, to, nil
 }
 
-// handleQuery streams a range scan as CSV lines "timestamp,value". Integer
-// series stream through the engine's paged scan (memory bounded by the page
-// size, not the series size); float series are read in one engine call and
-// streamed out incrementally.
+// handleQuery streams a range scan as CSV lines "timestamp,value", or as the
+// point stream (pointstream.go) when the request's Accept header is exactly
+// its media type. Integer series stream through the engine's paged scan
+// (memory bounded by the page size, not the series size); float series are
+// read in one engine call and streamed out incrementally.
 //
 // Two pushdown variants share the endpoint for integer series: window=N
 // streams windowed aggregate rows "start,count,min,max,sum,avg" (requires
@@ -201,9 +204,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryFiltered(w, r, series, kind, from, to)
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Series-Kind", kind)
-	cw := newChunkedCSV(w)
+	streamKind := byte(kindInt)
+	if kind == "float" {
+		streamKind = kindFloat
+	}
+	cw := newRowWriter(w, r, kind, streamKind)
+	defer cw.release()
 	if kind == "float" {
 		pts, err := s.be.QueryFloats(series, from, to)
 		if err != nil {
@@ -226,11 +232,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	//bos:nolint(checkederr): a failed final write means the client is gone, and no one is left to tell
-	cw.flush()
+	cw.end()
 }
 
 // queryWindowed serves /query?window=N: windowed aggregate rows
-// "start,count,min,max,sum,avg", one CSV line per non-empty window.
+// "start,count,min,max,sum,avg", one CSV line or 'w' record per non-empty
+// window.
 func (s *Server) queryWindowed(w http.ResponseWriter, r *http.Request, series, kind string, from, to int64) {
 	if !intOnly(w, series, kind, "window") {
 		return
@@ -254,16 +261,15 @@ func (s *Server) queryWindowed(w http.ResponseWriter, r *http.Request, series, k
 		httpError(w, status, err)
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Series-Kind", kind)
-	cw := newChunkedCSV(w)
+	cw := newRowWriter(w, r, kind, kindWindow)
+	defer cw.release()
 	for _, b := range buckets {
 		if err := cw.writeBucket(b); err != nil {
 			return
 		}
 	}
 	//bos:nolint(checkederr): a failed final write means the client is gone, and no one is left to tell
-	cw.flush()
+	cw.end()
 }
 
 // queryFiltered serves /query?vmin=&vmax=: the points whose value falls in
@@ -289,9 +295,8 @@ func (s *Server) queryFiltered(w http.ResponseWriter, r *http.Request, series, k
 		}
 		vmax = n
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Series-Kind", kind)
-	cw := newChunkedCSV(w)
+	cw := newRowWriter(w, r, kind, kindInt)
+	defer cw.release()
 	err := s.be.QueryFilterEach(series, from, to, vmin, vmax, func(p tsfile.Point) error {
 		return cw.writeInt(p.T, p.V)
 	})
@@ -300,7 +305,7 @@ func (s *Server) queryFiltered(w http.ResponseWriter, r *http.Request, series, k
 		return
 	}
 	//bos:nolint(checkederr): a failed final write means the client is gone, and no one is left to tell
-	cw.flush()
+	cw.end()
 }
 
 // intOnly ends a read that folds or filters integer values (/agg,
@@ -316,21 +321,65 @@ func intOnly(w http.ResponseWriter, series, kind, read string) bool {
 	return false
 }
 
-// chunkedCSV batches CSV rows and flushes them through the ResponseWriter in
-// chunks, so long scans stream instead of accumulating.
-type chunkedCSV struct {
-	w     http.ResponseWriter
-	buf   []byte
-	err   error
-	wrote bool // some rows went out, and with them the 200 status line
+// flushBytes is how many row bytes rowWriter gathers before it sends them.
+const flushBytes = 24 << 10
+
+// frameRoom is the room rowWriter keeps before its rows for what leads a
+// point stream frame: the kind byte and the record count.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// rowBufs holds rowWriter buffers, so a scan does not allocate one per
+// request.
+var rowBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 32<<10)
+	return &b
+}}
+
+// rowWriter batches the rows of a /query answer and flushes them through the
+// ResponseWriter in chunks, so long scans stream instead of accumulating.
+// The rows are CSV, or the point stream (pointstream.go) when the request's
+// Accept header asks for it; only how a row is appended differs. Each chunk
+// of the point stream is one frame.
+type rowWriter struct {
+	w      http.ResponseWriter
+	bp     *[]byte
+	buf    []byte // frameRoom bytes, then the pending rows
+	stream bool
+	kind   byte   // the point stream's kind byte
+	n      uint64 // pending rows
+	d      deltas
+	err    error
+	wrote  bool // some rows went out, and with them the 200 status line
+}
+
+// newRowWriter sets the answer's headers and returns its writer. kind is
+// the point stream's kind byte and seriesKind the X-Series-Kind header.
+// Call release when the answer is done.
+func newRowWriter(w http.ResponseWriter, r *http.Request, seriesKind string, kind byte) *rowWriter {
+	c := &rowWriter{w: w, bp: rowBufs.Get().(*[]byte), kind: kind}
+	c.buf = append((*c.bp)[:0], make([]byte, frameRoom)...)
+	c.stream = r.Header.Get("Accept") == pointsMediaType
+	if c.stream {
+		w.Header().Set("Content-Type", pointsMediaType)
+	} else {
+		w.Header().Set("Content-Type", "text/csv")
+	}
+	w.Header().Set("X-Series-Kind", seriesKind)
+	return c
+}
+
+// release returns the writer's buffer to the pool.
+func (c *rowWriter) release() {
+	*c.bp = c.buf[:0]
+	rowBufs.Put(c.bp)
 }
 
 // fail reports a failed scan. While no row has gone out the client gets a
 // 500 with the error. After that the status is sent, so the handler aborts
-// the response: the connection closes before the chunked body's end, and
-// the client reads an error instead of a short answer. A write error means
-// the client is gone, and there is no one left to tell.
-func (c *chunkedCSV) fail(err error) {
+// the response: the connection closes before the body's end, and the client
+// reads an error instead of a short answer. A write error means the client
+// is gone, and there is no one left to tell.
+func (c *rowWriter) fail(err error) {
 	if c.err != nil {
 		return
 	}
@@ -342,27 +391,35 @@ func (c *chunkedCSV) fail(err error) {
 	panic(http.ErrAbortHandler)
 }
 
-func newChunkedCSV(w http.ResponseWriter) *chunkedCSV {
-	return &chunkedCSV{w: w, buf: make([]byte, 0, 32<<10)}
+func (c *rowWriter) writeInt(t, v int64) error {
+	if c.stream {
+		c.buf = c.d.appendInt(c.buf, t, v)
+	} else {
+		c.buf = strconv.AppendInt(c.buf, t, 10)
+		c.buf = append(c.buf, ',')
+		c.buf = strconv.AppendInt(c.buf, v, 10)
+		c.buf = append(c.buf, '\n')
+	}
+	return c.added()
 }
 
-func (c *chunkedCSV) writeInt(t, v int64) error {
-	c.buf = strconv.AppendInt(c.buf, t, 10)
-	c.buf = append(c.buf, ',')
-	c.buf = strconv.AppendInt(c.buf, v, 10)
-	c.buf = append(c.buf, '\n')
-	return c.maybeFlush()
+func (c *rowWriter) writeFloat(t int64, v float64) error {
+	if c.stream {
+		c.buf = c.d.appendFloat(c.buf, t, v)
+	} else {
+		c.buf = strconv.AppendInt(c.buf, t, 10)
+		c.buf = append(c.buf, ',')
+		c.buf = appendFloatValue(c.buf, v)
+		c.buf = append(c.buf, '\n')
+	}
+	return c.added()
 }
 
-func (c *chunkedCSV) writeFloat(t int64, v float64) error {
-	c.buf = strconv.AppendInt(c.buf, t, 10)
-	c.buf = append(c.buf, ',')
-	c.buf = appendFloatValue(c.buf, v)
-	c.buf = append(c.buf, '\n')
-	return c.maybeFlush()
-}
-
-func (c *chunkedCSV) writeBucket(b engine.Bucket) error {
+func (c *rowWriter) writeBucket(b engine.Bucket) error {
+	if c.stream {
+		c.buf = c.d.appendBucket(c.buf, b)
+		return c.added()
+	}
 	c.buf = strconv.AppendInt(c.buf, b.Start, 10)
 	c.buf = append(c.buf, ',')
 	c.buf = strconv.AppendInt(c.buf, int64(b.Count), 10)
@@ -375,30 +432,58 @@ func (c *chunkedCSV) writeBucket(b engine.Bucket) error {
 	c.buf = append(c.buf, ',')
 	c.buf = strconv.AppendFloat(c.buf, b.Avg(), 'g', -1, 64)
 	c.buf = append(c.buf, '\n')
-	return c.maybeFlush()
+	return c.added()
 }
 
-func (c *chunkedCSV) maybeFlush() error {
-	if len(c.buf) >= 24<<10 {
+// added counts a row just appended and flushes once enough are pending.
+func (c *rowWriter) added() error {
+	c.n++
+	if len(c.buf)-frameRoom >= flushBytes {
 		return c.flush()
 	}
 	return c.err
 }
 
-func (c *chunkedCSV) flush() error {
+// flush sends the pending rows.
+func (c *rowWriter) flush() error { return c.send(false) }
+
+// end sends the pending rows and, in the point stream, the end frame. The
+// handler's return flushes them.
+func (c *rowWriter) end() error { return c.send(true) }
+
+// send writes the pending rows as one chunk. In the point stream they go out
+// as one frame, led by the kind byte in the first chunk and, when last,
+// followed by the end frame.
+func (c *rowWriter) send(last bool) error {
 	if c.err != nil {
 		return c.err
 	}
-	if len(c.buf) > 0 {
-		c.wrote = true
-		if _, err := c.w.Write(c.buf); err != nil {
-			c.err = err
-			return err
+	start := frameRoom
+	if c.stream {
+		if last {
+			c.buf = append(c.buf, 0)
 		}
-		c.buf = c.buf[:0]
-		if f, ok := c.w.(http.Flusher); ok {
-			f.Flush()
+		if c.n > 0 {
+			var hdr [binary.MaxVarintLen64]byte
+			h := binary.PutUvarint(hdr[:], c.n)
+			start -= copy(c.buf[start-h:], hdr[:h])
 		}
+	}
+	if start == len(c.buf) {
+		return nil
+	}
+	if c.stream && !c.wrote {
+		start--
+		c.buf[start] = c.kind
+	}
+	c.wrote = true
+	if _, err := c.w.Write(c.buf[start:]); err != nil {
+		c.err = err
+		return err
+	}
+	c.buf, c.n = c.buf[:frameRoom], 0
+	if f, ok := c.w.(http.Flusher); ok && !last {
+		f.Flush()
 	}
 	return nil
 }
