@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"bos/internal/engine"
-	"bos/internal/maintain"
 	"bos/internal/packers"
 	"bos/internal/tsfile"
 )
@@ -155,8 +154,7 @@ func runCompact(e *engine.Engine, adaptive bool) error {
 	if !adaptive {
 		return e.Compact()
 	}
-	m := maintain.New(e, maintain.Config{Adaptive: true})
-	st, err := m.CompactAll()
+	st, err := e.CompactWith(packers.Names())
 	if err != nil {
 		return err
 	}

@@ -203,8 +203,9 @@ func TestBulkZeroWidth(t *testing.T) {
 	}
 }
 
-// benchWidths is the sweep the kernel benchmarks run over; BENCH_kernels.json
-// records the scalar-vs-kernel ratio for each.
+// benchWidths is the sweep the kernel benchmarks run over; EXPERIMENTS.md,
+// "Decode-kernel microbenchmarks", records the scalar-vs-kernel ratio for
+// each.
 var benchWidths = []uint{1, 4, 7, 8, 12, 16, 20, 32, 48, 64}
 
 func benchVals(width uint, n int) []uint64 {
@@ -269,7 +270,8 @@ func BenchmarkWriteBulkUnalignedScalar(b *testing.B) {
 }
 
 // BenchmarkWriteBulkScalar measures the pre-kernel accumulator path on the
-// same inputs (the "before" column of BENCH_kernels.json).
+// same inputs (the "scalar" column in EXPERIMENTS.md, "Decode-kernel
+// microbenchmarks").
 func BenchmarkWriteBulkScalar(b *testing.B) {
 	for _, width := range benchWidths {
 		b.Run(fmt.Sprintf("w%02d", width), func(b *testing.B) {

@@ -50,8 +50,8 @@ func (s *LocalShard) Engine() *engine.Engine { return s.eng }
 func (s *LocalShard) Target() string { return s.dir }
 
 // CompactAll runs a full compaction through the shard's maintainer when it
-// has one, so the compaction uses its adaptive packer chooser and counts in
-// its stats.
+// has one, so the compaction repacks adaptively when configured and counts
+// in its stats.
 func (s *LocalShard) CompactAll() (engine.CompactStats, error) {
 	if s.maint != nil {
 		return s.maint.CompactAll()

@@ -9,8 +9,8 @@ import (
 // Outlier-rate sweep for the block codec hot paths. The decode cost of a BOS
 // block is dominated by the interleaving the bitmap creates: the average
 // center run is ~1/rate values, so higher outlier rates mean shorter runs and
-// more per-run entry cost. BENCH_bos_block.json records this sweep before and
-// after the run-fused decode path.
+// more per-run entry cost. EXPERIMENTS.md, "Run-fused block decode", records
+// this sweep before and after the run-fused decode path.
 
 // rateWidths are the inlier bit-widths the sweep covers (beta after
 // frame-of-reference).

@@ -10,12 +10,12 @@ import (
 )
 
 // Integer and float series share one path through the engine. A column
-// bundles what differs between the two value kinds — the stripe buffers, the
-// chunk encoder and the WAL payload encoder — and every memtable, flush,
-// query and compaction routine is written once over column[V]. File reads
-// need no column: every one goes through fileCursor[V] (scan.go). Only the
-// exported entry points (Insert vs InsertFloat, Query vs QueryFloats) name a
-// kind.
+// bundles what differs between the two value kinds — the stripe buffers and
+// the WAL payload encoder — and every memtable, flush, query and compaction
+// routine is written once over column[V]. File reads need no column: every
+// one goes through fileCursor[V] (scan.go), and every chunk is encoded by
+// tsfile.EncodeSeries[V]. Only the exported entry points (Insert vs
+// InsertFloat, Query vs QueryFloats) name a kind.
 
 // column is one value kind's path through the engine. The WAL payload
 // encoder is a record kind and a per-value appender rather than one function
@@ -24,7 +24,6 @@ import (
 type column[V int64 | float64] struct {
 	kind     string // "int" or "float", as SeriesKind reports it
 	buf      func(*memStripe) *memBuf[V]
-	encode   func(opt tsfile.Options, pts []tsfile.Sample[V], packerName string) (tsfile.EncodedChunk, error)
 	walKind  byte
 	walValue func([]byte, V) []byte
 }
@@ -32,7 +31,6 @@ type column[V int64 | float64] struct {
 var intCol = &column[int64]{
 	kind:     "int",
 	buf:      func(st *memStripe) *memBuf[int64] { return &st.ints },
-	encode:   tsfile.EncodeSeries,
 	walKind:  walInsert,
 	walValue: binary.AppendVarint,
 }
@@ -40,7 +38,6 @@ var intCol = &column[int64]{
 var floatCol = &column[float64]{
 	kind:     "float",
 	buf:      func(st *memStripe) *memBuf[float64] { return &st.floats },
-	encode:   tsfile.EncodeFloatSeries,
 	walKind:  walFloat,
 	walValue: appendFloatBits,
 }
@@ -281,33 +278,34 @@ func flushJobs[V int64 | float64](e *Engine, col *column[V]) []encodeJob {
 	for i, name := range names {
 		pts := col.buf(e.stripe(name)).flush[name]
 		jobs[i] = encodeJob{name: name, encode: func() (tsfile.EncodedChunk, error) {
-			return col.encode(e.opt.File, dedupeSort(pts), "")
+			return tsfile.EncodeSeries(e.opt.File, dedupeSort(pts), "")
 		}}
 	}
 	return jobs
 }
 
-// mergeSeries folds one series of col's kind across the compaction's files,
-// dropping tombstoned points (compaction reclaims deleted ranges), and
-// encodes the result.
-func mergeSeries[V int64 | float64](c *Compaction, col *column[V], name string, choose PackerChooser) (r mergedSeries) {
+// mergeSeries folds one series of value kind V across the compaction's
+// files, dropping tombstoned points (compaction reclaims deleted ranges), and
+// encodes the result. With no packer names it keeps the file's default
+// packer. Otherwise it encodes the series once per name and keeps the
+// smallest chunk body; on a tie the earlier name wins.
+func mergeSeries[V int64 | float64](c *Compaction, name string, packerNames []string) mergedSeries {
 	pts, err := mergeFiles[V](c.inputs, c.tombs, name, math.MinInt64, math.MaxInt64, nil)
-	if err == nil && len(pts) > 0 {
-		if choose != nil {
-			sd := SeriesData{Name: name}
-			switch p := any(pts).(type) {
-			case []tsfile.Point:
-				sd.Points = p
-			case []tsfile.FloatPoint:
-				sd.Floats = p
-			}
-			r.packerName = choose(sd)
-		}
-		r.count = len(pts)
-		r.chunk, err = col.encode(c.e.opt.File, pts, r.packerName)
-	}
 	if err != nil {
-		r.err = fmt.Errorf("engine: compact %s: %w", name, err)
+		return mergedSeries{err: fmt.Errorf("engine: compact %s: %w", name, err)}
+	}
+	if len(packerNames) == 0 {
+		packerNames = []string{""}
+	}
+	r := mergedSeries{count: len(pts)}
+	for i, pn := range packerNames {
+		chunk, err := tsfile.EncodeSeries(c.e.opt.File, pts, pn)
+		if err != nil {
+			return mergedSeries{err: fmt.Errorf("engine: compact %s: %w", name, err)}
+		}
+		if i == 0 || len(chunk.Body) < len(r.chunk.Body) {
+			r.chunk, r.packerName = chunk, pn
+		}
 	}
 	return r
 }

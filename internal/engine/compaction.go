@@ -16,9 +16,9 @@ import (
 //  1. SnapshotCompaction (brief write lock): pin a contiguous run of data
 //     files and the tombstones known so far.
 //  2. Compaction.Merge (no lock): stream the run through a newest-wins merge
-//     into a .tmp file, applying snapshot tombstones and, per series, an
-//     optional adaptive packer choice (internal/maintain supplies one built
-//     on the BOS cost model / size measurement).
+//     into a .tmp file, applying snapshot tombstones and, when given a list
+//     of packer names, keeping per series the smallest chunk among them
+//     (adaptive repacking; internal/maintain passes the whole registry).
 //  3. Compaction.Commit (brief write lock): conflict-check, atomically rename
 //     the .tmp over the run's newest file and splice the file list.
 //
@@ -68,20 +68,6 @@ func (e *Engine) FileInfos() []FileInfo {
 	return out
 }
 
-// SeriesData is the merged content of one series handed to a PackerChooser.
-// Exactly one of Points / Floats is non-nil.
-type SeriesData struct {
-	Name   string
-	Points []tsfile.Point
-	Floats []tsfile.FloatPoint
-}
-
-// PackerChooser picks the packing operator for one compacted series. It
-// returns a packer name from the shared registry, or "" to keep the file's
-// default packer. It is called outside the engine lock, and must be safe
-// for concurrent calls: the merge fans series across encode workers.
-type PackerChooser func(SeriesData) string
-
 // CompactStats summarizes one committed compaction.
 type CompactStats struct {
 	Files       int   // input files merged
@@ -89,8 +75,8 @@ type CompactStats struct {
 	Points      int   // points written
 	BytesBefore int64 // encoded chunk payload bytes across the inputs
 	BytesAfter  int64 // encoded chunk payload bytes in the output
-	// SeriesPackers maps each series to the packer chosen by the
-	// PackerChooser; series left on the file default are absent.
+	// SeriesPackers maps each series to the packer name whose chunk was
+	// kept; series left on the file default are absent.
 	SeriesPackers map[string]string
 }
 
@@ -191,10 +177,11 @@ type mergedSeries struct {
 // outside the engine lock: the snapshot readers are immutable and their file
 // handles support concurrent reads. Series are merged and encoded in
 // parallel across Options.EncodeWorkers, then written in sorted-name order,
-// so the output bytes are identical to a serial merge. choose, when non-nil,
-// picks the packer for each series (adaptive repacking); nil keeps the
-// engine's default.
-func (c *Compaction) Merge(choose PackerChooser) error {
+// so the output bytes are identical to a serial merge. An empty packerNames
+// keeps the file's default packer. Otherwise each series is encoded once per
+// registry packer name and the smallest chunk is kept, the first name
+// winning a tie (adaptive repacking).
+func (c *Compaction) Merge(packerNames []string) error {
 	if c.merged || c.done {
 		return errors.New("engine: compaction already merged or finished")
 	}
@@ -219,12 +206,15 @@ func (c *Compaction) Merge(choose PackerChooser) error {
 	}
 	sort.Strings(sorted)
 	c.stats = CompactStats{Files: len(c.files), SeriesPackers: map[string]string{}}
+	if err := stageHook("merge"); err != nil {
+		return fail(err)
+	}
 	results := make([]mergedSeries, len(sorted))
 	fanOut(c.e.opt.encodeWorkers(), len(sorted), func(i int) {
 		if c.seriesIsFloat(sorted[i]) {
-			results[i] = mergeSeries(c, floatCol, sorted[i], choose)
+			results[i] = mergeSeries[float64](c, sorted[i], packerNames)
 		} else {
-			results[i] = mergeSeries(c, intCol, sorted[i], choose)
+			results[i] = mergeSeries[int64](c, sorted[i], packerNames)
 		}
 	})
 	w := tsfile.NewWriter(f, c.e.opt.File)
@@ -393,10 +383,10 @@ func (e *Engine) Compact() error {
 	return err
 }
 
-// CompactWith is Compact with an adaptive per-series packer choice (nil
-// keeps the engine default) and a stats report. It returns a zero
-// CompactStats without error when there is nothing to merge.
-func (e *Engine) CompactWith(choose PackerChooser) (CompactStats, error) {
+// CompactWith is Compact with adaptive repacking over packerNames (see
+// Compaction.Merge; empty keeps the engine default) and a stats report. It
+// returns a zero CompactStats without error when there is nothing to merge.
+func (e *Engine) CompactWith(packerNames []string) (CompactStats, error) {
 	if err := e.Flush(); err != nil {
 		return CompactStats{}, err
 	}
@@ -413,7 +403,7 @@ func (e *Engine) CompactWith(choose PackerChooser) (CompactStats, error) {
 	if err != nil {
 		return CompactStats{}, err
 	}
-	if err := c.Merge(choose); err != nil {
+	if err := c.Merge(packerNames); err != nil {
 		c.Abort()
 		return CompactStats{}, err
 	}

@@ -3,13 +3,14 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bos/internal/packers"
 	"bos/internal/tsfile"
 )
 
@@ -322,9 +323,10 @@ func TestCompactCommitAfterClose(t *testing.T) {
 	}
 }
 
-// TestCompactAdaptiveStats exercises the per-series packer choice: the
-// chooser's picks must be encoded into the output (visible in the chunk
-// footers), reported in CompactStats and accumulated into engine stats.
+// TestCompactAdaptiveStats exercises the per-series packer choice: a
+// one-name list forces that packer, which must be encoded into the output
+// (visible in the chunk footers), reported in CompactStats and accumulated
+// into engine stats.
 func TestCompactAdaptiveStats(t *testing.T) {
 	e := openTest(t, Options{})
 	defer e.Close()
@@ -338,26 +340,14 @@ func TestCompactAdaptiveStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	choose := func(sd SeriesData) string {
-		if sd.Name == "ints" {
-			if len(sd.Points) != 4 {
-				t.Errorf("chooser saw %d int points, want 4", len(sd.Points))
-			}
-			return "bp"
-		}
-		if len(sd.Floats) != 2 {
-			t.Errorf("chooser saw %d float points, want 2", len(sd.Floats))
-		}
-		return "pfor"
-	}
-	stats, err := e.CompactWith(choose)
+	stats, err := e.CompactWith([]string{"bp"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Series != 2 || stats.Points != 6 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if stats.SeriesPackers["ints"] != "bp" || stats.SeriesPackers["floats"] != "pfor" {
+	if stats.SeriesPackers["ints"] != "bp" || stats.SeriesPackers["floats"] != "bp" {
 		t.Fatalf("packer choices: %v", stats.SeriesPackers)
 	}
 	if stats.BytesBefore <= 0 || stats.BytesAfter <= 0 {
@@ -386,7 +376,7 @@ func TestCompactAdaptiveStats(t *testing.T) {
 
 // TestCompactNonBlocking proves the acceptance property of the phased design:
 // inserts and queries complete while a compaction merge is in flight. The
-// chooser blocks the merge until the test has pushed traffic through the
+// stage hook parks the merge until the test has pushed traffic through the
 // engine; under the old whole-lock Compact this deadlocks.
 func TestCompactNonBlocking(t *testing.T) {
 	e := openTest(t, Options{})
@@ -396,15 +386,17 @@ func TestCompactNonBlocking(t *testing.T) {
 
 	merging := make(chan struct{})
 	release := make(chan struct{})
-	var once sync.Once
-	choose := func(SeriesData) string {
-		once.Do(func() { close(merging) })
-		<-release
-		return ""
+	testStageHook = func(stage string) error {
+		if stage == "merge" {
+			close(merging)
+			<-release
+		}
+		return nil
 	}
+	defer func() { testStageHook = nil }()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.CompactWith(choose)
+		_, err := e.CompactWith(nil)
 		done <- err
 	}()
 
@@ -446,5 +438,102 @@ func TestCompactNonBlocking(t *testing.T) {
 	pts := queryAll(t, e, "live")
 	if len(pts) != 50 {
 		t.Fatalf("live series lost writes during compaction: %d points", len(pts))
+	}
+}
+
+// smallestChunk encodes pts once per name and returns the first name whose
+// chunk body is the smallest, with that body's length.
+func smallestChunk[V int64 | float64](t *testing.T, opt tsfile.Options, pts []tsfile.Sample[V], names []string) (string, int) {
+	t.Helper()
+	best, bestBytes := "", 0
+	for i, name := range names {
+		c, err := tsfile.EncodeSeries(opt, pts, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || len(c.Body) < bestBytes {
+			best, bestBytes = name, len(c.Body)
+		}
+	}
+	return best, bestBytes
+}
+
+// TestCompactKeepsSmallestChunk pins the adaptive repacking rule: for an int,
+// a scaled-float and a raw-float series, compaction over a packer list keeps
+// the chunk whose body is smallest among EncodeSeries over every name, and
+// on a tie the first name in the list wins.
+func TestCompactKeepsSmallestChunk(t *testing.T) {
+	e := openTest(t, Options{DisableWAL: true})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(5))
+	load := func(file int) {
+		t.Helper()
+		ints := make([]tsfile.Point, 700)
+		scaled := make([]tsfile.FloatPoint, 700)
+		raw := make([]tsfile.FloatPoint, 700)
+		for i := range ints {
+			tt := int64(file*1000 + i)
+			v := rng.Int63n(64)
+			if rng.Intn(30) == 0 {
+				v = rng.Int63n(1 << 40)
+			}
+			ints[i] = tsfile.Point{T: tt, V: v}
+			scaled[i] = tsfile.FloatPoint{T: tt, V: float64(rng.Intn(10000)) / 100}
+			raw[i] = tsfile.FloatPoint{T: tt, V: rng.NormFloat64()}
+		}
+		if err := e.InsertBatch("ints", ints); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InsertFloatBatch("scaled", scaled); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InsertFloatBatch("raw", raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check compacts with names and requires every series' kept chunk, in
+	// the stats and in the footer, to be smallestChunk's pick.
+	check := func(names []string) {
+		t.Helper()
+		want := map[string]string{}
+		wantBytes := map[string]int{}
+		want["ints"], wantBytes["ints"] = smallestChunk(t, e.opt.File, queryAll(t, e, "ints"), names)
+		for _, s := range []string{"scaled", "raw"} {
+			pts, err := e.QueryFloats(s, 0, 1<<40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[s], wantBytes[s] = smallestChunk(t, e.opt.File, pts, names)
+		}
+		st, err := e.CompactWith(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, name := range want {
+			if st.SeriesPackers[s] != name {
+				t.Errorf("%v: %s kept %q, want %q", names, s, st.SeriesPackers[s], name)
+			}
+			e.structMu.RLock()
+			chunks, err := e.files[0].reader.Chunks(s)
+			e.structMu.RUnlock()
+			if err != nil || len(chunks) != 1 {
+				t.Fatalf("%s: chunks %v err %v", s, chunks, err)
+			}
+			if chunks[0].Packer != name || chunks[0].EncodedBytes != wantBytes[s] {
+				t.Errorf("%v: %s chunk %q of %d bytes, want %q of %d", names, s, chunks[0].Packer, chunks[0].EncodedBytes, name, wantBytes[s])
+			}
+		}
+	}
+	load(0)
+	load(1)
+	check(packers.Names())
+	// Aliases of one packer encode identical bodies: the first name wins.
+	load(2)
+	check([]string{"bos-b", "bosb"})
+	if st := e.Stats(); st.Files != 1 {
+		t.Fatalf("files after compaction: %d", st.Files)
 	}
 }

@@ -24,18 +24,19 @@ import (
 // flushMu serializes the pipeline: one snapshot in flight at a time, and
 // threshold-crossing writers skip out on TryLock instead of piling up.
 
-// testFlushHook, when set, is called between pipeline stages ("snapshot",
-// "encode", "encoded", "renamed"); a returned error aborts the flush there
-// (crash-injection and stall tests).
-var testFlushHook func(stage string) error
+// testStageHook, when set, is called between the stages of the flush
+// pipeline ("snapshot", "encode", "encoded", "renamed") and before a
+// compaction merge encodes ("merge"); a returned error aborts the flush or
+// merge there (crash-injection and stall tests).
+var testStageHook func(stage string) error
 
 // testWALSyncHook, when set, runs between the group-commit leader's write
 // and its return (slow-disk tests).
 var testWALSyncHook func()
 
-func flushHook(stage string) error {
-	if testFlushHook != nil {
-		return testFlushHook(stage)
+func stageHook(stage string) error {
+	if testStageHook != nil {
+		return testStageHook(stage)
 	}
 	return nil
 }
@@ -78,7 +79,7 @@ func (e *Engine) flushSnapshot(final bool) error {
 	if err != nil || snap == nil {
 		return err
 	}
-	err = flushHook("snapshot")
+	err = stageHook("snapshot")
 	var path string
 	if err == nil {
 		path, err = e.encodeSnapshot(snap)
@@ -163,7 +164,7 @@ func (e *Engine) encodeSnapshot(snap *flushSnap) (string, error) {
 	fanOut(e.opt.encodeWorkers(), len(jobs), func(i int) {
 		chunks[i], errs[i] = jobs[i].encode()
 	})
-	if err := flushHook("encode"); err != nil {
+	if err := stageHook("encode"); err != nil {
 		return fail(err)
 	}
 	w := tsfile.NewWriter(f, e.opt.File)
@@ -178,7 +179,7 @@ func (e *Engine) encodeSnapshot(snap *flushSnap) (string, error) {
 	if err := w.Close(); err != nil {
 		return fail(fmt.Errorf("engine: %w", err))
 	}
-	if err := flushHook("encoded"); err != nil {
+	if err := stageHook("encoded"); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -194,7 +195,7 @@ func (e *Engine) encodeSnapshot(snap *flushSnap) (string, error) {
 	}
 	// The "renamed" stage simulates a crash after the durable rename: the
 	// file stays on disk (as it would), and recovery must handle it.
-	if err := flushHook("renamed"); err != nil {
+	if err := stageHook("renamed"); err != nil {
 		return "", err
 	}
 	return path, nil

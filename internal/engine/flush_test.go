@@ -40,14 +40,14 @@ func TestFlushDoesNotBlockInserts(t *testing.T) {
 
 	encoding := make(chan struct{})
 	release := make(chan struct{})
-	testFlushHook = func(stage string) error {
+	testStageHook = func(stage string) error {
 		if stage == "encode" {
 			close(encoding)
 			<-release
 		}
 		return nil
 	}
-	defer func() { testFlushHook = nil }()
+	defer func() { testStageHook = nil }()
 
 	flushErr := make(chan error, 1)
 	go func() { flushErr <- e.Flush() }()
@@ -218,17 +218,17 @@ func TestFlushCrashInjection(t *testing.T) {
 			}
 
 			boom := errors.New("injected: " + stage)
-			testFlushHook = func(s string) error {
+			testStageHook = func(s string) error {
 				if s == stage {
 					return boom
 				}
 				return nil
 			}
 			if err := e.Flush(); !errors.Is(err, boom) {
-				testFlushHook = nil
+				testStageHook = nil
 				t.Fatalf("Flush err = %v, want injected failure", err)
 			}
-			testFlushHook = nil
+			testStageHook = nil
 
 			// Rolled back: everything still queryable, engine still writable.
 			got, err := e.Query("s", 0, 999)
@@ -289,7 +289,7 @@ func TestTombstoneDuringFlushRollback(t *testing.T) {
 		}
 	}
 	boom := errors.New("injected")
-	testFlushHook = func(stage string) error {
+	testStageHook = func(stage string) error {
 		if stage != "encode" {
 			return nil
 		}
@@ -300,7 +300,7 @@ func TestTombstoneDuringFlushRollback(t *testing.T) {
 		return boom
 	}
 	err := e.Flush()
-	testFlushHook = nil
+	testStageHook = nil
 	if !errors.Is(err, boom) {
 		t.Fatalf("Flush err = %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 //
 // This file is self-contained so the identical benchmark can be compiled
 // against an older engine revision for before/after comparisons
-// (BENCH_write.json).
+// (EXPERIMENTS.md, "Write-path benchmarks").
 func BenchmarkIngest(b *testing.B) {
 	for _, syncWAL := range []bool{false, true} {
 		for _, writers := range []int{1, 4, 16} {

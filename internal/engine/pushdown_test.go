@@ -282,7 +282,7 @@ func TestRepackRewritesChunkStats(t *testing.T) {
 	defer e.Close()
 	rng := rand.New(rand.NewSource(22))
 	fillChunks(t, e, "s", 3, 500, rng)
-	st, err := e.CompactWith(func(SeriesData) string { return "bp" })
+	st, err := e.CompactWith([]string{"bp"})
 	if err != nil {
 		t.Fatal(err)
 	}

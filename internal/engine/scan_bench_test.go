@@ -10,8 +10,8 @@ import (
 )
 
 // Read-path benchmarks. They use only the public engine API so the same
-// code measures the engine before and after read-path changes; BENCH_query.json
-// records both sides.
+// code measures the engine before and after read-path changes;
+// EXPERIMENTS.md, "Read-path benchmarks", records both sides.
 
 // benchFill creates `files` on-disk data files of `perFile` points each for
 // series "bench.scan". layout "sequential" gives each file a consecutive time

@@ -260,7 +260,10 @@ func replayWALFile(path string, applyInsert func(series string, pts []tsfile.Poi
 }
 
 // decodePoints parses the body of an insert or float record; value decodes
-// one value and reports the bytes it used (<= 0 on error).
+// one value and reports the bytes it used (<= 0 on error). Every point takes
+// at least two bytes, a timestamp and a value varint, so a count above half
+// the remaining payload marks the record malformed before it can size an
+// allocation.
 func decodePoints[V int64 | float64](payload []byte, value func([]byte) (V, int)) (string, []tsfile.Sample[V], bool) {
 	nameLen, n := binary.Uvarint(payload)
 	if n <= 0 || uint64(len(payload)-n) < nameLen {
@@ -270,7 +273,7 @@ func decodePoints[V int64 | float64](payload []byte, value func([]byte) (V, int)
 	name := string(payload[:nameLen])
 	payload = payload[nameLen:]
 	count, n := binary.Uvarint(payload)
-	if n <= 0 {
+	if n <= 0 || count > uint64(len(payload)-n)/2 {
 		return "", nil, false
 	}
 	payload = payload[n:]

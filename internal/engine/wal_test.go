@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -206,4 +208,105 @@ func TestWALSyncOption(t *testing.T) {
 	if err != nil || len(got) != 50 {
 		t.Fatalf("got %d err %v", len(got), err)
 	}
+}
+
+// TestWALReplayOversizedCount feeds Open a short log holding one CRC-valid
+// insert or float record whose point count is far beyond what its payload
+// can hold. The count must not size an allocation: the record is malformed,
+// so replay stops there, as after a torn tail, and the engine opens empty.
+func TestWALReplayOversizedCount(t *testing.T) {
+	for _, kind := range []byte{walInsert, walFloat} {
+		for _, count := range []uint64{1 << 36, 1 << 62} {
+			payload := []byte{kind, 1, 's'}
+			payload = binary.AppendUvarint(payload, count)
+			payload = append(payload, 2, 4) // one point: t=1, v=2 or float bits 4
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, walName), frameRecord(nil, payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("kind %d count %d: %v", kind, count, err)
+			}
+			if st := e.Stats(); st.MemPoints != 0 {
+				t.Errorf("kind %d count %d: replayed %d points from a malformed record", kind, count, st.MemPoints)
+			}
+			e.Close()
+		}
+	}
+}
+
+// FuzzWALReplay checks the two halves of the replay contract. Any bytes given
+// as a log file must replay or stop, never panic. And records built with
+// appendPoints and appendTombstonePayload, framed with frameRecord, must
+// replay to exactly the points and tombstone they were built from.
+func FuzzWALReplay(f *testing.F) {
+	f.Add([]byte{}, "s", int64(-3), int64(9), uint64(2))
+	f.Add(frameRecord(nil, []byte{walInsert, 1, 's', 1, 2, 4}), "root.a", int64(0), int64(1<<40), uint64(7))
+	f.Add([]byte{6, 0, 0, 0, 0, walFloat, 1, 's', 0x80, 0x80, 0x80, 0x80, 0x10}, "", int64(-1<<63), int64(1<<63-1), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, raw []byte, series string, minT, maxT int64, seq uint64) {
+		dir := t.TempDir()
+		log := filepath.Join(dir, walName)
+		if err := os.WriteFile(log, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := replayWAL(dir, func(string, []tsfile.Point) {}, func(tombstone) {}, func(string, []tsfile.FloatPoint) {}); err != nil {
+			t.Fatal(err)
+		}
+
+		// raw doubles as the points: each 16 bytes give a timestamp and a
+		// value, the value read as float bits too.
+		var ints []tsfile.Point
+		var floats []tsfile.FloatPoint
+		for b := raw; len(b) >= 16; b = b[16:] {
+			tt, v := int64(binary.LittleEndian.Uint64(b)), binary.LittleEndian.Uint64(b[8:])
+			ints = append(ints, tsfile.Point{T: tt, V: int64(v)})
+			floats = append(floats, tsfile.FloatPoint{T: tt, V: math.Float64frombits(v)})
+		}
+		ts := tombstone{series: series, minT: minT, maxT: maxT, seq: int(seq)}
+		var buf []byte
+		buf = frameRecord(buf, appendPoints(nil, walInsert, series, ints, binary.AppendVarint))
+		buf = frameRecord(buf, appendTombstonePayload(nil, ts))
+		buf = frameRecord(buf, appendPoints(nil, walFloat, series, floats, appendFloatBits))
+		if err := os.WriteFile(log, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var gotInts [][]tsfile.Point
+		var gotTombs []tombstone
+		var gotFloats [][]tsfile.FloatPoint
+		err := replayWAL(dir,
+			func(s string, pts []tsfile.Point) {
+				if s != series {
+					t.Errorf("insert series %q, want %q", s, series)
+				}
+				gotInts = append(gotInts, pts)
+			},
+			func(got tombstone) { gotTombs = append(gotTombs, got) },
+			func(s string, pts []tsfile.FloatPoint) {
+				if s != series {
+					t.Errorf("float series %q, want %q", s, series)
+				}
+				gotFloats = append(gotFloats, pts)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotInts) != 1 || len(gotTombs) != 1 || len(gotFloats) != 1 {
+			t.Fatalf("replayed %d insert, %d tombstone and %d float records, want one each", len(gotInts), len(gotTombs), len(gotFloats))
+		}
+		if gotTombs[0] != ts {
+			t.Errorf("tombstone %+v, want %+v", gotTombs[0], ts)
+		}
+		if len(gotInts[0]) != len(ints) || len(gotFloats[0]) != len(floats) {
+			t.Fatalf("replayed %d int and %d float points, want %d", len(gotInts[0]), len(gotFloats[0]), len(ints))
+		}
+		for i, p := range ints {
+			if gotInts[0][i] != p {
+				t.Fatalf("int point %d: %v, want %v", i, gotInts[0][i], p)
+			}
+			if g := gotFloats[0][i]; g.T != p.T || math.Float64bits(g.V) != math.Float64bits(floats[i].V) {
+				t.Fatalf("float point %d: %v, want %v", i, g, floats[i])
+			}
+		}
+	})
 }

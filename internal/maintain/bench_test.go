@@ -51,8 +51,8 @@ func benchLoad(b *testing.B, e *engine.Engine, nFiles, nSeries, perChunk int) {
 }
 
 // BenchmarkCompact measures a full maintenance compaction of N files × M
-// series, with and without adaptive repacking. Checked-in baseline:
-// BENCH_compact.json.
+// series, with and without adaptive repacking. EXPERIMENTS.md, "Compaction
+// benchmark", records it.
 func BenchmarkCompact(b *testing.B) {
 	const nFiles, nSeries, perChunk = 8, 8, 2000
 	run := func(b *testing.B, adaptive bool) {

@@ -5,13 +5,14 @@
 // discipline), and drives the engine's snapshot/merge/commit cycle under a
 // byte-budget rate limit so maintenance IO cannot starve foreground traffic.
 //
-// During each merge the subsystem repacks every series adaptively: it
-// measures the candidate packing operators (internal/packers — the BOS
-// family, plain bit-packing and the PFoR family) on the series' merged data
-// and keeps the cheapest, exactly the storage-cost minimization the BOS cost
-// model (paper Definition 5) performs per block, lifted to the per-series
-// compaction decision. The winning layout is recorded per chunk in the file
-// footer, so one merged file mixes operators freely.
+// During each merge the subsystem repacks every series adaptively: the
+// engine encodes the series' merged data with every candidate packing
+// operator (internal/packers — the BOS family, plain bit-packing and the PFoR
+// family) and keeps the smallest chunk, exactly the storage-cost
+// minimization the BOS cost model (paper Definition 5) performs per block,
+// lifted to the per-series compaction decision. Nothing is measured on the
+// side: the kept chunk is the one written. The winning layout is recorded
+// per chunk in the file footer, so one merged file mixes operators freely.
 package maintain
 
 import (
@@ -22,69 +23,35 @@ import (
 	"sync"
 	"time"
 
-	"bos/internal/codec"
 	"bos/internal/engine"
-	"bos/internal/floatconv"
 	"bos/internal/packers"
-	"bos/internal/ts2diff"
 )
 
-// Config tunes the maintainer. The zero value gets sensible defaults from
-// normalize.
+// Config tunes the maintainer. The zero value is a valid configuration.
 type Config struct {
 	// Interval is the base scheduler period (default 30s).
 	Interval time.Duration
-	// Jitter is the fraction of Interval randomized around each wake-up
-	// (default 0.2, i.e. ±20%) so replicas don't compact in lockstep.
-	Jitter float64
-	// MinFiles is the smallest run worth merging (default 2).
-	MinFiles int
-	// MaxFiles caps the files merged per compaction (default 8).
-	MaxFiles int
-	// TierRatio bounds the size spread within one run: the largest file may
-	// be at most TierRatio times the smallest (default 4). Keeping merges
-	// within a size tier bounds write amplification.
-	TierRatio float64
 	// BytesPerSec is the maintenance rate limit: a token bucket of input
 	// bytes refilled at this rate gates each run (0 = unlimited).
 	BytesPerSec int64
 	// Adaptive turns on per-series packer selection during merges.
 	Adaptive bool
-	// Packers lists the candidate operator names for adaptive repacking
-	// (default: the full registry).
-	Packers []string
-	// BlockSize is the packing block size used when measuring candidates;
-	// it should match the engine's file options (default 1024).
-	BlockSize int
 }
 
-func (c Config) normalize() Config {
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
-	}
-	if c.MinFiles < 2 {
-		c.MinFiles = 2
-	}
-	if c.MaxFiles <= 0 {
-		c.MaxFiles = 8
-	}
-	if c.MaxFiles < c.MinFiles {
-		c.MaxFiles = c.MinFiles
-	}
-	if c.TierRatio < 1 {
-		c.TierRatio = 4
-	}
-	if len(c.Packers) == 0 {
-		c.Packers = packers.Names()
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = codec.DefaultBlockSize
-	}
-	return c
-}
+// The scheduling and run-selection policy.
+const (
+	// jitter is the fraction of Interval randomized around each wake-up
+	// (±20%) so replicas don't compact in lockstep.
+	jitter = 0.2
+	// minFiles is the smallest run worth merging.
+	minFiles = 2
+	// maxFiles caps the files merged per compaction.
+	maxFiles = 8
+	// tierRatio bounds the size spread within one run: the largest file may
+	// be at most tierRatio times the smallest. Keeping merges within a size
+	// tier bounds write amplification.
+	tierRatio = 4
+)
 
 // Stats is a snapshot of the maintainer's lifetime counters.
 type Stats struct {
@@ -119,9 +86,12 @@ type Maintainer struct {
 // New builds a Maintainer over eng. Call Start to launch the scheduler;
 // RunOnce works without it.
 func New(eng *engine.Engine, cfg Config) *Maintainer {
+	if cfg.Interval <= 0 {
+		cfg.Interval = 30 * time.Second
+	}
 	return &Maintainer{
 		eng:        eng,
-		cfg:        cfg.normalize(),
+		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 		lastRefill: time.Now(),
 		stop:       make(chan struct{}),
@@ -172,11 +142,11 @@ func (m *Maintainer) loop() {
 	}
 }
 
-// nextInterval jitters the base period by ±Jitter.
+// nextInterval jitters the base period by ±jitter.
 func (m *Maintainer) nextInterval() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	spread := 1 + m.cfg.Jitter*(2*m.rng.Float64()-1)
+	spread := 1 + jitter*(2*m.rng.Float64()-1)
 	return time.Duration(float64(m.cfg.Interval) * spread)
 }
 
@@ -213,7 +183,7 @@ func (m *Maintainer) RunOnce() (engine.CompactStats, bool, error) {
 }
 
 func (m *Maintainer) runOnce(rateLimited bool) (engine.CompactStats, bool, error) {
-	run, runBytes := pickRun(m.eng.FileInfos(), m.cfg)
+	run, runBytes := pickRun(m.eng.FileInfos())
 	if len(run) == 0 {
 		return engine.CompactStats{}, false, nil
 	}
@@ -231,7 +201,7 @@ func (m *Maintainer) runOnce(rateLimited bool) (engine.CompactStats, bool, error
 	if err != nil {
 		return engine.CompactStats{}, false, err
 	}
-	if err := c.Merge(m.chooser()); err != nil {
+	if err := c.Merge(m.packerNames()); err != nil {
 		c.Abort()
 		return engine.CompactStats{}, false, err
 	}
@@ -261,11 +231,11 @@ func (m *Maintainer) record(st engine.CompactStats) {
 	}
 }
 
-// CompactAll merges every data file in one full compaction, using the
-// adaptive chooser when configured. It bypasses policy and rate limit — this
-// is the explicit admin action behind the server's /compact endpoint.
+// CompactAll merges every data file in one full compaction, repacking
+// adaptively when configured. It bypasses policy and rate limit — this is
+// the explicit admin action behind the server's /compact endpoint.
 func (m *Maintainer) CompactAll() (engine.CompactStats, error) {
-	st, err := m.eng.CompactWith(m.chooser())
+	st, err := m.eng.CompactWith(m.packerNames())
 	if err != nil {
 		return st, err
 	}
@@ -290,17 +260,17 @@ func (m *Maintainer) Stats() Stats {
 }
 
 // pickRun is the tiered size-based policy: among all contiguous windows of
-// [MinFiles, MaxFiles] files whose size spread stays within TierRatio, pick
+// [minFiles, maxFiles] files whose size spread stays within tierRatio, pick
 // the one with the most files, breaking ties toward fewer total bytes
 // (cheapest merge first — small fresh files accumulate fastest and benefit
 // most). Contiguity in file-list order is required by the engine so the
 // merged output can splice in without reordering freshness.
-func pickRun(infos []engine.FileInfo, cfg Config) (seqs []int, totalBytes int64) {
+func pickRun(infos []engine.FileInfo) (seqs []int, totalBytes int64) {
 	bestLen, bestBytes := 0, int64(math.MaxInt64)
 	for i := 0; i < len(infos); i++ {
 		minB, maxB := int64(math.MaxInt64), int64(0)
 		var sum int64
-		for j := i; j < len(infos) && j-i < cfg.MaxFiles; j++ {
+		for j := i; j < len(infos) && j-i < maxFiles; j++ {
 			b := infos[j].Bytes
 			if b < minB {
 				minB = b
@@ -309,11 +279,11 @@ func pickRun(infos []engine.FileInfo, cfg Config) (seqs []int, totalBytes int64)
 				maxB = b
 			}
 			sum += b
-			if minB > 0 && float64(maxB) > cfg.TierRatio*float64(minB) {
+			if minB > 0 && maxB > tierRatio*minB {
 				break // window left the size tier; longer extensions only widen it
 			}
 			n := j - i + 1
-			if n < cfg.MinFiles {
+			if n < minFiles {
 				continue
 			}
 			if n > bestLen || (n == bestLen && sum < bestBytes) {
@@ -329,77 +299,13 @@ func pickRun(infos []engine.FileInfo, cfg Config) (seqs []int, totalBytes int64)
 	return seqs, totalBytes
 }
 
-// chooser returns the adaptive per-series packer selector, or nil when
-// adaptive repacking is off. The returned closure must stay safe for
-// concurrent calls: compaction fans series across its encode workers, so
-// several series may be measured at once (packers.ByName returns a fresh
-// instance per call, and the closure itself only reads config).
-func (m *Maintainer) chooser() engine.PackerChooser {
+// packerNames lists the packers a merge tries per series: the whole
+// registry under adaptive repacking, none (the file default) otherwise.
+func (m *Maintainer) packerNames() []string {
 	if !m.cfg.Adaptive {
 		return nil
 	}
-	cands := m.cfg.Packers
-	blockSize := m.cfg.BlockSize
-	return func(sd engine.SeriesData) string {
-		times, vals, ok := seriesColumns(sd)
-		if !ok {
-			return ""
-		}
-		best, bestSize := "", math.MaxInt
-		for _, name := range cands {
-			p, err := packers.ByName(name)
-			if err != nil {
-				continue
-			}
-			if size := measure(p, blockSize, times, vals); size < bestSize {
-				best, bestSize = name, size
-			}
-		}
-		return best
-	}
-}
-
-// seriesColumns converts one series' merged data into the integer columns the
-// file format actually packs, mirroring tsfile's encoding: float values go
-// through decimal scaling when lossless, raw IEEE bits otherwise.
-func seriesColumns(sd engine.SeriesData) (times, vals []int64, ok bool) {
-	switch {
-	case len(sd.Points) > 0:
-		times = make([]int64, len(sd.Points))
-		vals = make([]int64, len(sd.Points))
-		for i, p := range sd.Points {
-			times[i], vals[i] = p.T, p.V
-		}
-	case len(sd.Floats) > 0:
-		fvals := make([]float64, len(sd.Floats))
-		times = make([]int64, len(sd.Floats))
-		for i, p := range sd.Floats {
-			times[i], fvals[i] = p.T, p.V
-		}
-		if p, detected := floatconv.DetectPrecision(fvals); detected {
-			if scaled, err := floatconv.ToScaled(fvals, p); err == nil {
-				vals = scaled
-			}
-		}
-		if vals == nil {
-			vals = make([]int64, len(fvals))
-			for i, v := range fvals {
-				vals[i] = int64(math.Float64bits(v))
-			}
-		}
-	default:
-		return nil, nil, false
-	}
-	return times, vals, true
-}
-
-// measure returns the encoded size, in bytes, of one series' two columns
-// under a candidate packer — the same TS2DIFF-coded time column and blockwise
-// value column tsfile writes, so the comparison reflects real storage cost.
-func measure(p codec.Packer, blockSize int, times, vals []int64) int {
-	tc := ts2diff.New(p, blockSize)
-	vc := codec.NewBlockwise(p, blockSize)
-	return len(tc.Encode(nil, times)) + len(vc.Encode(nil, vals))
+	return packers.Names()
 }
 
 // String renders a short human-readable summary (used by cmd logging).

@@ -36,7 +36,6 @@ func flushFile(t *testing.T, e *engine.Engine, series string, base int64, n int)
 }
 
 func TestPickRunTiers(t *testing.T) {
-	cfg := Config{}.normalize()
 	mk := func(sizes ...int64) []engine.FileInfo {
 		out := make([]engine.FileInfo, len(sizes))
 		for i, b := range sizes {
@@ -56,12 +55,12 @@ func TestPickRunTiers(t *testing.T) {
 		{"all one tier", mk(100, 120, 100, 80), []int{0, 1, 2, 3}},
 		// Two equal-length runs: the cheaper (fewer bytes) wins.
 		{"cheapest tie-break", mk(1000, 1100, 50_000, 10, 12), []int{3, 4}},
-		// Ratio boundary: 4x exactly is still one tier.
-		{"ratio boundary", mk(100, 400), []int{0, 1}},
-		{"ratio exceeded", mk(100, 401), nil},
+		// Ratio boundary: tierRatio (4x) exactly is still one tier.
+		{"ratio boundary", mk(100, 100*tierRatio), []int{0, 1}},
+		{"ratio exceeded", mk(100, 100*tierRatio+1), nil},
 	}
 	for _, tc := range cases {
-		got, _ := pickRun(tc.infos, cfg)
+		got, _ := pickRun(tc.infos)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: pickRun = %v, want %v", tc.name, got, tc.want)
 			continue
@@ -76,14 +75,13 @@ func TestPickRunTiers(t *testing.T) {
 }
 
 func TestPickRunMaxFiles(t *testing.T) {
-	cfg := Config{MaxFiles: 3}.normalize()
-	infos := make([]engine.FileInfo, 6)
+	infos := make([]engine.FileInfo, 2*maxFiles)
 	for i := range infos {
 		infos[i] = engine.FileInfo{Seq: i, Bytes: 100}
 	}
-	got, _ := pickRun(infos, cfg)
-	if len(got) != 3 {
-		t.Fatalf("pickRun = %v, want a 3-file window", got)
+	got, _ := pickRun(infos)
+	if len(got) != maxFiles {
+		t.Fatalf("pickRun = %v, want a %d-file window", got, maxFiles)
 	}
 }
 
@@ -260,7 +258,7 @@ func TestSchedulerRunsAndStops(t *testing.T) {
 // may race, block, or lose data.
 func TestMaintenanceUnderLoad(t *testing.T) {
 	e := openEngine(t)
-	m := New(e, Config{Interval: time.Millisecond, Adaptive: true, MinFiles: 2})
+	m := New(e, Config{Interval: time.Millisecond, Adaptive: true})
 	m.Start()
 	defer m.Stop()
 

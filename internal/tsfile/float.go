@@ -2,10 +2,8 @@ package tsfile
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"bos/internal/codec"
 	"bos/internal/floatconv"
 )
 
@@ -23,109 +21,49 @@ var ErrKindMismatch = errors.New("tsfile: series value kind mismatch")
 // FloatPoint is one (timestamp, float value) sample.
 type FloatPoint = Sample[float64]
 
-// AppendFloats adds one chunk of float samples to a series. Decimal data is
-// scaled to integers (keeping all the packing machinery and statistics
-// pruning); non-decimal data falls back to raw bits, losslessly.
+// AppendFloats adds one chunk of float samples to a series using the file's
+// default packer; EncodeSeries says how float values are stored.
 func (w *Writer) AppendFloats(series string, points []FloatPoint) error {
-	return w.AppendFloatsPacked(series, points, "")
-}
-
-// AppendFloatsPacked is AppendFloats with a per-chunk packer override,
-// mirroring AppendPacked: the named packer encodes the chunk and is recorded
-// in the footer ("" = the file's default packer).
-func (w *Writer) AppendFloatsPacked(series string, points []FloatPoint, packerName string) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errors.New("tsfile: writer closed")
-	}
-	c, err := EncodeFloatSeries(w.opt, points, packerName)
+	c, err := EncodeSeries(w.opt, points, "")
 	if err != nil {
 		return err
 	}
 	return w.AppendEncoded(series, c)
 }
 
-// EncodeFloatSeries encodes one float chunk without a Writer, mirroring
-// EncodeSeries: same validation, precision detection and packing as
-// AppendFloatsPacked, safe for concurrent use (the packer is resolved fresh
-// per call).
-func EncodeFloatSeries(opt Options, points []FloatPoint, packerName string) (EncodedChunk, error) {
-	if len(points) == 0 {
-		return EncodedChunk{}, nil
-	}
-	packer, err := encodePacker(opt, packerName)
-	if err != nil {
-		return EncodedChunk{}, err
-	}
-	times := make([]int64, len(points))
-	vals := make([]float64, len(points))
-	for i, p := range points {
-		if i > 0 && p.T <= points[i-1].T {
-			return EncodedChunk{}, fmt.Errorf("%w: t[%d]=%d after %d", ErrUnsorted, i, p.T, points[i-1].T)
-		}
-		times[i] = p.T
-		vals[i] = p.V
-	}
-	meta := ChunkMeta{
-		Count: len(points),
-		MinT:  times[0],
-		MaxT:  times[len(times)-1],
-	}
-	meta.Packer = packerName
-	var body []byte
-	if p, ok := floatconv.DetectPrecision(vals); ok {
-		scaled, err := floatconv.ToScaled(vals, p)
-		if err == nil {
-			meta.Kind = kindScaled
-			meta.Precision = p
-			meta.MinV, meta.MaxV = minMax(scaled)
-			for _, v := range scaled {
-				meta.Sum += v // wrapping sum of the scaled integers
+// storedValues returns the integer column a chunk stores for vals and sets
+// the chunk's kind, precision and value statistics: integers as they are,
+// decimal floats as 10^p-scaled integers, other floats as raw bits. The
+// statistics of a raw chunk are the full-range sentinel, because raw bits
+// have no orderable min, max or sum; that disables value pruning for it.
+func storedValues[V int64 | float64](m *ChunkMeta, vals []V) []int64 {
+	var stored []int64
+	switch vs := any(vals).(type) {
+	case []int64:
+		m.Kind, stored = kindInt, vs
+	case []float64:
+		if p, ok := floatconv.DetectPrecision(vs); ok {
+			if scaled, err := floatconv.ToScaled(vs, p); err == nil {
+				m.Kind, m.Precision, stored = kindScaled, p, scaled
 			}
-			meta.HasStats = true
-			body = encodeFloatChunk(packer, opt.BlockSize, kindScaled, p, times, scaled)
+		}
+		if stored == nil {
+			m.Kind = kindRaw
+			m.MinV, m.MaxV = math.MinInt64, math.MaxInt64
+			stored = make([]int64, len(vs))
+			for i, v := range vs {
+				stored[i] = int64(math.Float64bits(v))
+			}
+			return stored
 		}
 	}
-	if body == nil {
-		meta.Kind = kindRaw
-		bits := make([]int64, len(vals))
-		for i, v := range vals {
-			bits[i] = int64(math.Float64bits(v))
-		}
-		// Raw chunks carry no orderable statistics; value pruning is
-		// disabled for them via the full-range sentinel.
-		meta.MinV, meta.MaxV = math.MinInt64, math.MaxInt64
-		body = encodeFloatChunk(packer, opt.BlockSize, kindRaw, 0, times, bits)
+	m.MinV, m.MaxV = stored[0], stored[0]
+	for _, v := range stored {
+		m.MinV, m.MaxV = min(m.MinV, v), max(m.MaxV, v)
+		m.Sum += v // wrapping, like Aggregate
 	}
-	meta.EncodedBytes = len(body)
-	return EncodedChunk{Meta: meta, Body: body}, nil
-}
-
-func minMax(vals []int64) (lo, hi int64) {
-	lo, hi = vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// encodeFloatChunk mirrors encodeChunk with a kind byte and optional
-// precision before the columns.
-func encodeFloatChunk(p codec.Packer, blockSize int, kind byte, precision int, times, vals []int64) []byte {
-	body := codec.AppendUvarint(nil, uint64(len(vals)))
-	body = append(body, kind)
-	if kind == kindScaled {
-		body = append(body, byte(precision))
-	}
-	body = appendColumns(p, blockSize, body, times, vals)
-	return body
+	m.HasStats = true
+	return stored
 }
 
 // ReadAllFloats returns every float point of a series in time order.

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"bos/internal/codec"
+	"bos/internal/packers"
 )
 
 // TestMixedPackerFile writes one file whose chunks use different packers —
@@ -23,11 +26,19 @@ func TestMixedPackerFile(t *testing.T) {
 		"s.fastpfor": "fastpfor",
 		"s.bosm":     "bos-m", // alias form must resolve too
 	}
+	appendPacked := func(series string, c EncodedChunk, err error) {
+		t.Helper()
+		if err == nil {
+			err = w.AppendEncoded(series, c)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", series, err)
+		}
+	}
 	for series, name := range packersBySeries {
 		pts := makePoints(rng, 0, 1500)
-		if err := w.AppendPacked(series, pts, name); err != nil {
-			t.Fatalf("%s (%q): %v", series, name, err)
-		}
+		c, err := EncodeSeries(Options{}, pts, name)
+		appendPacked(series, c, err)
 		want[series] = pts
 	}
 	fpts := make([]FloatPoint, 300)
@@ -36,14 +47,13 @@ func TestMixedPackerFile(t *testing.T) {
 		tt += 1 + rng.Int63n(5)
 		fpts[i] = FloatPoint{T: tt, V: float64(rng.Intn(5000)) / 100}
 	}
-	if err := w.AppendFloatsPacked("s.float", fpts, "bp"); err != nil {
-		t.Fatal(err)
-	}
+	c, err := EncodeSeries(Options{}, fpts, "bp")
+	appendPacked("s.float", c, err)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := w.AppendPacked("s.x", []Point{{1, 1}}, "nosuchpacker"); err == nil {
+	if _, err := EncodeSeries(Options{}, []Point{{1, 1}}, "nosuchpacker"); err == nil {
 		t.Error("unknown packer name accepted")
 	}
 
@@ -96,14 +106,9 @@ func TestMixedPackerFile(t *testing.T) {
 	}
 }
 
-func mustPacker(t *testing.T, name string) interface {
-	Name() string
-	Pack([]byte, []int64) []byte
-	Unpack([]byte, []int64) ([]int64, []byte, error)
-} {
+func mustPacker(t *testing.T, name string) codec.Packer {
 	t.Helper()
-	w := NewWriter(&bytes.Buffer{}, Options{})
-	p, err := w.chunkPacker(name)
+	p, err := packers.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

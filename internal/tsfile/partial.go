@@ -54,7 +54,6 @@ type ChunkHandle struct {
 	vals   []int64 // full value column, when cached or fully decoded
 	vcol   []byte  // encoded value column, when vals == nil
 	packer codec.Packer
-	bsize  int
 }
 
 // OpenChunk opens one integer chunk for partial access. A chunk-cache hit
@@ -69,7 +68,7 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	if !holds[int64](m.Kind) {
 		return nil, kindError(series, m)
 	}
-	h := &ChunkHandle{Meta: m, packer: r.packerFor(m), bsize: r.opt.BlockSize}
+	h := &ChunkHandle{Meta: m, packer: r.packerFor(m)}
 	if times, vals, ok := chunkcache.Get[int64](r.cache, r.cacheID, series, ci); ok {
 		h.times, h.vals = times, vals
 		return h, nil
@@ -89,7 +88,7 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	if h.vcol, _, err = splitColumn(rest, m.Count, "value"); err != nil {
 		return nil, err
 	}
-	if h.times, err = ts2diff.New(h.packer, r.opt.BlockSize).Decode(tcol); err != nil {
+	if h.times, err = ts2diff.New(h.packer, 0).Decode(tcol); err != nil {
 		return nil, fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
 	}
 	return h, nil
@@ -101,7 +100,7 @@ func (h *ChunkHandle) Times() []int64 { return h.times }
 // decodeAll decodes and memoizes the full value column.
 func (h *ChunkHandle) decodeAll() ([]int64, error) {
 	if h.vals == nil {
-		vals, err := codec.NewBlockwise(h.packer, h.bsize).Decode(h.vcol)
+		vals, err := codec.NewBlockwise(h.packer, 0).Decode(h.vcol)
 		if err != nil {
 			return nil, fmt.Errorf("%w: value column: %v", ErrCorrupt, err)
 		}

@@ -72,7 +72,6 @@ func readZig(src []byte) (int64, []byte, error) {
 // Reader opens a file from any io.ReaderAt.
 type Reader struct {
 	r     io.ReaderAt
-	opt   Options
 	def   codec.Packer            // the file's default packer, resolved once
 	named map[string]codec.Packer // per-chunk packer overrides, by footer name
 	index map[string][]ChunkMeta
@@ -92,8 +91,9 @@ func (r *Reader) SetCache(c *chunkcache.Cache, fileID uint64) {
 	r.cacheID = fileID
 }
 
-// OpenReader parses the footer index of a file of the given size. opt must
-// use the same packer family the file was written with.
+// OpenReader parses the footer index of a file of the given size. Only
+// opt.Packer matters: chunks without a per-chunk packer in the footer decode
+// with it, so it must be the packer the file was written with.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Reader, error) {
 	// Minimum file: header magic, a one-byte empty index, the 8-byte tail.
 	if size < int64(len(magic))+1+8 {
@@ -123,7 +123,6 @@ func OpenReader(r io.ReaderAt, size int64, opt Options) (*Reader, error) {
 	}
 	tr := &Reader{
 		r:     r,
-		opt:   opt,
 		def:   opt.packer(),
 		named: map[string]codec.Packer{},
 		index: map[string][]ChunkMeta{},
@@ -354,7 +353,7 @@ func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta)
 	if err != nil {
 		return nil, nil, err
 	}
-	times, ivals, err := decodeColumns(r.packerFor(m), r.opt.BlockSize, cols, m.Count)
+	times, ivals, err := decodeColumns(r.packerFor(m), cols, m.Count)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,21 +1,21 @@
 // Package tsfile implements a miniature IoT-native time-series file format
 // in the spirit of Apache TsFile (Zhao et al., VLDB 2024), the system the
 // paper deploys BOS into (Section VII). A file holds many series; each
-// Append call becomes one chunk with a timestamp column (delta + packer) and
-// a value column (packer), plus per-chunk statistics. A footer index maps
+// EncodeSeries call makes one chunk with a timestamp column (delta + packer)
+// and a value column (packer), plus per-chunk statistics. A footer index maps
 // series to chunks so queries prune by time range and value range before
 // decompressing anything.
 //
 // Layout:
 //
 //	"TSF2"
-//	chunk*           each: varint body length, then body (see chunk.go)
+//	chunk*           each: varint body length, then body (see encodeChunk)
 //	index            per-series chunk directory with statistics
 //	varint indexLen (fixed-width u32) | "TSF2"
 //
 // Each chunk records the name of the packer that encoded it in the footer
 // (empty = the file's default packer), so one file can mix packing layouts:
-// background compaction repacks each series into its cheapest candidate
+// background compaction repacks each series into its smallest candidate
 // without forcing a single operator on the whole file.
 //
 // The format is self-contained; it exists so the repository can exercise BOS
@@ -76,7 +76,9 @@ type Options struct {
 	// Packer packs both columns; nil means BOS-B, the operator the paper
 	// ships in TsFile.
 	Packer codec.Packer
-	// BlockSize is the packing block size inside a chunk (default 1024).
+	// BlockSize is the number of values a writer packs per block inside a
+	// chunk (default 1024). Readers ignore it: every packed block records
+	// its own length.
 	BlockSize int
 }
 
@@ -120,23 +122,7 @@ func (w *Writer) write(b []byte) error {
 // one series should be appended in time order for queries to return sorted
 // results.
 func (w *Writer) Append(series string, points []Point) error {
-	return w.AppendPacked(series, points, "")
-}
-
-// AppendPacked is Append with a per-chunk packer override: the chunk is
-// encoded with the named packer (resolved through the shared registry) and
-// the name is recorded in the footer, so readers decode it with the right
-// operator regardless of the file's default. An empty name means the default
-// packer. This is what lets one file mix packing layouts — background
-// compaction repacks each series into its cheapest candidate.
-func (w *Writer) AppendPacked(series string, points []Point, packerName string) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errors.New("tsfile: writer closed")
-	}
-	c, err := EncodeSeries(w.opt, points, packerName)
+	c, err := EncodeSeries(w.opt, points, "")
 	if err != nil {
 		return err
 	}
@@ -154,13 +140,18 @@ type EncodedChunk struct {
 	Body []byte
 }
 
-// EncodeSeries encodes one integer chunk without a Writer. It performs the
-// same validation, statistics and packing as AppendPacked and returns a
-// chunk AppendEncoded can install; empty input returns a zero chunk that
-// AppendEncoded skips. EncodeSeries is safe for concurrent use: the packer
-// is resolved fresh per call (packer instances must not be shared across
-// goroutines), so parallel encoders never share planning state.
-func EncodeSeries(opt Options, points []Point, packerName string) (EncodedChunk, error) {
+// EncodeSeries encodes one chunk of samples without a Writer; it is the only
+// code that turns a series into a chunk. Integer samples are stored as they
+// are. Float samples are scaled to integers when they are decimal (keeping
+// all the packing machinery and statistics pruning) and stored as raw bits
+// otherwise, losslessly either way. packerName picks a registry packer for
+// this chunk and is recorded in the footer, so readers decode it with the
+// right operator regardless of the file's default; "" means the default.
+// Timestamps must be strictly increasing. Empty input returns a zero chunk
+// that AppendEncoded skips. EncodeSeries is safe for concurrent use: the
+// packer is resolved fresh per call (packer instances must not be shared
+// across goroutines), so parallel encoders never share planning state.
+func EncodeSeries[V int64 | float64](opt Options, points []Sample[V], packerName string) (EncodedChunk, error) {
 	if len(points) == 0 {
 		return EncodedChunk{}, nil
 	}
@@ -168,41 +159,31 @@ func EncodeSeries(opt Options, points []Point, packerName string) (EncodedChunk,
 	if err != nil {
 		return EncodedChunk{}, err
 	}
-	meta := ChunkMeta{
-		Count: len(points),
-		MinT:  points[0].T,
-		MaxT:  points[len(points)-1].T,
-		MinV:  points[0].V,
-		MaxV:  points[0].V,
-	}
 	times := make([]int64, len(points))
-	vals := make([]int64, len(points))
-	for i, p := range points {
-		if i > 0 && p.T <= points[i-1].T {
-			return EncodedChunk{}, fmt.Errorf("%w: t[%d]=%d after %d", ErrUnsorted, i, p.T, points[i-1].T)
+	vals := make([]V, len(points))
+	for i, pt := range points {
+		if i > 0 && pt.T <= points[i-1].T {
+			return EncodedChunk{}, fmt.Errorf("%w: t[%d]=%d after %d", ErrUnsorted, i, pt.T, points[i-1].T)
 		}
-		times[i] = p.T
-		vals[i] = p.V
-		if p.V < meta.MinV {
-			meta.MinV = p.V
-		}
-		if p.V > meta.MaxV {
-			meta.MaxV = p.V
-		}
-		meta.Sum += p.V // wrapping, like Aggregate
+		times[i] = pt.T
+		vals[i] = pt.V
 	}
-	meta.Kind = kindInt
-	meta.HasStats = true
-	meta.Packer = packerName
-	body := encodeChunk(p, opt.BlockSize, times, vals)
+	meta := ChunkMeta{
+		Count:  len(points),
+		MinT:   times[0],
+		MaxT:   times[len(times)-1],
+		Packer: packerName,
+	}
+	stored := storedValues(&meta, vals)
+	body := encodeChunk(p, opt.BlockSize, meta, times, stored)
 	meta.EncodedBytes = len(body)
 	return EncodedChunk{Meta: meta, Body: body}, nil
 }
 
-// AppendEncoded installs a chunk produced by EncodeSeries (or
-// EncodeFloatSeries), assigning its file offset. Chunks must be appended in
-// the same order a serial Append sequence would have used for the file bytes
-// to be identical. A zero chunk (Count 0) is a no-op.
+// AppendEncoded installs a chunk produced by EncodeSeries, assigning its
+// file offset. Chunks must be appended in the same order a serial Append
+// sequence would have used for the file bytes to be identical. A zero chunk
+// (Count 0) is a no-op.
 func (w *Writer) AppendEncoded(series string, c EncodedChunk) error {
 	if w.err != nil {
 		return w.err
@@ -217,23 +198,11 @@ func (w *Writer) AppendEncoded(series string, c EncodedChunk) error {
 	return w.writeChunk(series, c.Meta, c.Body)
 }
 
-// chunkPacker resolves a per-chunk packer override ("" = file default).
-func (w *Writer) chunkPacker(name string) (codec.Packer, error) {
-	if name == "" {
-		return w.opt.packer(), nil
-	}
-	p, err := packers.ByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("tsfile: %w", err)
-	}
-	return p, nil
-}
-
-// encodePacker resolves the packer for an off-writer encode. Unlike
-// chunkPacker it returns a fresh instance even for the file default
-// (re-resolving configured packers through the registry by name), because
-// registry packers carry planning state and must not be shared between the
-// concurrent encoders a parallel flush runs. A custom Options.Packer not in
+// encodePacker resolves the packer for an off-writer encode. It returns a
+// fresh instance even for the file default (re-resolving configured packers
+// through the registry by name), because registry packers carry planning
+// state and must not be shared between the concurrent encoders a parallel
+// flush runs. A custom Options.Packer not in
 // the registry is returned as-is; such implementations must tolerate
 // concurrent Pack calls if the caller encodes in parallel.
 func encodePacker(opt Options, name string) (codec.Packer, error) {
@@ -289,26 +258,23 @@ func (w *Writer) Close() error {
 	return w.write(tail[:])
 }
 
-// encodeChunk packs an integer chunk: count, kind byte, then the columns.
-func encodeChunk(p codec.Packer, blockSize int, times, vals []int64) []byte {
+// encodeChunk writes a chunk body: the point count, the kind byte, for
+// scaled chunks the decimal precision, then the two columns — timestamps
+// delta-coded then packed, values packed directly — each framed by a
+// byte-length varint so the decoder can split them. parseChunkHeader and
+// decodeColumns invert it.
+func encodeChunk(p codec.Packer, blockSize int, m ChunkMeta, times, vals []int64) []byte {
 	body := codec.AppendUvarint(nil, uint64(len(vals)))
-	body = append(body, kindInt)
-	return appendColumns(p, blockSize, body, times, vals)
-}
-
-// appendColumns packs the two columns — timestamps delta-coded then packed,
-// values packed directly — each framed by a byte-length varint so the
-// decoder can split them.
-func appendColumns(p codec.Packer, blockSize int, body []byte, times, vals []int64) []byte {
-	tc := ts2diff.New(p, blockSize)
-	tcol := tc.Encode(nil, times)
+	body = append(body, m.Kind)
+	if m.Kind == kindScaled {
+		body = append(body, byte(m.Precision))
+	}
+	tcol := ts2diff.New(p, blockSize).Encode(nil, times)
 	body = codec.AppendUvarint(body, uint64(len(tcol)))
 	body = append(body, tcol...)
-	vc := codec.NewBlockwise(p, blockSize)
-	vcol := vc.Encode(nil, vals)
+	vcol := codec.NewBlockwise(p, blockSize).Encode(nil, vals)
 	body = codec.AppendUvarint(body, uint64(len(vcol)))
-	body = append(body, vcol...)
-	return body
+	return append(body, vcol...)
 }
 
 // parseChunkHeader reads the header of a chunk body — point count, kind
@@ -348,8 +314,9 @@ func splitColumn(rest []byte, n int, name string) (col, tail []byte, err error) 
 	return col, r[clen:], nil
 }
 
-// decodeColumns inverts appendColumns for a chunk of n points.
-func decodeColumns(p codec.Packer, blockSize int, rest []byte, n int) (times, vals []int64, err error) {
+// decodeColumns inverts encodeChunk's columns for a chunk of n points. Every
+// packed block records its own length, so decoding needs no block size.
+func decodeColumns(p codec.Packer, rest []byte, n int) (times, vals []int64, err error) {
 	tcol, rest, err := splitColumn(rest, n, "time")
 	if err != nil {
 		return nil, nil, err
@@ -360,10 +327,10 @@ func decodeColumns(p codec.Packer, blockSize int, rest []byte, n int) (times, va
 	}
 	// Both codecs return exactly the count the column declares, or an
 	// error.
-	if times, err = ts2diff.New(p, blockSize).Decode(tcol); err != nil {
+	if times, err = ts2diff.New(p, 0).Decode(tcol); err != nil {
 		return nil, nil, fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
 	}
-	if vals, err = codec.NewBlockwise(p, blockSize).Decode(vcol); err != nil {
+	if vals, err = codec.NewBlockwise(p, 0).Decode(vcol); err != nil {
 		return nil, nil, fmt.Errorf("%w: value column: %v", ErrCorrupt, err)
 	}
 	return times, vals, nil

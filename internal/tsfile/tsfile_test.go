@@ -293,7 +293,7 @@ func BenchmarkQuery(b *testing.B) {
 
 // TestEncodeSeriesByteIdentity builds the same file twice — once through the
 // Append/AppendFloats writer path and once by pre-encoding every chunk with
-// EncodeSeries/EncodeFloatSeries and installing them via AppendEncoded — and
+// EncodeSeries and installing them via AppendEncoded — and
 // requires the bytes to match exactly. This is the contract the parallel
 // flush relies on: encoding off-writer must not change the file.
 func TestEncodeSeriesByteIdentity(t *testing.T) {
@@ -352,7 +352,7 @@ func TestEncodeSeriesByteIdentity(t *testing.T) {
 			}
 		}
 		for _, s := range forder {
-			c, err := EncodeFloatSeries(opt, floats[s], "")
+			c, err := EncodeSeries(opt, floats[s], "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,7 +373,7 @@ func TestEncodeSeriesByteIdentity(t *testing.T) {
 
 // TestAppendEncodedEmpty verifies a zero chunk is a clean no-op.
 func TestAppendEncodedEmpty(t *testing.T) {
-	c, err := EncodeSeries(Options{}, nil, "")
+	c, err := EncodeSeries[int64](Options{}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,21 +13,45 @@ import (
 // IoTDB/TsFile (Section VII of the paper): each segment is self-contained,
 // so a reader can scan block by block without decoding the whole file.
 type Writer struct {
-	w   io.Writer
-	opt Options
-	buf []int64
-	scr []byte
-	err error
+	segmentWriter[int64]
 }
 
 // NewWriter returns a Writer with the given options.
 func NewWriter(w io.Writer, opt Options) *Writer {
-	return &Writer{w: w, opt: opt, buf: make([]int64, 0, blockSizeOf(opt))}
+	return &Writer{newSegmentWriter(w, opt, Compress)}
+}
+
+// FloatWriter streams float64 values as length-prefixed compressed segments,
+// the float twin of Writer. Each segment independently detects its decimal
+// precision, so a stream may mix scaled and raw segments and stay lossless
+// throughout.
+type FloatWriter struct {
+	segmentWriter[float64]
+}
+
+// NewFloatWriter returns a FloatWriter with the given options.
+func NewFloatWriter(w io.Writer, opt Options) *FloatWriter {
+	return &FloatWriter{newSegmentWriter(w, opt, CompressFloats)}
+}
+
+// segmentWriter is the one segment writer behind Writer and FloatWriter;
+// compress turns one block of values into a segment.
+type segmentWriter[V int64 | float64] struct {
+	w        io.Writer
+	opt      Options
+	compress func(dst []byte, vals []V, opt Options) []byte
+	buf      []V
+	scr      []byte
+	err      error
+}
+
+func newSegmentWriter[V int64 | float64](w io.Writer, opt Options, compress func([]byte, []V, Options) []byte) segmentWriter[V] {
+	return segmentWriter[V]{w: w, opt: opt, compress: compress, buf: make([]V, 0, blockSizeOf(opt))}
 }
 
 // WriteValues appends values to the stream, emitting full segments as blocks
 // fill up.
-func (w *Writer) WriteValues(vals ...int64) error {
+func (w *segmentWriter[V]) WriteValues(vals ...V) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -50,8 +74,8 @@ func (w *Writer) WriteValues(vals ...int64) error {
 }
 
 // emit writes the buffered values as one segment.
-func (w *Writer) emit() error {
-	seg := Compress(w.scr[:0], w.buf, w.opt)
+func (w *segmentWriter[V]) emit() error {
+	seg := w.compress(w.scr[:0], w.buf, w.opt)
 	w.scr = seg
 	w.buf = w.buf[:0]
 	var hdr [binary.MaxVarintLen64]byte
@@ -64,7 +88,7 @@ func (w *Writer) emit() error {
 }
 
 // Flush writes any buffered values as a final (possibly short) segment.
-func (w *Writer) Flush() error {
+func (w *segmentWriter[V]) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
@@ -75,21 +99,49 @@ func (w *Writer) Flush() error {
 }
 
 // Close flushes the writer. It does not close the underlying io.Writer.
-func (w *Writer) Close() error { return w.Flush() }
+func (w *segmentWriter[V]) Close() error { return w.Flush() }
 
 // Reader decodes a stream produced by Writer, one segment at a time.
 type Reader struct {
-	r *bufio.Reader
+	segmentReader[int64]
 }
 
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{segmentReader[int64]{bufio.NewReader(r), Decompress}}
+}
+
+// ReadAll drains a stream produced by Writer into one slice.
+func ReadAll(r io.Reader) ([]int64, error) {
+	return NewReader(r).readAll()
+}
+
+// FloatReader decodes a stream produced by FloatWriter, one segment at a
+// time.
+type FloatReader struct {
+	segmentReader[float64]
+}
+
+// NewFloatReader returns a FloatReader over r.
+func NewFloatReader(r io.Reader) *FloatReader {
+	return &FloatReader{segmentReader[float64]{bufio.NewReader(r), DecompressFloats}}
+}
+
+// ReadAllFloats drains a FloatWriter stream into one slice.
+func ReadAllFloats(r io.Reader) ([]float64, error) {
+	return NewFloatReader(r).readAll()
+}
+
+// segmentReader is the one segment reader behind Reader and FloatReader;
+// decompress turns one segment back into values.
+type segmentReader[V int64 | float64] struct {
+	r          *bufio.Reader
+	decompress func([]byte) ([]V, error)
 }
 
 // Next returns the values of the next segment, or io.EOF when the stream is
 // exhausted.
-func (r *Reader) Next() ([]int64, error) {
+func (r *segmentReader[V]) Next() ([]V, error) {
 	segLen, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if err == io.EOF {
@@ -104,15 +156,14 @@ func (r *Reader) Next() ([]int64, error) {
 	if _, err := io.ReadFull(r.r, seg); err != nil {
 		return nil, fmt.Errorf("%w: segment body: %v", ErrCorrupt, err)
 	}
-	return Decompress(seg)
+	return r.decompress(seg)
 }
 
-// ReadAll drains a stream produced by Writer into one slice.
-func ReadAll(r io.Reader) ([]int64, error) {
-	br := NewReader(r)
-	var out []int64
+// readAll drains the stream into one slice.
+func (r *segmentReader[V]) readAll() ([]V, error) {
+	var out []V
 	for {
-		vals, err := br.Next()
+		vals, err := r.Next()
 		if err == io.EOF {
 			return out, nil
 		}
