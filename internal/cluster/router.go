@@ -162,27 +162,28 @@ var errAbortStream = errors.New("cluster: stream aborted")
 
 // shardStream is one shard's side of a scatter-gather scan: a producer
 // goroutine batches the shard's points into pages; err is valid once ch
-// closes. The consuming side is a Merge source.
+// closes. The consuming side is a Merge source, whose runs read the pages in
+// place and may span several of them.
 type shardStream[V int64 | float64] struct {
 	ch   chan []tsfile.Sample[V]
 	err  error
-	page []tsfile.Sample[V]
-	pos  int
+	page tsfile.SliceCursor[V]
 }
 
-func (s *shardStream[V]) Next() bool {
-	for s.pos >= len(s.page) {
-		page, ok := <-s.ch
-		if !ok {
-			return false
+func (s *shardStream[V]) Run(dst []tsfile.Sample[V], bound int64) ([]tsfile.Sample[V], tsfile.Sample[V], bool) {
+	for {
+		var p tsfile.Sample[V]
+		var ok bool
+		if dst, p, ok = s.page.Run(dst, bound); ok {
+			return dst, p, true
 		}
-		s.page, s.pos = page, 0
+		page, open := <-s.ch
+		if !open {
+			return dst, p, false
+		}
+		s.page = *tsfile.NewSliceCursor(page)
 	}
-	s.pos++
-	return true
 }
-
-func (s *shardStream[V]) Point() tsfile.Sample[V] { return s.page[s.pos-1] }
 
 func (s *shardStream[V]) Err() error { return s.err }
 
@@ -275,9 +276,13 @@ func scatterMerge[V int64 | float64](shards []Shard, owner int, fn func(tsfile.S
 		srcs = append(srcs, streams[i])
 	}
 	m := tsfile.NewMerge(srcs...)
-	for m.Next() {
-		if err := fn(m.Point()); err != nil {
-			return err
+	page := make([]tsfile.Sample[V], 0, streamPage)
+	for more := true; more; {
+		page, more = m.Fill(page[:0])
+		for _, p := range page {
+			if err := fn(p); err != nil {
+				return err
+			}
 		}
 	}
 	return m.Err()

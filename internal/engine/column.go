@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bos/internal/tsfile"
@@ -206,10 +207,13 @@ func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series s
 	if err != nil {
 		return nil, err
 	}
+	if len(srcs) == 0 && len(newest) == 0 {
+		return nil, nil
+	}
 	m := tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor(newest))...)
 	var out []tsfile.Sample[V]
-	for m.Next() {
-		out = append(out, m.Point())
+	for more := true; more; {
+		out, more = m.Fill(slices.Grow(out, max(len(out), 256)))
 	}
 	if err := m.Err(); err != nil {
 		return nil, err

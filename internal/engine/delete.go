@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // tombstone marks a deleted time range of one series. seq is the file
@@ -23,6 +25,31 @@ type tombstones []tombstone
 func (tombs tombstones) hide(series string, seq int, t int64) bool {
 	for _, ts := range tombs {
 		if ts.series == series && seq < ts.seq && t >= ts.minT && t <= ts.maxT {
+			return true
+		}
+	}
+	return false
+}
+
+// of returns the tombstones of series that overlap [minT, maxT], newest
+// first, so the ones newer than a given file are a prefix. It allocates only
+// when there are some.
+func (tombs tombstones) of(series string, minT, maxT int64) tombstones {
+	var out tombstones
+	for _, ts := range tombs {
+		if ts.series == series && ts.minT <= maxT && ts.maxT >= minT {
+			out = append(out, ts)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b tombstone) int { return cmp.Compare(b.seq, a.seq) })
+	return out
+}
+
+// covers reports whether a tombstone in tombs spans t, whatever its series
+// and sequence.
+func (tombs tombstones) covers(t int64) bool {
+	for _, ts := range tombs {
+		if t >= ts.minT && t <= ts.maxT {
 			return true
 		}
 	}

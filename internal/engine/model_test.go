@@ -175,6 +175,18 @@ func randomBatchT(rng *rand.Rand, n int) []int64 {
 	return ts
 }
 
+// inOrderBatchT draws a batch's timestamps the way ingest writes them:
+// ascending in steps of 1 or 2 from the series' next timestamp, which it
+// moves past the batch, so no two batches of a series overlap.
+func inOrderBatchT(rng *rand.Rand, n int, next *int64) []int64 {
+	ts := make([]int64, n)
+	for i := range ts {
+		ts[i] = *next
+		*next += 1 + rng.Int63n(2)
+	}
+	return ts
+}
+
 // randomFloat mixes decimal values (scaled chunks) with non-decimal ones
 // (raw chunks).
 func randomFloat(rng *rand.Rand, rawChunks bool) float64 {
@@ -186,8 +198,11 @@ func randomFloat(rng *rand.Rand, rawChunks bool) float64 {
 
 // runModel drives one seeded sequence of inserts, deletes, flushes,
 // compactions and reopens, checking every read API against the model after
-// each step.
-func runModel(t *testing.T, seed int64, steps int) {
+// each step. Batches land anywhere in the span, so files overlap and merge
+// runs are a few samples long; inOrder draws them as ingest writes them
+// instead, so files hold disjoint ranges and runs reach chunk ends,
+// tombstones and page ends.
+func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
 	dir := t.TempDir()
 	open := func() *Engine {
 		e, err := Open(Options{Dir: dir, FlushThreshold: 1 << 30})
@@ -203,12 +218,21 @@ func runModel(t *testing.T, seed int64, steps int) {
 	intNames := []string{"m.i0", "m.i1"}
 	floatNames := []string{"m.f0", "m.f1"}
 	rawFloats := map[string]bool{"m.f1": true}
+	next := map[string]int64{} // per series, when inOrder
+	batchT := func(name string, n int) []int64 {
+		if inOrder {
+			at := next[name]
+			defer func() { next[name] = at }()
+			return inOrderBatchT(rng, n, &at)
+		}
+		return randomBatchT(rng, n)
+	}
 	for step := 0; step < steps; step++ {
 		var op string
 		switch r := rng.Intn(20); {
 		case r < 8:
 			name := intNames[rng.Intn(len(intNames))]
-			ts := randomBatchT(rng, 200+rng.Intn(1800))
+			ts := batchT(name, 200+rng.Intn(1800))
 			pts := make([]tsfile.Point, len(ts))
 			s := m.series(name, false)
 			for i, tt := range ts {
@@ -221,7 +245,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 			op = fmt.Sprintf("insert %s x%d", name, len(pts))
 		case r < 12:
 			name := floatNames[rng.Intn(len(floatNames))]
-			ts := randomBatchT(rng, 100+rng.Intn(900))
+			ts := batchT(name, 100+rng.Intn(900))
 			pts := make([]tsfile.FloatPoint, len(ts))
 			s := m.series(name, true)
 			for i, tt := range ts {
@@ -277,12 +301,20 @@ func runModel(t *testing.T, seed int64, steps int) {
 // series — batches with duplicate and out-of-order timestamps, flushes,
 // range deletes, compactions and close/reopen — and after every step
 // compares Query, multi-page QueryEach, QueryFloats and a whole-range
-// WindowAgg with the model.
+// WindowAgg with the model. Three more seeds write in order, so whole-chunk
+// runs, runs cut by the series' own tombstones, runs that reach a page end
+// and runs beside another series' tombstone are all checked too.
 func TestEngineMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runModel(t, seed, 40)
+			runModel(t, seed, 40, false)
+		})
+	}
+	for seed := int64(4); seed <= 6; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("inorder-seed%d", seed), func(t *testing.T) {
+			runModel(t, seed, 40, true)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"sync"
 
 	"bos/internal/tsfile"
@@ -65,51 +66,73 @@ func (e *Engine) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point
 
 // fileCursor is one data file's iterator over a series of value kind V,
 // with tombstone-masked points skipped: a Merge source, and the only way any
-// engine read reaches a data file. prime positions it on its first point
-// ahead of the merge, so a scan can decode every file's first chunk in
-// parallel.
+// engine read reaches a data file. tombs holds only the series' tombstones
+// that are newer than the file and overlap the scan, the ones that can hide
+// its points. With none, the iterator's runs pass through whole; with some,
+// a run stops below the next tombstone, so it never crosses a hidden
+// timestamp.
 type fileCursor[V int64 | float64] struct {
 	it     *tsfile.Iterator[V]
-	series string
-	seq    int
 	tombs  tombstones
-	primed bool // the iterator already sits on the next point
+	at     int64            // timestamp of the current point (tombs only)
+	head   tsfile.Sample[V] // the point prime moved to
+	ok     bool             // prime found a point
+	primed bool             // the next Run returns head
 }
 
 // fileCursors opens a cursor over the series in [minT, maxT] on every file
-// that holds it, oldest first, with room for one more source. A file without
-// the series is skipped from its footer index.
+// whose footer index shows the series overlapping that range, oldest first,
+// with room for one more source. Other files cost one index lookup each.
 func fileCursors[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64) ([]tsfile.Cursor[V], error) {
+	hiding := tombs.of(series, minT, maxT)
 	srcs := make([]tsfile.Cursor[V], 0, len(files)+1)
 	for _, df := range files {
-		if found, _ := df.reader.ValueKind(series); !found {
+		if !df.reader.Overlaps(series, minT, maxT) {
 			continue
 		}
 		it, err := tsfile.Iter[V](df.reader, series, minT, maxT)
 		if err != nil {
 			return nil, err
 		}
-		srcs = append(srcs, &fileCursor[V]{it: it, series: series, seq: df.seq, tombs: tombs})
+		n := 0 // hiding is newest first: the file's tombstones are a prefix
+		for n < len(hiding) && hiding[n].seq > df.seq {
+			n++
+		}
+		srcs = append(srcs, &fileCursor[V]{it: it, tombs: hiding[:n], at: math.MinInt64})
 	}
 	return srcs, nil
 }
 
-func (c *fileCursor[V]) prime() { c.primed = c.Next() }
-
-func (c *fileCursor[V]) Next() bool {
-	if c.primed {
-		c.primed = false
-		return true
-	}
-	for c.it.Next() {
-		if !c.tombs.hide(c.series, c.seq, c.it.Point().T) {
-			return true
-		}
-	}
-	return false
+// prime moves the cursor to its first point ahead of the merge, so a scan
+// can decode the files' first chunks in parallel. The next Run returns that
+// point: a run that ends before its first sample.
+func (c *fileCursor[V]) prime() {
+	_, c.head, c.ok = c.Run(nil, math.MinInt64)
+	c.primed = true
 }
 
-func (c *fileCursor[V]) Point() tsfile.Sample[V] { return c.it.Point() }
+func (c *fileCursor[V]) Run(dst []tsfile.Sample[V], bound int64) ([]tsfile.Sample[V], tsfile.Sample[V], bool) {
+	if c.primed {
+		c.primed = false
+		return dst, c.head, c.ok
+	}
+	if len(c.tombs) == 0 {
+		return c.it.Run(dst, bound)
+	}
+	// The current point is visible, so a tombstone reaching past it starts
+	// past it too: the run stops below the first such start.
+	for _, ts := range c.tombs {
+		if ts.maxT > c.at {
+			bound = min(bound, ts.minT)
+		}
+	}
+	dst, p, ok := c.it.Run(dst, bound)
+	for ok && c.tombs.covers(p.T) {
+		_, p, ok = c.it.Run(nil, math.MinInt64)
+	}
+	c.at = p.T
+	return dst, p, ok
+}
 
 func (c *fileCursor[V]) Err() error { return c.it.Err() }
 
@@ -124,17 +147,17 @@ type scanState struct {
 }
 
 // rebuildScan (re)creates the per-file cursors starting at minT, oldest file
-// first, with the memtable as the newest source. Each cursor decodes its
-// first chunk on its own goroutine, because that is where a cold scan pays
-// its largest serial decode cost. Caller holds structMu (read suffices: the
-// file list and generation are stable while held).
+// first, with the memtable as the newest source. The cursors decode their
+// first chunks on up to GOMAXPROCS goroutines, because that is where a cold
+// scan pays its largest serial decode cost. Caller holds structMu (read
+// suffices: the file list and generation are stable while held).
 func (e *Engine) rebuildScan(sc *scanState, series string, minT, maxT int64) error {
 	sc.merge = nil
 	srcs, err := fileCursors[int64](e.files, e.tombs, series, minT, maxT)
 	if err != nil {
 		return err
 	}
-	fanOut(len(srcs), len(srcs), func(i int) { srcs[i].(*fileCursor[int64]).prime() })
+	fanOut(runtime.GOMAXPROCS(0), len(srcs), func(i int) { srcs[i].(*fileCursor[int64]).prime() })
 	sc.mem = len(srcs)
 	sc.merge = tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor[int64](nil))...)
 	sc.gen = e.gen
@@ -143,7 +166,7 @@ func (e *Engine) rebuildScan(sc *scanState, series string, minT, maxT int64) err
 
 // scanPage collects merged points starting at minT into page, up to its
 // capacity. more reports whether the merge was cut short by the capacity
-// (points past the last one may remain). The memtable is re-snapshotted every
+// (points past the last one remain). The memtable is re-snapshotted every
 // page (it is mutable between pages); the file cursors persist in sc unless
 // the engine generation moved.
 func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, page []tsfile.Point) ([]tsfile.Point, bool, error) {
@@ -162,13 +185,10 @@ func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, page [
 		}
 	}
 	sc.merge.Reset(sc.mem, tsfile.NewSliceCursor(mem))
-	out := page[:0]
-	for len(out) < cap(out) && sc.merge.Next() {
-		out = append(out, sc.merge.Point())
-	}
+	out, more := sc.merge.Fill(page[:0])
 	if err := sc.merge.Err(); err != nil {
 		sc.merge = nil
 		return nil, false, err
 	}
-	return out, len(out) == cap(out), nil
+	return out, more, nil
 }

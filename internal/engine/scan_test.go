@@ -155,3 +155,62 @@ func TestSeriesStatsAndKind(t *testing.T) {
 		t.Fatalf("SeriesKind(missing) = %q", k)
 	}
 }
+
+// TestScanOpensOnlyOverlappingFiles flushes a series into F files with
+// disjoint time ranges and reads a range inside one of them. The read must
+// allocate the same for F = 8 and F = 64: a scan opens cursors, and primes
+// them, only on the files whose footer index shows the series overlapping its
+// range. It holds for the paged integer scan and for the float read alike.
+func TestScanOpensOnlyOverlappingFiles(t *testing.T) {
+	const perFile = 100
+	allocs := func(files int, float bool) float64 {
+		e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 1 << 30, DisableWAL: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for f := 0; f < files; f++ {
+			var err error
+			if float {
+				pts := make([]tsfile.FloatPoint, perFile)
+				for i := range pts {
+					pts[i] = tsfile.FloatPoint{T: int64(f*perFile + i), V: float64(i) / 4}
+				}
+				err = e.InsertFloatBatch("s", pts)
+			} else {
+				pts := make([]tsfile.Point, perFile)
+				for i := range pts {
+					pts[i] = tsfile.Point{T: int64(f*perFile + i), V: int64(i * i)}
+				}
+				err = e.InsertBatch("s", pts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo, hi := int64(3*perFile+10), int64(3*perFile+60)
+		return testing.AllocsPerRun(20, func() {
+			n := 0
+			if float {
+				pts, err := e.QueryFloats("s", lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = len(pts)
+			} else if err := e.QueryEach("s", lo, hi, func(tsfile.Point) error { n++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if n != int(hi-lo+1) {
+				t.Fatalf("read %d points, want %d", n, hi-lo+1)
+			}
+		})
+	}
+	for _, float := range []bool{false, true} {
+		if few, many := allocs(8, float), allocs(64, float); few != many {
+			t.Errorf("float %v: a read inside one file allocates %v times over 8 files, %v over 64", float, few, many)
+		}
+	}
+}

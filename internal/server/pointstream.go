@@ -117,18 +117,23 @@ func readStream(body io.Reader, want byte, fn func(kind byte, r *record) error) 
 		if n == 0 {
 			return s.end()
 		}
-		for ; n > 0; n-- {
-			if s.w-s.r < maxRecordLen {
-				if err := s.fill(); err != nil {
-					return err
-				}
-			}
-			if err := s.decode(kind, &rec); err != nil {
+		for n > 0 {
+			if err := s.fill(); err != nil {
 				return err
 			}
-			if err := fn(kind, &rec); err != nil {
+			var k uint64
+			switch kind {
+			case kindInt:
+				k, err = s.ints(n, &rec, fn)
+			case kindFloat:
+				k, err = s.floats(n, &rec, fn)
+			default:
+				k, err = s.windows(n, &rec, fn)
+			}
+			if err != nil {
 				return err
 			}
+			n -= k
 		}
 	}
 }
@@ -196,53 +201,107 @@ func (s *streamReader) uvarint() (uint64, error) {
 	return x, nil
 }
 
-// varint reads a zigzag varint, undoing the zigzag as binary.Varint does.
-func (s *streamReader) varint() (int64, error) {
-	ux, err := s.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
+// unzig undoes the zigzag of a varint, as binary.Varint does after
+// binary.Uvarint; the loops call the two apart so both inline.
+func unzig(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+// buffered returns the buffered bytes, the read offset, and the last offset
+// at which a record can start and be decoded whole: maxRecordLen before the
+// buffer's end, or the end itself once the body is all read.
+func (s *streamReader) buffered() (buf []byte, r, last int) {
+	last = s.w - maxRecordLen
+	if s.eof {
+		last = s.w
 	}
-	return x, err
+	return s.buf[:s.w], s.r, last
 }
 
-// decode reads one record of the given kind into rec, which holds the
-// previous one.
-func (s *streamReader) decode(kind byte, rec *record) error {
-	dt, err := s.varint()
-	if err != nil {
-		return err
+// ints decodes up to n 'i' records into rec, which holds the previous
+// record, and calls fn with each. It decodes the records that start at or
+// before the last offset buffered returns in one loop, with no refill, and
+// returns how many it decoded; readStream refills between calls.
+func (s *streamReader) ints(n uint64, rec *record, fn func(byte, *record) error) (uint64, error) {
+	buf, r, last := s.buffered()
+	i := uint64(0)
+	for ; i < n && r <= last; i++ {
+		dt, k := binary.Uvarint(buf[r:])
+		if k <= 0 {
+			return i, varintErr(k)
+		}
+		r += k
+		dv, k := binary.Uvarint(buf[r:])
+		if k <= 0 {
+			return i, varintErr(k)
+		}
+		r += k
+		rec.t += unzig(dt)
+		rec.v += unzig(dv)
+		if err := fn(kindInt, rec); err != nil {
+			return i, err
+		}
 	}
-	rec.t += dt
-	switch kind {
-	case kindInt:
-		dv, err := s.varint()
-		if err != nil {
-			return err
+	s.r = r
+	return i, nil
+}
+
+// floats is ints for 'f' records.
+func (s *streamReader) floats(n uint64, rec *record, fn func(byte, *record) error) (uint64, error) {
+	buf, r, last := s.buffered()
+	i := uint64(0)
+	for ; i < n && r <= last; i++ {
+		dt, k := binary.Uvarint(buf[r:])
+		if k <= 0 {
+			return i, varintErr(k)
 		}
-		rec.v += dv
-	case kindFloat:
-		if s.w-s.r < 8 {
-			return errCutShort
+		r += k
+		if len(buf)-r < 8 {
+			return i, errCutShort
 		}
-		rec.f = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.r:]))
-		s.r += 8
-	case kindWindow:
-		count, err := s.uvarint()
-		if err != nil {
-			return err
+		rec.t += unzig(dt)
+		rec.f = math.Float64frombits(binary.LittleEndian.Uint64(buf[r:]))
+		r += 8
+		if err := fn(kindFloat, rec); err != nil {
+			return i, err
 		}
+	}
+	s.r = r
+	return i, nil
+}
+
+// windows is ints for 'w' records.
+func (s *streamReader) windows(n uint64, rec *record, fn func(byte, *record) error) (uint64, error) {
+	buf, r, last := s.buffered()
+	i := uint64(0)
+	for ; i < n && r <= last; i++ {
+		dt, k := binary.Uvarint(buf[r:])
+		if k <= 0 {
+			return i, varintErr(k)
+		}
+		r += k
+		count, k := binary.Uvarint(buf[r:])
+		if k <= 0 {
+			return i, varintErr(k)
+		}
+		r += k
 		if count > math.MaxInt {
-			return fmt.Errorf("client: point stream: window count %d overflows int", count)
+			return i, fmt.Errorf("client: point stream: window count %d overflows int", count)
 		}
+		rec.t += unzig(dt)
 		rec.b = Bucket{Start: rec.t, Count: int(count)}
 		for _, f := range []*int64{&rec.b.Min, &rec.b.Max, &rec.b.Sum} {
-			if *f, err = s.varint(); err != nil {
-				return err
+			ux, k := binary.Uvarint(buf[r:])
+			if k <= 0 {
+				return i, varintErr(k)
 			}
+			*f = unzig(ux)
+			r += k
+		}
+		if err := fn(kindWindow, rec); err != nil {
+			return i, err
 		}
 	}
-	return nil
+	s.r = r
+	return i, nil
 }
 
 // end checks that nothing follows the end frame, reading the body to its

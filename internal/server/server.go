@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -112,9 +113,14 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opt.maxBody()+1))
+	body, err := readBody(w, r, s.opt.maxBody()+1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			status = http.StatusRequestTimeout
+			w.Header().Set("Connection", "close")
+		}
+		httpError(w, status, err)
 		return
 	}
 	if int64(len(body)) > s.opt.maxBody() {
@@ -142,6 +148,45 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, IngestResponse{Points: b.points, Series: len(b.ints) + len(b.floats)})
+}
+
+// ingestBodyIdle is how long an /ingest body may go without a byte arriving
+// before the request is cut with 408: as long as bosserver gives a client to
+// send its headers.
+var ingestBodyIdle = 10 * time.Second
+
+// readBody reads at most limit bytes of r's body. While it reads, the
+// connection's read deadline stays ingestBodyIdle past the last bytes that
+// arrived, so a body that stops arriving is cut and one that trickles in is
+// not, however long it takes in all. The deadline is cleared once the body
+// is read; after a failed read it stays, so the server drops the connection
+// instead of waiting for the rest of the body. A connection that takes no
+// deadline reads as io.ReadAll does.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := io.LimitReader(r.Body, limit)
+	rc := http.NewResponseController(w)
+	if err := rc.SetReadDeadline(time.Now().Add(ingestBodyIdle)); err != nil {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, 0, 512)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, rc.SetReadDeadline(time.Time{})
+		}
+		if err != nil {
+			return buf, err
+		}
+		if n > 0 {
+			if err := rc.SetReadDeadline(time.Now().Add(ingestBodyIdle)); err != nil {
+				return buf, err
+			}
+		}
+	}
 }
 
 // timeRange parses from/to query params (defaulting to the full range).

@@ -128,3 +128,88 @@ func TestStalledBodyDoesNotBlockOthers(t *testing.T) {
 		t.Fatalf("ingest_points = %d, want %d", st.IngestPoints, len(pts))
 	}
 }
+
+// TestStalledBodyTimesOut shortens the body idle limit. An ingest body that
+// stops arriving must get a 408 and commit nothing, while a body that
+// trickles in, each gap well inside the limit but the whole body longer than
+// it, must be accepted in full.
+func TestStalledBodyTimesOut(t *testing.T) {
+	defer func(idle time.Duration) { ingestBodyIdle = idle }(ingestBodyIdle)
+	ingestBodyIdle = 500 * time.Millisecond
+	c, _, cleanup := newTestServer(t, t.TempDir())
+	defer cleanup()
+	// post writes the request head and then each part of its body,
+	// sleeping gap before every part after the first, and returns the
+	// response status.
+	post := func(declared int, gap time.Duration, parts ...string) int {
+		t.Helper()
+		conn := dialServer(t, c)
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintf(conn, "POST /ingest HTTP/1.1\r\nHost: bos\r\nContent-Type: text/plain\r\n"+
+			"Content-Length: %d\r\n\r\n", declared); err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range parts {
+			if i > 0 {
+				time.Sleep(gap)
+			}
+			if _, err := conn.Write([]byte(part)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("reading the response: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	start := time.Now()
+	if code := post(1000, 0, "root.stall.x,1,"); code != http.StatusRequestTimeout {
+		t.Fatalf("stalled body: status %d, want 408", code)
+	}
+	if waited := time.Since(start); waited < ingestBodyIdle {
+		t.Fatalf("stalled body cut after %v, before the %v limit", waited, ingestBodyIdle)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IngestPoints != 0 {
+		t.Fatalf("ingest_points = %d after a stalled body, want 0", st.IngestPoints)
+	}
+
+	var parts []string
+	n := 0
+	for i := 0; i < 10; i++ {
+		line := fmt.Sprintf("root.trickle.x,%d,%d\n", i, i*i)
+		parts = append(parts, line)
+		n += len(line)
+	}
+	gap := ingestBodyIdle / 5
+	start = time.Now()
+	if code := post(n, gap, parts...); code != http.StatusOK {
+		t.Fatalf("trickled body: status %d, want 200", code)
+	}
+	if took := time.Since(start); took <= ingestBodyIdle {
+		t.Fatalf("trickled body took %v, not longer than the %v limit", took, ingestBodyIdle)
+	}
+	got, err := c.Query("root.trickle.x", 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(parts) {
+		t.Fatalf("read back %d trickled points, want %d", len(got), len(parts))
+	}
+	series, err := c.Series()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0] != "root.trickle.x" {
+		t.Fatalf("series after a stalled and a trickled ingest: %v", series)
+	}
+}

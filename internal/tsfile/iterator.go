@@ -8,7 +8,7 @@ import (
 // Iterator streams the points of one series of value kind V in time order,
 // loading one chunk at a time: memory use is bounded by the chunk size, not
 // the result size, which is what a scan operator inside a query engine
-// needs. It is a Cursor.
+// needs. It is a Cursor; Next and Point read it one point at a time.
 type Iterator[V int64 | float64] struct {
 	r          *Reader
 	series     string
@@ -31,6 +31,18 @@ func Iter[V int64 | float64](r *Reader, series string, minT, maxT int64) (*Itera
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, series)
 	}
 	return &Iterator[V]{r: r, series: series, chunks: chunks, minT: minT, maxT: maxT}, nil
+}
+
+// Overlaps reports whether a chunk of series in r overlaps [minT, maxT]. It
+// reads only the footer index and builds no error, so a scan can test every
+// file and open an Iterator only where it is true.
+func (r *Reader) Overlaps(series string, minT, maxT int64) bool {
+	for _, m := range r.index[series] {
+		if m.MaxT >= minT && m.MinT <= maxT {
+			return true
+		}
+	}
+	return false
 }
 
 // Next advances to the next point; it returns false at the end of the scan
@@ -74,6 +86,34 @@ func (it *Iterator[V]) Next() bool {
 			break
 		}
 	}
+}
+
+// Run appends to dst the points after the current one that lie below bound,
+// as long as dst has spare capacity, then moves to the next point and
+// returns it (Cursor). A run stays inside the current chunk and [minT,
+// maxT]: a chunk's last point ends it, and the next chunk loads only when
+// Run moves to its first point.
+func (it *Iterator[V]) Run(dst []Sample[V], bound int64) ([]Sample[V], Sample[V], bool) {
+	if it.done {
+		return dst, Sample[V]{}, false
+	}
+	times, vals := it.times[it.pos:], it.vals[it.pos:]
+	room := dst[len(dst):cap(dst)]
+	n := min(len(times), len(vals), len(room))
+	k := 0
+	for ; k < n; k++ {
+		t := times[k]
+		if t >= bound || t > it.maxT {
+			break
+		}
+		room[k] = Sample[V]{T: t, V: vals[k]}
+	}
+	it.pos += k
+	dst = dst[:len(dst)+k]
+	if !it.Next() {
+		return dst, Sample[V]{}, false
+	}
+	return dst, it.cur, true
 }
 
 // Point returns the current point after a successful Next.

@@ -43,6 +43,71 @@ func TestIteratorMatchesQuery(t *testing.T) {
 	}
 }
 
+// TestIteratorRunsStayInChunk drains iterators through Run with room to
+// spare and no bound, over ranges that start and end inside chunks and over
+// the whole timeline up to math.MaxInt64. Every run, with the point Run moves
+// to before it, must come from one chunk, and together they must give exactly
+// the range's points.
+func TestIteratorRunsStayInChunk(t *testing.T) {
+	file, want := buildFile(t, Options{})
+	r, err := OpenReader(file, file.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for series, pts := range want {
+		chunks, err := r.Chunks(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkOf := func(ts int64) int {
+			for i, m := range chunks {
+				if ts >= m.MinT && ts <= m.MaxT {
+					return i
+				}
+			}
+			return -1
+		}
+		for _, rng := range [][2]int64{
+			{math.MinInt64, math.MaxInt64},
+			{pts[len(pts)/7].T, math.MaxInt64},
+			{pts[len(pts)/5].T, pts[4*len(pts)/5].T},
+		} {
+			it, err := Iter[int64](r, series, rng[0], rng[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Point
+			dst, p, ok := it.Run(nil, math.MaxInt64)
+			for ok {
+				got = append(got, p)
+				dst, p, ok = it.Run(make([]Point, 0, len(pts)), math.MaxInt64)
+				for _, q := range dst {
+					if chunkOf(q.T) != chunkOf(got[len(got)-1].T) {
+						t.Fatalf("%s %v: a run from chunk %d reaches %d into chunk %d",
+							series, rng, chunkOf(got[len(got)-1].T), q.T, chunkOf(q.T))
+					}
+				}
+				got = append(got, dst...)
+			}
+			if it.Err() != nil {
+				t.Fatal(it.Err())
+			}
+			exp, err := r.Query(series, rng[0], rng[1], math.MinInt64, math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(exp) {
+				t.Fatalf("%s %v: runs gave %d points, query %d", series, rng, len(got), len(exp))
+			}
+			for i := range exp {
+				if got[i] != exp[i] {
+					t.Fatalf("%s %v point %d: %v vs %v", series, rng, i, got[i], exp[i])
+				}
+			}
+		}
+	}
+}
+
 func TestIteratorEmptyRange(t *testing.T) {
 	file, _ := buildFile(t, Options{})
 	r, err := OpenReader(file, file.Size(), Options{})
