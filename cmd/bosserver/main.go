@@ -3,7 +3,7 @@
 //
 // Serve mode (default): open the data directory and listen until SIGINT or
 // SIGTERM, then shut down gracefully — stop accepting, drain in-flight
-// requests and the ingest group committer, flush the memtable:
+// requests and the ingest commits they started, flush the memtable:
 //
 //	bosserver -dir ./data -addr :8086 -packer bosb
 //
@@ -180,8 +180,9 @@ func newHTTPServer(h http.Handler) *http.Server {
 // serve listens on addr and serves api until SIGINT or SIGTERM, then shuts
 // down gracefully. banner names what is served, given the bound address.
 // The drain order matters: the listener and in-flight HTTP stop first, then
-// the ingest committer, then closeBackend flushes and releases the storage,
-// so every acknowledged write reaches the backend before it closes.
+// api.Close refuses further ingest and waits for the commits in flight,
+// then closeBackend flushes and releases the storage, so every acknowledged
+// write reaches the backend before it closes.
 func serve(api *server.Server, addr string, banner func(net.Addr) string, closeBackend func() error) error {
 	httpSrv := newHTTPServer(api.Handler())
 	ln, err := net.Listen("tcp", addr)

@@ -118,15 +118,12 @@ func (r *Router) fanOut(fn func(i int, sh Shard) error) error {
 	return errors.Join(errs...)
 }
 
-// InsertGrouped splits one commit group by owning shard — each series routed
-// exactly once — and commits the per-shard slices in parallel. An error on
-// any shard fails the group (partial application is safe: replays are
-// last-write-wins), but every shard still gets its slice, so one slow or
-// broken shard cannot hold another shard's data hostage.
+// InsertGrouped splits one ingest request by owning shard — each series
+// routed exactly once — and commits the per-shard slices in parallel. An
+// error on any shard fails the request (partial application is safe:
+// replays are last-write-wins), but every shard still gets its slice, so one
+// slow or broken shard cannot hold another shard's data hostage.
 func (r *Router) InsertGrouped(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) error {
-	if len(r.shards) == 1 {
-		return r.shards[0].InsertGrouped(ints, floats)
-	}
 	perInts := make([]map[string][]tsfile.Point, len(r.shards))
 	perFloats := make([]map[string][]tsfile.FloatPoint, len(r.shards))
 	for name, pts := range ints {
@@ -207,9 +204,6 @@ func mergeOrder(owner, n int) []int {
 // deterministic either way. A shard error aborts the whole scan and is
 // returned; fn errors abort and return likewise.
 func (r *Router) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point) error) error {
-	if len(r.shards) == 1 {
-		return r.shards[0].QueryEach(series, minT, maxT, fn)
-	}
 	return scatterMerge(r.shards, r.ring.Owner(series), fn, func(sh Shard, emit func(tsfile.Point) error) error {
 		return sh.QueryEach(series, minT, maxT, emit)
 	})
@@ -222,9 +216,6 @@ func (r *Router) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point
 // documented window as Downsample's per-shard aggregation, exact once the
 // rebalance completes.
 func (r *Router) QueryFilterEach(series string, minT, maxT, minV, maxV int64, fn func(tsfile.Point) error) error {
-	if len(r.shards) == 1 {
-		return r.shards[0].QueryFilterEach(series, minT, maxT, minV, maxV, fn)
-	}
 	return scatterMerge(r.shards, r.ring.Owner(series), fn, func(sh Shard, emit func(tsfile.Point) error) error {
 		return sh.QueryFilterEach(series, minT, maxT, minV, maxV, emit)
 	})
@@ -291,9 +282,6 @@ func scatterMerge[V int64 | float64](shards []Shard, owner int, fn func(tsfile.S
 // QueryFloats scatter-gathers a float range scan through the same merge as
 // QueryEach (owner wins, then highest shard ID).
 func (r *Router) QueryFloats(series string, minT, maxT int64) ([]tsfile.FloatPoint, error) {
-	if len(r.shards) == 1 {
-		return r.shards[0].QueryFloats(series, minT, maxT)
-	}
 	out := []tsfile.FloatPoint{}
 	err := scatterMerge(r.shards, r.ring.Owner(series), func(p tsfile.FloatPoint) error {
 		out = append(out, p)
@@ -321,9 +309,6 @@ func (r *Router) QueryFloats(series string, minT, maxT int64) ([]tsfile.FloatPoi
 // nothing, so a lone-shard answer passes through untouched). Mid-move
 // double-counting matches Downsample's documented tradeoff.
 func (r *Router) Aggregate(series string, minT, maxT int64) (engine.Bucket, error) {
-	if len(r.shards) == 1 {
-		return r.shards[0].Aggregate(series, minT, maxT)
-	}
 	results := make([]engine.Bucket, len(r.shards))
 	err := r.fanOut(func(i int, sh Shard) error {
 		b, err := sh.Aggregate(series, minT, maxT)
@@ -360,9 +345,6 @@ func (r *Router) Aggregate(series string, minT, maxT int64) (engine.Bucket, erro
 // inflate counts until the rebalance completes — the documented tradeoff for
 // pushing aggregation down to the shards instead of re-streaming raw points.
 func (r *Router) Downsample(series string, minT, maxT, window int64) ([]engine.Bucket, error) {
-	if len(r.shards) == 1 {
-		return r.shards[0].Downsample(series, minT, maxT, window)
-	}
 	if window <= 0 {
 		return nil, engine.ErrBadWindow
 	}

@@ -203,8 +203,8 @@ func compareBackends(t *testing.T, single, clustered *server.Client, intSeries, 
 	}
 }
 
-// shardInput stands up the four shards of a Router over a data root:
-// reopened over the same root, they serve what was written before.
+// shardInput stands up the shards of a Router over a data root: reopened
+// over the same root, they serve what was written before.
 type shardInput struct {
 	name string
 	// open returns the Router, a flush of every shard to disk and a close
@@ -212,14 +212,16 @@ type shardInput struct {
 	open func(t *testing.T, root string) (r *Router, flush, close func() error)
 }
 
-// localShards are in-process engine shards.
-var localShards = shardInput{name: "local", open: func(t *testing.T, root string) (*Router, func() error, func() error) {
-	router, err := Open(DefaultManifest(4), root, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return router, router.Flush, router.Close
-}}
+// localShards are n in-process engine shards.
+func localShards(name string, n int) shardInput {
+	return shardInput{name: name, open: func(t *testing.T, root string) (*Router, func() error, func() error) {
+		router, err := Open(DefaultManifest(n), root, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return router, router.Flush, router.Close
+	}}
+}
 
 // remoteShards are four bosservers, each server.New over its own engine
 // behind httptest, reached through RemoteShard: every read of the Router
@@ -269,12 +271,14 @@ var remoteShards = shardInput{name: "remote", open: func(t *testing.T, root stri
 	return router, flush, closeAll
 }}
 
-// The tentpole acceptance test: a 4-shard cluster answers every read
+// The cluster acceptance test: a 4-shard cluster answers every read
 // byte-identically to a single engine fed the same ingest — through fresh
 // writes, full compaction, and a close/reopen of every shard — whether its
-// shards are in-process engines or remote bosservers.
+// shards are in-process engines or remote bosservers. A one-shard Router
+// takes the same scatter-gather paths with a single source and must answer
+// identically too.
 func TestRouterMatchesSingleEngine(t *testing.T) {
-	for _, in := range []shardInput{localShards, remoteShards} {
+	for _, in := range []shardInput{localShards("local", 4), remoteShards, localShards("one-shard", 1)} {
 		t.Run(in.name, func(t *testing.T) { routerMatchesSingleEngine(t, in) })
 	}
 }
@@ -347,8 +351,8 @@ func routerMatchesSingleEngine(t *testing.T, in shardInput) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("stats shards = %d, want 4", len(st.Shards))
+	if len(st.Shards) != len(router.Shards()) {
+		t.Fatalf("stats shards = %d, want %d", len(st.Shards), len(router.Shards()))
 	}
 	var shardPoints int
 	for _, sh := range st.Shards {

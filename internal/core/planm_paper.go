@@ -101,3 +101,63 @@ func resolveThresholds(vals []int64, med int64, beta uint) Plan {
 		func(v int64) bool { return v < med && spread(v, med) >= uint64(1)<<beta },
 		func(v int64) bool { return v > med && spread(med, v) >= uint64(1)<<beta })
 }
+
+// resolveClasses builds the exact Plan for an arbitrary classification of
+// values into lower outliers / upper outliers / center.
+func resolveClasses(vals []int64, isLow, isHigh func(int64) bool) Plan {
+	n := len(vals)
+	p := Plan{N: n, Separated: true}
+	var haveL, haveU, haveC bool
+	var xmin, xmax int64
+	for i, v := range vals {
+		if i == 0 || v < xmin {
+			xmin = v
+		}
+		if i == 0 || v > xmax {
+			xmax = v
+		}
+	}
+	p.Xmin, p.Xmax = xmin, xmax
+	for _, v := range vals {
+		switch {
+		case isLow(v):
+			p.NL++
+			if !haveL || v > p.MaxXl {
+				p.MaxXl = v
+			}
+			haveL = true
+		case isHigh(v):
+			p.NU++
+			if !haveU || v < p.MinXu {
+				p.MinXu = v
+			}
+			haveU = true
+		default:
+			if !haveC || v < p.MinXc {
+				p.MinXc = v
+			}
+			if !haveC || v > p.MaxXc {
+				p.MaxXc = v
+			}
+			haveC = true
+		}
+	}
+	if p.NL == 0 && p.NU == 0 {
+		return plainPlan(vals)
+	}
+	var cost int64
+	if haveL {
+		p.Alpha = classWidth(spread(xmin, p.MaxXl))
+		cost += int64(p.NL) * int64(p.Alpha+1)
+	}
+	if haveU {
+		p.Gamma = classWidth(spread(p.MinXu, xmax))
+		cost += int64(p.NU) * int64(p.Gamma+1)
+	}
+	if haveC {
+		p.Beta = classWidth(spread(p.MinXc, p.MaxXc))
+		cost += int64(p.NC()) * int64(p.Beta)
+	}
+	p.CostBits = cost + int64(n)
+	return p
+}

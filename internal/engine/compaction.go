@@ -154,17 +154,6 @@ func (e *Engine) SnapshotCompaction(seqs []int) (*Compaction, error) {
 	return c, nil
 }
 
-// seriesIsFloat reports whether any snapshot file stores float chunks for the
-// series.
-func (c *Compaction) seriesIsFloat(name string) bool {
-	for _, df := range c.files {
-		if fileKind(df.reader, name) == floatCol.kind {
-			return true
-		}
-	}
-	return false
-}
-
 // mergedSeries is one series' merge result, encoded.
 type mergedSeries struct {
 	chunk      tsfile.EncodedChunk
@@ -211,7 +200,7 @@ func (c *Compaction) Merge(packerNames []string) error {
 	}
 	results := make([]mergedSeries, len(sorted))
 	fanOut(c.e.opt.encodeWorkers(), len(sorted), func(i int) {
-		if c.seriesIsFloat(sorted[i]) {
+		if c.e.kindOf(sorted[i]) == floatCol.kind {
 			results[i] = mergeSeries[float64](c, sorted[i], packerNames)
 		} else {
 			results[i] = mergeSeries[int64](c, sorted[i], packerNames)

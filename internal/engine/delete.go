@@ -115,11 +115,12 @@ func appendTombstonePayload(dst []byte, ts tombstone) []byte {
 	return dst
 }
 
-// appendTombstone writes a durable delete record directly (the flush-commit
-// re-append path, under walMu with walBusy waited out).
+// appendTombstone writes one framed delete record directly, outside any
+// commit group (the flush-commit re-append path, under walMu with walBusy
+// waited out).
 func (l *wal) appendTombstone(ts tombstone) error {
 	l.scratch = appendTombstonePayload(l.scratch[:0], ts)
-	return l.appendPayload(l.scratch)
+	return l.writeBuf(frameRecord(nil, l.scratch))
 }
 
 func decodeTombstonePayload(payload []byte) (tombstone, bool) {

@@ -254,7 +254,11 @@ func Open(opt Options) (*Engine, error) {
 			e.nextSeq = df.seq + 1
 		}
 		for _, name := range df.reader.Series() {
-			e.stripe(name).kinds[name] = fileKind(df.reader, name)
+			kind := intCol.kind
+			if _, float := df.reader.ValueKind(name); float {
+				kind = floatCol.kind
+			}
+			e.stripe(name).kinds[name] = kind
 		}
 	}
 	if !opt.DisableWAL {
@@ -445,19 +449,6 @@ func (e *Engine) eachBuffered(fn func(name, kind string, n int, minT, maxT int64
 		eachBuffered(&st.floats, floatCol.kind, fn)
 		st.mu.RUnlock()
 	}
-}
-
-// fileKind reports the value kind a data file stores for a series, "" when
-// the file does not hold it.
-func fileKind(r *tsfile.Reader, series string) string {
-	found, float := r.ValueKind(series)
-	switch {
-	case !found:
-		return ""
-	case float:
-		return floatCol.kind
-	}
-	return intCol.kind
 }
 
 func (e *Engine) closeFiles() {

@@ -136,6 +136,28 @@ func checkFloatsAgainstModel(t *testing.T, e *Engine, m model, name string, minT
 	}
 }
 
+// checkKindsAgainstModel checks SeriesKind of every named series: the kind
+// the model wrote when Series lists the series, "" otherwise.
+func checkKindsAgainstModel(t *testing.T, e *Engine, m model, names []string) {
+	t.Helper()
+	listed := map[string]bool{}
+	for _, name := range e.Series() {
+		listed[name] = true
+	}
+	for _, name := range names {
+		want := ""
+		if s, ok := m[name]; ok && listed[name] {
+			want = intCol.kind
+			if s.float {
+				want = floatCol.kind
+			}
+		}
+		if got := e.SeriesKind(name); got != want {
+			t.Fatalf("SeriesKind %s = %q, want %q (listed %v)", name, got, want, listed[name])
+		}
+	}
+}
+
 func samePointsAs(t *testing.T, what string, got, want []tsfile.Point) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -294,14 +316,15 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
 			checkFloatsAgainstModel(t, e, m, name, math.MinInt64, math.MaxInt64)
 			checkFloatsAgainstModel(t, e, m, name, lo, hi)
 		}
+		checkKindsAgainstModel(t, e, m, append(append([]string(nil), intNames...), floatNames...))
 	}
 }
 
 // TestEngineMatchesModel runs seeded random workloads over integer and float
 // series — batches with duplicate and out-of-order timestamps, flushes,
 // range deletes, compactions and close/reopen — and after every step
-// compares Query, multi-page QueryEach, QueryFloats and a whole-range
-// WindowAgg with the model. Three more seeds write in order, so whole-chunk
+// compares Query, multi-page QueryEach, QueryFloats, a whole-range
+// WindowAgg and SeriesKind with the model. Three more seeds write in order, so whole-chunk
 // runs, runs cut by the series' own tombstones, runs that reach a page end
 // and runs beside another series' tombstone are all checked too.
 func TestEngineMatchesModel(t *testing.T) {

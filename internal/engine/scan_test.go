@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -154,6 +155,62 @@ func TestSeriesStatsAndKind(t *testing.T) {
 	if k := e.SeriesKind("missing"); k != "" {
 		t.Fatalf("SeriesKind(missing) = %q", k)
 	}
+}
+
+// TestSeriesKindOfVanishedSeries deletes every point of two series, one
+// buffered and one on disk. SeriesKind answers a series' kind while a data
+// file still holds it, even masked, and "" once nothing holds it: after the
+// buffered points are pruned, and after the last file is compacted away,
+// also across a reopen.
+func TestSeriesKindOfVanishedSeries(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.Close() }()
+	kinds := func(when string, want map[string]string) {
+		t.Helper()
+		for name, k := range want {
+			if got := e.SeriesKind(name); got != k {
+				t.Fatalf("%s: SeriesKind(%s) = %q, want %q", when, name, got, k)
+			}
+		}
+	}
+	// Two files, so the compaction below has something to merge.
+	if err := e.InsertFloatBatch("disk", []tsfile.FloatPoint{{T: 1, V: 0.5}, {T: 2, V: 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Insert("kept", 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Insert("mem", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	kinds("written", map[string]string{"disk": "float", "kept": "int", "mem": "int"})
+	for _, name := range []string{"disk", "mem"} {
+		if err := e.DeleteRange(name, math.MinInt64, math.MaxInt64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kinds("deleted", map[string]string{"disk": "float", "kept": "int", "mem": ""})
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	kinds("compacted", map[string]string{"disk": "", "kept": "int", "mem": ""})
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, err = Open(Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	kinds("reopened", map[string]string{"disk": "", "kept": "int"})
 }
 
 // TestScanOpensOnlyOverlappingFiles flushes a series into F files with

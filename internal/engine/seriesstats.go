@@ -77,31 +77,36 @@ func (e *Engine) SeriesStats() []SeriesStat {
 }
 
 // SeriesKind reports the value kind of a series: "int", "float", or "" when
-// the series is unknown.
+// the series is unknown, that is when none of its points is buffered, in
+// flight or in a data file. The kind comes from the stripe's kind record;
+// the files are asked only whether one holds the series.
 func (e *Engine) SeriesKind(series string) string {
 	if e.closed.Load() {
 		return ""
 	}
 	st := e.stripe(series)
 	st.mu.RLock()
-	floats, ints := st.floats.buffered(series), st.ints.buffered(series)
+	kind := st.kinds[series]
+	buffered := st.ints.buffered(series)+st.floats.buffered(series) > 0
 	st.mu.RUnlock()
-	if floats > 0 {
-		return floatCol.kind
+	if kind == "" || buffered {
+		return kind
 	}
-	if ints > 0 {
-		return intCol.kind
-	}
-	kind := ""
 	e.structMu.RLock()
 	defer e.structMu.RUnlock()
 	for _, df := range e.files {
-		switch fileKind(df.reader, series) {
-		case floatCol.kind:
-			return floatCol.kind
-		case intCol.kind:
-			kind = intCol.kind
+		if df.reader.Overlaps(series, math.MinInt64, math.MaxInt64) {
+			return kind
 		}
 	}
-	return kind
+	return ""
+}
+
+// kindOf reports the kind record of a series: "" when the engine has never
+// seen it.
+func (e *Engine) kindOf(series string) string {
+	st := e.stripe(series)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.kinds[series]
 }

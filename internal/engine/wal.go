@@ -77,28 +77,6 @@ func (l *wal) writeBuf(buf []byte) error {
 	return nil
 }
 
-// appendPayload frames and writes one CRC-protected record directly (the
-// non-grouped path used for tombstone re-appends at flush commit).
-func (l *wal) appendPayload(payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("engine: wal: %w", err)
-	}
-	if _, err := l.w.Write(crc[:]); err != nil {
-		return fmt.Errorf("engine: wal: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("engine: wal: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("engine: wal: %w", err)
-	}
-	return nil
-}
-
 // sync forces the log to stable storage.
 func (l *wal) sync() error {
 	if err := l.w.Flush(); err != nil {

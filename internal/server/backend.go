@@ -15,9 +15,10 @@ import (
 // Methods mirror the engine API but uniformly return errors: a sharded
 // backend can fail partway through operations the in-process engine cannot.
 type Backend interface {
-	// InsertGrouped commits one coalesced commit group: every series of the
-	// group, already merged per series in request order. A sharded backend
-	// splits the group once by owning shard and commits shards in parallel.
+	// InsertGrouped commits one ingest request's points, grouped by series.
+	// The server calls it once per request, on the request's goroutine, so
+	// concurrent requests commit concurrently. A sharded backend splits the
+	// request once by owning shard and commits shards in parallel.
 	InsertGrouped(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) error
 	// QueryEach streams the merged points of a series in [minT, maxT] in
 	// time order through fn; fn returning an error aborts the scan.
@@ -86,9 +87,8 @@ type engineBackend struct {
 // single-node Server serves.
 func NewEngineBackend(eng *engine.Engine) Backend { return engineBackend{eng: eng} }
 
-// InsertGrouped inserts the group's series in sorted order, integers first —
-// the commit order the coalescer used before backends existed, kept so
-// last-write-wins stays deterministic.
+// InsertGrouped inserts the request's series in sorted order, integers
+// first, so one request's WAL records are written in a fixed order.
 func (b engineBackend) InsertGrouped(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) error {
 	for _, s := range sortedKeys(ints) {
 		if err := b.eng.InsertBatch(s, ints[s]); err != nil {

@@ -144,7 +144,8 @@ func (c *Client) IngestFloats(series string, pts []tsfile.FloatPoint) (IngestRes
 
 // IngestBatch posts many series — integer and float — as one line-protocol
 // payload, series in sorted order. This is the grouped form sharded routers
-// use: one request per shard per commit group instead of one per series.
+// use: each ingest request they route becomes one request per shard instead
+// of one per series.
 func (c *Client) IngestBatch(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) (IngestResponse, error) {
 	var body []byte
 	for _, s := range sortedKeys(ints) {

@@ -14,10 +14,11 @@ import (
 )
 
 // TestConcurrentIngestMatchesSequential runs 8 concurrent writer clients
-// (each split into interleaved shards to force the group committer to merge
-// across requests) while 4 reader clients query mid-ingest, then verifies
-// the stored result is byte-exact — the CSV wire form — against the same
-// points written sequentially by a single writer into a fresh engine.
+// (each split into interleaved shards, so requests of different writers
+// commit concurrently and share the engine's WAL commit groups) while 4
+// reader clients query mid-ingest, then verifies the stored result is
+// byte-exact — the CSV wire form — against the same points written
+// sequentially by a single writer into a fresh engine.
 func TestConcurrentIngestMatchesSequential(t *testing.T) {
 	const (
 		writers   = 8

@@ -1,6 +1,7 @@
 // Package server is the network serving layer over the storage engine: an
-// HTTP API (stdlib-only) with a batched line-protocol ingest path that
-// group-commits concurrent client batches, streaming range-scan / aggregate /
+// HTTP API (stdlib-only) with a batched line-protocol ingest path, each
+// request committed on its own handler (the engine's WAL group commit
+// batches concurrent requests), streaming range-scan / aggregate /
 // downsample query endpoints, stats and health reporting, and a typed Go
 // client. A range scan streams CSV, or a delta-varint point stream
 // (pointstream.go) to a client that asks for it, as the typed client does.
@@ -30,8 +31,8 @@ const (
 	// maxSeriesName bounds series name length; longer names are a client bug
 	// (or an attack), not data.
 	maxSeriesName = 512
-	// maxBatchPoints bounds one request's point count, keeping a single
-	// client from monopolizing the group committer.
+	// maxBatchPoints bounds one request's point count, and with it the
+	// memory and commit time one request can take.
 	maxBatchPoints = 1 << 20
 )
 

@@ -34,28 +34,29 @@ type Options struct {
 	Maintainer *maintain.Maintainer
 	// PackerName is reported by /stats (informational).
 	PackerName string
-	// MaxBodyBytes bounds one ingest request body (default 8 MiB).
-	MaxBodyBytes int64
 }
 
-func (o Options) maxBody() int64 {
-	if o.MaxBodyBytes <= 0 {
-		return 8 << 20
-	}
-	return o.MaxBodyBytes
-}
+// ErrShuttingDown reports an ingest submitted after shutdown began.
+var ErrShuttingDown = errors.New("server: shutting down")
 
-// Server is the HTTP serving layer: it owns the ingest group committer and
-// translates the HTTP API onto engine calls. Use Handler for the mux and
-// Close for graceful teardown (after http.Server.Shutdown has drained
-// connections).
+// Server is the HTTP serving layer: it translates the HTTP API onto backend
+// calls. Use Handler for the mux and Close for graceful teardown (after
+// http.Server.Shutdown has drained connections).
 type Server struct {
 	opt     Options
 	be      Backend
-	coal    *coalescer
 	mux     *http.ServeMux
 	start   time.Time
 	queries atomic.Int64
+
+	// commitMu is held shared by every ingest commit and exclusively by
+	// Close while it sets closed, so Close waits out the commits in flight
+	// and none starts after it.
+	commitMu sync.RWMutex
+	closed   bool
+	// Ingest counters for /stats, counted after a successful commit.
+	ingestPoints  atomic.Int64
+	ingestBatches atomic.Int64
 }
 
 // New builds a Server over a storage backend.
@@ -67,7 +68,6 @@ func New(opt Options) (*Server, error) {
 	s := &Server{
 		opt:   opt,
 		be:    be,
-		coal:  newCoalescer(be),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
@@ -86,12 +86,33 @@ func New(opt Options) (*Server, error) {
 // Handler returns the HTTP handler to mount.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains the ingest committer (every acknowledged write is in the
-// backend, and through its WAL, before Close returns) and flushes buffered
-// writes to disk. Call after the HTTP listener has stopped accepting work.
+// Close refuses further ingest with ErrShuttingDown, waits for the commits
+// in flight (every acknowledged write is then in the backend, and through
+// its WAL) and flushes buffered writes to disk. Call after the HTTP listener
+// has stopped accepting work.
 func (s *Server) Close() error {
-	s.coal.stop()
+	s.commitMu.Lock()
+	s.closed = true
+	s.commitMu.Unlock()
 	return s.be.Flush()
+}
+
+// commit hands one request's batch to the backend in one InsertGrouped call,
+// on the caller's goroutine. Concurrent requests reach the backend
+// concurrently; the engine's WAL group commit is what shares a log write and
+// an fsync between them. An error answers only this request.
+func (s *Server) commit(b *batch) error {
+	s.commitMu.RLock()
+	defer s.commitMu.RUnlock()
+	if s.closed {
+		return ErrShuttingDown
+	}
+	if err := s.be.InsertGrouped(b.ints, b.floats); err != nil {
+		return err
+	}
+	s.ingestPoints.Add(int64(b.points))
+	s.ingestBatches.Add(1)
+	return nil
 }
 
 // httpError writes a JSON error body with the given status.
@@ -113,7 +134,7 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.opt.maxBody()+1)
+	body, err := readBody(w, r, maxBodyBytes+1)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -123,9 +144,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
-	if int64(len(body)) > s.opt.maxBody() {
+	if int64(len(body)) > maxBodyBytes {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds %d bytes", s.opt.maxBody()))
+			fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
 		return
 	}
 	b, err := parseBatch(body)
@@ -137,7 +158,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, IngestResponse{})
 		return
 	}
-	if err := s.coal.submit(b); err != nil {
+	if err := s.commit(b); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, ErrShuttingDown) {
 			status = http.StatusServiceUnavailable
@@ -149,6 +170,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, IngestResponse{Points: b.points, Series: len(b.ints) + len(b.floats)})
 }
+
+// maxBodyBytes bounds one ingest request body; a larger one gets 413.
+// Tests lower it.
+var maxBodyBytes int64 = 8 << 20
 
 // ingestBodyIdle is how long an /ingest body may go without a byte arriving
 // before the request is cut with 408: as long as bosserver gives a client to
@@ -759,7 +784,10 @@ type StatsResponse struct {
 	BytesPerPoint float64 `json:"bytes_per_point,omitempty"`
 	IngestPoints  int64   `json:"ingest_points"`
 	IngestBatches int64   `json:"ingest_batches"`
-	IngestGroups  int64   `json:"ingest_groups"`
+	// IngestGroups counts backend commits. Each request commits on its
+	// own, so it equals IngestBatches; batching across requests happens in
+	// the engine's WAL group commit (WALRecords/WALGroups).
+	IngestGroups int64 `json:"ingest_groups"`
 	// WAL group-commit counters: records/groups is the batching factor the
 	// engine's commit groups achieve under the current write load.
 	WALGroups  int64 `json:"wal_groups"`
@@ -797,6 +825,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	batches := s.ingestBatches.Load()
 	resp := StatsResponse{
 		Packer:        s.opt.PackerName,
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -805,9 +834,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MemPoints:     st.MemPoints,
 		DiskPoints:    st.DiskPoints,
 		DiskBytes:     st.DiskBytes,
-		IngestPoints:  s.coal.points.Load(),
-		IngestBatches: s.coal.batches.Load(),
-		IngestGroups:  s.coal.groups.Load(),
+		IngestPoints:  s.ingestPoints.Load(),
+		IngestBatches: batches,
+		IngestGroups:  batches,
 		WALGroups:     st.WALGroups,
 		WALRecords:    st.WALRecords,
 		Queries:       s.queries.Load(),

@@ -137,20 +137,9 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("kind conflict: %v", err)
 	}
 	// Body size cap.
-	eng, err := engine.Open(engine.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	small, err := New(Options{Backend: NewEngineBackend(eng), MaxBodyBytes: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer small.Close()
-	ts := httptest.NewServer(small.Handler())
-	defer ts.Close()
-	sc := NewClient(ts.URL, ts.Client())
-	if _, err := sc.IngestLines([]byte("series,100,100000\nseries,200,2\n")); err == nil ||
+	defer func(n int64) { maxBodyBytes = n }(maxBodyBytes)
+	maxBodyBytes = 16
+	if _, err := c.IngestLines([]byte("series,100,100000\nseries,200,2\n")); err == nil ||
 		!strings.Contains(err.Error(), "413") {
 		t.Fatalf("oversized body: %v", err)
 	}
