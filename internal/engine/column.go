@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -139,10 +140,14 @@ func replay[V int64 | float64](e *Engine, col *column[V], series string, pts []t
 // dedupeSort returns a time-sorted copy of pts holding the last inserted
 // value for each timestamp (stable sort preserves insertion order within
 // equal times). It never sorts in place: queries share the in-flight flush
-// snapshot the encoder passes in.
+// snapshot the encoder passes in. A buffer already strictly increasing in
+// time, as every in-order writer's is, is only copied.
 func dedupeSort[V int64 | float64](pts []tsfile.Sample[V]) []tsfile.Sample[V] {
 	sorted := append([]tsfile.Sample[V](nil), pts...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
+	if increasing(sorted) {
+		return sorted
+	}
+	slices.SortStableFunc(sorted, func(a, b tsfile.Sample[V]) int { return cmp.Compare(a.T, b.T) })
 	out := sorted[:0]
 	for _, p := range sorted {
 		if len(out) > 0 && out[len(out)-1].T == p.T {
@@ -152,6 +157,16 @@ func dedupeSort[V int64 | float64](pts []tsfile.Sample[V]) []tsfile.Sample[V] {
 		out = append(out, p)
 	}
 	return out
+}
+
+// increasing reports whether pts is strictly increasing in time.
+func increasing[V int64 | float64](pts []tsfile.Sample[V]) bool {
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T <= pts[i-1].T {
+			return false
+		}
+	}
+	return true
 }
 
 // memSnapshot returns a deduped, sorted copy of the series' buffered points
@@ -199,9 +214,14 @@ func query[V int64 | float64](e *Engine, col *column[V], series string, minT, ma
 	return mergeFiles(e.files, e.tombs, series, minT, maxT, mem)
 }
 
+// maxMergeRoom bounds the room mergeFiles makes from the files' footers,
+// which a corrupt file could make claim any count.
+const maxMergeRoom = 1 << 20
+
 // mergeFiles merges one series over [minT, maxT] across files, oldest
 // first, then newest, with tsfile.Merge's newest-wins rule. Points that
-// tombs hide are dropped.
+// tombs hide are dropped. The answer is sized from the files' footers
+// (Reader.Estimate) and grows only past their estimate.
 func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64, newest []tsfile.Sample[V]) ([]tsfile.Sample[V], error) {
 	srcs, err := fileCursors[V](files, tombs, series, minT, maxT)
 	if err != nil {
@@ -211,8 +231,12 @@ func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series s
 		return nil, nil
 	}
 	m := tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor(newest))...)
-	var out []tsfile.Sample[V]
-	for more := true; more; {
+	n := len(newest)
+	for _, df := range files {
+		n += df.reader.Estimate(series, minT, maxT)
+	}
+	out, more := m.Fill(make([]tsfile.Sample[V], 0, min(n, maxMergeRoom)))
+	for more {
 		out, more = m.Fill(slices.Grow(out, max(len(out), 256)))
 	}
 	if err := m.Err(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bos/internal/engine"
@@ -282,22 +283,40 @@ func (c *Client) Query(series string, from, to int64) ([]tsfile.Point, error) {
 	return out, nil
 }
 
+// floatBufs holds QueryFloats' decode buffers: a scan decodes into one an
+// earlier scan grew, then copies its answer out at its exact length.
+var floatBufs = sync.Pool{New: func() any {
+	b := make([]tsfile.FloatPoint, 0, 4096)
+	return &b
+}}
+
+// maxPooledFloats is the largest decode buffer, in points, QueryFloats puts
+// back: 1 MiB.
+const maxPooledFloats = 1 << 16
+
 // QueryFloats returns the points of a series in [from, to] as floats; the
 // values of an integer series convert with float64(v).
 func (c *Client) QueryFloats(series string, from, to int64) ([]tsfile.FloatPoint, error) {
-	var out []tsfile.FloatPoint
+	bp := floatBufs.Get().(*[]tsfile.FloatPoint)
+	buf := (*bp)[:0]
 	err := c.scan(rangeQuery(series, from, to), kindFloat, func(kind byte, r *record) error {
 		v := r.f
 		if kind == kindInt {
 			v = float64(r.v)
 		}
-		out = append(out, tsfile.FloatPoint{T: r.t, V: v})
+		buf = append(buf, tsfile.FloatPoint{T: r.t, V: v})
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	var out []tsfile.FloatPoint
+	if err == nil && len(buf) > 0 {
+		out = make([]tsfile.FloatPoint, len(buf))
+		copy(out, buf)
 	}
-	return out, nil
+	if cap(buf) <= maxPooledFloats {
+		*bp = buf[:0]
+		floatBufs.Put(bp)
+	}
+	return out, err
 }
 
 // Agg fetches count/min/max/sum/avg for a series range.

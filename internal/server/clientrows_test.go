@@ -197,3 +197,36 @@ func TestClientIngestBodies(t *testing.T) {
 		t.Errorf("posted bodies\n%q\nwant\n%q", bodies, want)
 	}
 }
+
+// TestQueryFloatsExactLength checks that QueryFloats answers in a slice of
+// exactly its length, and that an answer stays intact after later scans
+// reuse the buffer it was decoded in.
+func TestQueryFloatsExactLength(t *testing.T) {
+	var want [2][]tsfile.FloatPoint
+	var c [2]*Client
+	for i := range want {
+		for k := 0; k < 4096+i; k++ {
+			want[i] = append(want[i], tsfile.FloatPoint{T: int64(k), V: float64(k*(i+1)) / 8})
+		}
+		c[i] = bodyClient(t, pointsMediaType, streamOf(kindFloat, func(cw *rowWriter) {
+			for _, p := range want[i] {
+				cw.writeFloat(p.T, p.V)
+			}
+		}))
+	}
+	var got [2][]tsfile.FloatPoint
+	for i := range got {
+		var err error
+		if got[i], err = c[i].QueryFloats("s", math.MinInt64, math.MaxInt64); err != nil {
+			t.Fatal(err)
+		}
+		if cap(got[i]) != len(got[i]) {
+			t.Errorf("scan %d: %d points in a slice of %d", i, len(got[i]), cap(got[i]))
+		}
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("scan %d: read %d points, want %d, or they differ", i, len(got[i]), len(want[i]))
+		}
+	}
+}

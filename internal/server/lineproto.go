@@ -43,14 +43,15 @@ type batch struct {
 	points int
 }
 
-func newBatch() *batch {
-	return &batch{ints: map[string][]tsfile.Point{}, floats: map[string][]tsfile.FloatPoint{}}
-}
-
 // parseBatch parses a full line-protocol request body. Errors carry the
-// 1-based line number. It never panics, whatever the input (fuzzed).
+// 1-based line number. It never panics, whatever the input (fuzzed), and the
+// batch keeps no reference into data.
+//
+// It makes one pass over the body with no per-line allocation or map
+// operation: a line's series name is compared with the previous line's,
+// names are interned once per series, and numbers are parsed from the bytes.
 func parseBatch(data []byte) (*batch, error) {
-	b := newBatch()
+	p := parser{room: lineRoom(data)}
 	line := 0
 	for len(data) > 0 {
 		line++
@@ -60,22 +61,49 @@ func parseBatch(data []byte) (*batch, error) {
 		} else {
 			row, data = data, nil
 		}
-		row = bytes.TrimRight(row, "\r")
-		row = bytes.TrimSpace(row)
+		row = bytes.TrimSpace(row) // '\r' included
 		if len(row) == 0 || row[0] == '#' {
 			continue
 		}
-		if err := b.addLine(row); err != nil {
+		if err := p.addLine(row); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
-		if b.points > maxBatchPoints {
+		if p.points > maxBatchPoints {
 			return nil, fmt.Errorf("line %d: batch exceeds %d points", line, maxBatchPoints)
 		}
 	}
-	return b, nil
+	return p.batch(), nil
 }
 
-func (b *batch) addLine(row []byte) error {
+// lineRoom bounds the points a body can hold: one per line, and a point's
+// line takes at least six bytes ("s,1,1" and its newline). The first
+// series' slice is made this large, so a one-series request never regrows
+// it; the byte bound keeps a body of blank lines from sizing it past about
+// three times the body.
+func lineRoom(data []byte) int {
+	return min(bytes.Count(data, []byte{'\n'})+1, (len(data)+1)/6, maxBatchPoints)
+}
+
+// seriesPoints is one series' points while its request is parsed: ints
+// until a float value joins the series, then floats.
+type seriesPoints struct {
+	name   string
+	ints   []tsfile.Point
+	floats []tsfile.FloatPoint
+}
+
+// parser builds one batch. Points go straight into the slice of the line's
+// series; index is consulted only when the series differs from the
+// previous line's.
+type parser struct {
+	list   []seriesPoints
+	cur    int            // list index of the previous line's series
+	index  map[string]int // list index by name, made at the second series
+	room   int            // capacity of the first slice made, then 0: later ones grow
+	points int
+}
+
+func (p *parser) addLine(row []byte) error {
 	c1 := bytes.IndexByte(row, ',')
 	if c1 < 0 {
 		return fmt.Errorf("want series,timestamp,value")
@@ -85,52 +113,171 @@ func (b *batch) addLine(row []byte) error {
 	if c2 < 0 {
 		return fmt.Errorf("want series,timestamp,value")
 	}
-	series := string(bytes.TrimSpace(row[:c1]))
-	if err := checkSeriesName(series); err != nil {
+	s, err := p.series(bytes.TrimSpace(row[:c1]))
+	if err != nil {
 		return err
 	}
-	tsText := string(bytes.TrimSpace(rest[:c2]))
-	t, err := strconv.ParseInt(tsText, 10, 64)
+	tsText := bytes.TrimSpace(rest[:c2])
+	t, err := parseInt(tsText)
 	if err != nil {
 		return fmt.Errorf("timestamp %q: %w", tsText, err)
 	}
-	valText := string(bytes.TrimSpace(rest[c2+1:]))
+	valText := bytes.TrimSpace(rest[c2+1:])
 	if len(valText) == 0 {
 		return fmt.Errorf("empty value")
 	}
 	if isFloatSyntax(valText) {
-		v, err := parseDecimalFloat(valText)
+		v, err := parseFloat(valText)
 		if err != nil {
 			return err
 		}
-		b.addFloat(series, tsfile.FloatPoint{T: t, V: v})
+		p.addFloat(s, tsfile.FloatPoint{T: t, V: v})
 		return nil
 	}
-	v, err := strconv.ParseInt(valText, 10, 64)
+	v, err := parseInt(valText)
 	if err != nil {
 		return fmt.Errorf("value %q: %w", valText, err)
 	}
-	if len(b.floats[series]) > 0 {
+	if len(s.floats) > 0 {
 		// The series is float in this batch; promote, matching what the
 		// client's float formatter may emit for whole numbers.
-		b.addFloat(series, tsfile.FloatPoint{T: t, V: float64(v)})
+		p.addFloat(s, tsfile.FloatPoint{T: t, V: float64(v)})
 		return nil
 	}
-	b.ints[series] = append(b.ints[series], tsfile.Point{T: t, V: v})
-	b.points++
+	if s.ints == nil {
+		s.ints = make([]tsfile.Point, 0, p.room)
+		p.room = 0
+	}
+	s.ints = append(s.ints, tsfile.Point{T: t, V: v})
+	p.points++
 	return nil
 }
 
-func (b *batch) addFloat(series string, p tsfile.FloatPoint) {
-	if pts := b.ints[series]; len(pts) > 0 {
-		// Earlier integer-looking values of this batch join the float series.
-		for _, ip := range pts {
-			b.floats[series] = append(b.floats[series], tsfile.FloatPoint{T: ip.T, V: float64(ip.V)})
+func (p *parser) addFloat(s *seriesPoints, fp tsfile.FloatPoint) {
+	if s.floats == nil {
+		// Earlier integer-looking values of this batch join the float
+		// series, in a slice as large as theirs.
+		s.floats = make([]tsfile.FloatPoint, len(s.ints), cap(s.ints)+p.room)
+		p.room = 0
+		for i, ip := range s.ints {
+			s.floats[i] = tsfile.FloatPoint{T: ip.T, V: float64(ip.V)}
 		}
-		delete(b.ints, series)
+		s.ints = nil
 	}
-	b.floats[series] = append(b.floats[series], p)
-	b.points++
+	s.floats = append(s.floats, fp)
+	p.points++
+}
+
+// series returns the points of the series named name: the previous line's
+// when the name repeats, else the one the index holds, else a new series
+// whose name is checked and interned.
+func (p *parser) series(name []byte) (*seriesPoints, error) {
+	if len(p.list) > 0 && string(name) == p.list[p.cur].name {
+		return &p.list[p.cur], nil
+	}
+	if i, ok := p.index[string(name)]; ok {
+		p.cur = i
+		return &p.list[i], nil
+	}
+	s := string(name)
+	if err := checkSeriesName(s); err != nil {
+		return nil, err
+	}
+	if len(p.list) == 1 {
+		p.index = map[string]int{p.list[0].name: 0}
+	}
+	if p.index != nil {
+		p.index[s] = len(p.list)
+	}
+	p.cur = len(p.list)
+	p.list = append(p.list, seriesPoints{name: s})
+	return &p.list[p.cur], nil
+}
+
+// batch hands the parsed series over, each in the map of its kind. Every
+// series in the list holds points: a line that names a new series and then
+// fails ends the parse.
+func (p *parser) batch() *batch {
+	b := &batch{ints: map[string][]tsfile.Point{}, floats: map[string][]tsfile.FloatPoint{}, points: p.points}
+	for _, s := range p.list {
+		if len(s.floats) > 0 {
+			b.floats[s.name] = s.floats
+		} else {
+			b.ints[s.name] = s.ints
+		}
+	}
+	return b
+}
+
+// parseInt parses a base-10 int64 exactly as strconv.ParseInt(string(s),
+// 10, 64) does. Up to 18 digits cannot overflow, so they are read here; 19
+// or more digits and bad syntax go to ParseInt, whose value or error stands.
+func parseInt(s []byte) (int64, error) {
+	d := s
+	if len(d) > 0 && (d[0] == '+' || d[0] == '-') {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 18 {
+		return strconv.ParseInt(string(s), 10, 64)
+	}
+	var n int64
+	for _, c := range d {
+		c -= '0'
+		if c > 9 {
+			return strconv.ParseInt(string(s), 10, 64)
+		}
+		n = n*10 + int64(c)
+	}
+	if s[0] == '-' {
+		n = -n
+	}
+	return n, nil
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseFloat parses a value in the float syntax. A decimal without an
+// exponent, with at most 15 significant digits and at most 22 after the
+// dot, is m / 10^k with both m and 10^k exact in float64, so one correctly
+// rounded division gives the value strconv.ParseFloat would (Clinger's fast
+// path). Every other value goes through parseDecimalFloat.
+func parseFloat(s []byte) (float64, error) {
+	i := 0
+	if s[0] == '+' || s[0] == '-' {
+		i++
+	}
+	var m uint64
+	digits, sig, frac, dot := 0, 0, 0, false
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			m = m*10 + uint64(c-'0')
+			digits++
+			if m != 0 {
+				sig++
+			}
+			if dot {
+				frac++
+			}
+			if sig > 15 || frac >= len(pow10) {
+				return parseDecimalFloat(s)
+			}
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return parseDecimalFloat(s)
+		}
+	}
+	if digits == 0 {
+		return parseDecimalFloat(s)
+	}
+	v := float64(m) / pow10[frac]
+	if s[0] == '-' {
+		v = -v
+	}
+	return v, nil
 }
 
 // checkSeriesName rejects names that would corrupt the CSV wire format or
@@ -151,7 +298,7 @@ func checkSeriesName(s string) error {
 }
 
 // isFloatSyntax reports whether the value text selects the float path.
-func isFloatSyntax(s string) bool {
+func isFloatSyntax[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '.', 'e', 'E':
@@ -165,7 +312,7 @@ func isFloatSyntax(s string) bool {
 // with at most one dot, optional e/E exponent. NaN, Inf, hex floats and
 // underscores — all accepted by strconv.ParseFloat — are rejected here, and
 // out-of-range magnitudes error instead of rounding to ±Inf.
-func parseDecimalFloat(s string) (float64, error) {
+func parseDecimalFloat[T string | []byte](s T) (float64, error) {
 	i, n := 0, len(s)
 	if i < n && (s[i] == '+' || s[i] == '-') {
 		i++
@@ -203,7 +350,7 @@ exponent:
 			}
 		}
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(string(s), 64)
 	if err != nil {
 		return 0, fmt.Errorf("value %q: %v", s, err)
 	}

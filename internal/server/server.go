@@ -134,24 +134,12 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, maxBodyBytes+1)
+	b, status, err := readBatch(w, r)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			status = http.StatusRequestTimeout
+		if status == http.StatusRequestTimeout {
 			w.Header().Set("Connection", "close")
 		}
 		httpError(w, status, err)
-		return
-	}
-	if int64(len(body)) > maxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
-		return
-	}
-	b, err := parseBatch(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if b.points == 0 {
@@ -180,20 +168,60 @@ var maxBodyBytes int64 = 8 << 20
 // send its headers.
 var ingestBodyIdle = 10 * time.Second
 
-// readBody reads at most limit bytes of r's body. While it reads, the
-// connection's read deadline stays ingestBodyIdle past the last bytes that
-// arrived, so a body that stops arriving is cut and one that trickles in is
-// not, however long it takes in all. The deadline is cleared once the body
-// is read; after a failed read it stays, so the server drops the connection
-// instead of waiting for the rest of the body. A connection that takes no
-// deadline reads as io.ReadAll does.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBatch reads and parses an /ingest body, or returns the status that
+// refuses it. The body is read into a buffer from bodyBufs, which goes back
+// to the pool before readBatch returns: the batch keeps no reference into
+// it.
+func readBatch(w http.ResponseWriter, r *http.Request) (*batch, int, error) {
+	bp := bodyBufs.Get().(*[]byte)
+	body, err := readBody(w, r, (*bp)[:0], maxBodyBytes+1)
+	defer putBody(bp, body)
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return nil, http.StatusRequestTimeout, err
+	case err != nil:
+		return nil, http.StatusBadRequest, err
+	case int64(len(body)) > maxBodyBytes:
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+	}
+	b, err := parseBatch(body)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return b, 0, nil
+}
+
+// bodyBufs holds /ingest body buffers, so steady ingest reads each body
+// into a buffer an earlier request grew instead of growing a new one.
+var bodyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxPooledBody is the largest body buffer putBody keeps: a rare large
+// request does not leave its buffer held for every later one.
+const maxPooledBody = 1 << 20
+
+// putBody returns a body buffer to bodyBufs, unless it grew past
+// maxPooledBody.
+func putBody(bp *[]byte, body []byte) {
+	if cap(body) <= maxPooledBody {
+		*bp = body[:0]
+		bodyBufs.Put(bp)
+	}
+}
+
+// readBody appends at most limit bytes of r's body to buf, growing it only
+// as bytes arrive. While it reads, the connection's read deadline stays
+// ingestBodyIdle past the last bytes that arrived, so a body that stops
+// arriving is cut and one that trickles in is not, however long it takes in
+// all. The deadline is cleared once the body is read; after a failed read it
+// stays, so the server drops the connection instead of waiting for the rest
+// of the body. A connection that takes no deadline is read to its end.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte, limit int64) ([]byte, error) {
 	body := io.LimitReader(r.Body, limit)
 	rc := http.NewResponseController(w)
-	if err := rc.SetReadDeadline(time.Now().Add(ingestBodyIdle)); err != nil {
-		return io.ReadAll(body)
-	}
-	buf := make([]byte, 0, 512)
+	timed := rc.SetReadDeadline(time.Now().Add(ingestBodyIdle)) == nil
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -201,12 +229,15 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
+			if !timed {
+				return buf, nil
+			}
 			return buf, rc.SetReadDeadline(time.Time{})
 		}
 		if err != nil {
 			return buf, err
 		}
-		if n > 0 {
+		if n > 0 && timed {
 			if err := rc.SetReadDeadline(time.Now().Add(ingestBodyIdle)); err != nil {
 				return buf, err
 			}

@@ -2,6 +2,7 @@ package tsfile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -43,6 +44,25 @@ func (r *Reader) Overlaps(series string, minT, maxT int64) bool {
 		}
 	}
 	return false
+}
+
+// Estimate returns about how many points of series r holds in [minT, maxT]:
+// each overlapping chunk's count scaled by the share of its time span the
+// range covers, rounded up, so evenly spaced points are not undercounted.
+// Like Overlaps it reads only the footer index, whose counts are not checked
+// until a chunk is decoded: a caller sizing an allocation from the estimate
+// bounds it.
+func (r *Reader) Estimate(series string, minT, maxT int64) int {
+	n := 0.0
+	for _, m := range r.index[series] {
+		lo, hi := max(m.MinT, minT), min(m.MaxT, maxT)
+		if lo > hi || m.Count <= 0 {
+			continue
+		}
+		share := (float64(uint64(hi-lo)) + 1) / (float64(uint64(m.MaxT-m.MinT)) + 1)
+		n += math.Ceil(share * float64(m.Count))
+	}
+	return int(min(n, math.MaxInt32))
 }
 
 // Next advances to the next point; it returns false at the end of the scan
