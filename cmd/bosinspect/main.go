@@ -166,6 +166,9 @@ func inspectTSF(w io.Writer, data []byte) error {
 			kind := map[byte]string{0: "int", 1: "scaled", 2: "raw"}[m.Kind]
 			packer := m.Packer
 			if packer == "" {
+				packer = r.DefaultPacker()
+			}
+			if packer == "" {
 				packer = "default"
 			}
 			fmt.Fprintf(w, "  chunk %3d: %-6s packer=%-10s n=%-6d t=[%d,%d] %d bytes",

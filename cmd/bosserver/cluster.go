@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"bos/internal/cluster"
 	"bos/internal/engine"
-	"bos/internal/maintain"
-	"bos/internal/server"
 )
 
 // Cluster mode: -cluster N (or -shard-map path) swaps the single engine for
@@ -52,43 +49,6 @@ func loadOrInitManifest(dir, mapPath string, n int) (*cluster.Manifest, string, 
 	return man, mapPath, nil
 }
 
-// openRouter opens every shard in the manifest: local shards get their own
-// engine (and, when maintCfg is set, their own maintenance loop, started);
-// remote shards get a retrying client. On any failure the already-open
-// shards are closed.
-func openRouter(man *cluster.Manifest, root string, opt engine.Options, maintCfg *maintain.Config) (*cluster.Router, error) {
-	shards := make([]cluster.Shard, 0, len(man.Shards))
-	fail := func(err error) (*cluster.Router, error) {
-		for _, s := range shards {
-			s.Close() // best-effort unwind after a failed open
-		}
-		return nil, err
-	}
-	for _, spec := range man.Shards {
-		switch spec.Backend {
-		case cluster.BackendLocal:
-			o := opt
-			o.Dir = cluster.ResolveDir(root, spec.Dir)
-			eng, err := engine.Open(o)
-			if err != nil {
-				return fail(fmt.Errorf("bosserver: shard %d: %w", spec.ID, err))
-			}
-			var mnt *maintain.Maintainer
-			if maintCfg != nil {
-				mnt = maintain.New(eng, *maintCfg)
-				mnt.Start()
-			}
-			shards = append(shards, cluster.NewLocalShard(eng, mnt, o.Dir))
-		case cluster.BackendRemote:
-			shards = append(shards, cluster.NewRemoteShard(spec.Addr, nil,
-				server.WithRetry(3, 50*time.Millisecond)))
-		default:
-			return fail(fmt.Errorf("bosserver: shard %d: unknown backend %q", spec.ID, spec.Backend))
-		}
-	}
-	return cluster.New(man, shards)
-}
-
 // runRebalance plans (offline) the moves from the serving shard map to the
 // map at newMapPath, over the series currently in the cluster, and prints the
 // plan as JSON. It never moves data.
@@ -97,7 +57,7 @@ func runRebalance(man *cluster.Manifest, root string, opt engine.Options, newMap
 	if err != nil {
 		return err
 	}
-	router, err := openRouter(man, root, opt, nil)
+	router, err := cluster.Open(man, root, opt, nil)
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"bos/internal/cluster"
 	"bos/internal/engine"
 	"bos/internal/maintain"
 	"bos/internal/packers"
@@ -111,7 +112,7 @@ func main() {
 		if *doMaint {
 			mc = &maintCfg
 		}
-		router, err := openRouter(man, *dir, engOpts, mc)
+		router, err := cluster.Open(man, *dir, engOpts, mc)
 		if err != nil {
 			fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // among non-owners the highest shard ID wins. The points are written
 // straight into the shard engines, bypassing ring placement.
 func TestRouterCollisionRule(t *testing.T) {
-	router, err := Open(DefaultManifest(4), t.TempDir(), engine.Options{})
+	router, err := Open(DefaultManifest(4), t.TempDir(), engine.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

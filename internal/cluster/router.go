@@ -3,10 +3,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"bos/internal/engine"
+	"bos/internal/maintain"
+	"bos/internal/pushdown"
 	"bos/internal/server"
 	"bos/internal/tsfile"
 )
@@ -48,32 +52,43 @@ func New(man *Manifest, shards []Shard) (*Router, error) {
 	return &Router{man: man, ring: man.Ring(), shards: shards}, nil
 }
 
-// Open builds a Router of in-process engine shards from an all-local
-// manifest: one engine per shard under root, sharing opt (Dir is overridden
-// per shard). Remote specs are rejected — callers that mix backends
-// construct the shard slice themselves and use New.
-func Open(man *Manifest, root string, opt engine.Options) (*Router, error) {
+// A remote shard opened from a shard map retries a failed request up to
+// remoteAttempts times in all, backing off from remoteBackoff.
+const (
+	remoteAttempts = 3
+	remoteBackoff  = 50 * time.Millisecond
+)
+
+// Open opens every shard of a manifest and routes over them. A local shard
+// gets its own engine under root, sharing opt (Dir is set per shard), and,
+// when maint is set, its own maintainer, started. A remote shard gets a
+// retrying client. Validate rejects any other backend. On any failure the
+// shards already open are closed.
+func Open(man *Manifest, root string, opt engine.Options, maint *maintain.Config) (*Router, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
 	shards := make([]Shard, 0, len(man.Shards))
-	fail := func(err error) (*Router, error) {
-		for _, s := range shards {
-			s.Close() // best-effort unwind after a failed open
-		}
-		return nil, err
-	}
 	for _, spec := range man.Shards {
-		if spec.Backend != BackendLocal {
-			return fail(fmt.Errorf("cluster: Open supports local shards only; shard %d is %q", spec.ID, spec.Backend))
+		if spec.Backend == BackendRemote {
+			shards = append(shards, NewRemoteShard(spec.Addr, nil, server.WithRetry(remoteAttempts, remoteBackoff)))
+			continue
 		}
 		o := opt
 		o.Dir = ResolveDir(root, spec.Dir)
 		eng, err := engine.Open(o)
 		if err != nil {
-			return fail(fmt.Errorf("cluster: shard %d: %w", spec.ID, err))
+			for _, s := range shards {
+				s.Close() // best-effort unwind after a failed open
+			}
+			return nil, fmt.Errorf("cluster: shard %d: %w", spec.ID, err)
 		}
-		shards = append(shards, NewLocalShard(eng, nil, o.Dir))
+		var mnt *maintain.Maintainer
+		if maint != nil {
+			mnt = maintain.New(eng, *maint)
+			mnt.Start()
+		}
+		shards = append(shards, NewLocalShard(eng, mnt, o.Dir))
 	}
 	return New(man, shards)
 }
@@ -90,31 +105,32 @@ func (r *Router) Owner(series string) int { return r.ring.Owner(series) }
 // Close closes every shard (local engines flush and release; remote shards
 // are no-ops), joining errors.
 func (r *Router) Close() error {
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sh := range r.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			errs[i] = sh.Close()
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return r.each(func(_ int, sh Shard) error { return sh.Close() })
 }
 
-// fanOut runs fn per shard concurrently and joins the errors.
-func (r *Router) fanOut(fn func(i int, sh Shard) error) error {
-	errs := make([]error, len(r.shards))
+// gather calls fn on every shard concurrently and returns each shard's
+// answer and error, indexed by shard ID. Every Router call that answers
+// whole fans out through it; scans stream through scatterMerge instead.
+func gather[T any](shards []Shard, fn func(i int, sh Shard) (T, error)) ([]T, []error) {
+	out := make([]T, len(shards))
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for i, sh := range r.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
+	wg.Add(len(shards))
+	for i, sh := range shards {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(i, sh)
-		}(i, sh)
+			out[i], errs[i] = fn(i, sh)
+		}()
 	}
 	wg.Wait()
+	return out, errs
+}
+
+// each calls fn on every shard concurrently and joins the errors.
+func (r *Router) each(fn func(i int, sh Shard) error) error {
+	_, errs := gather(r.shards, func(i int, sh Shard) (struct{}, error) {
+		return struct{}{}, fn(i, sh)
+	})
 	return errors.Join(errs...)
 }
 
@@ -124,28 +140,27 @@ func (r *Router) fanOut(fn func(i int, sh Shard) error) error {
 // replays are last-write-wins), but every shard still gets its slice, so one
 // slow or broken shard cannot hold another shard's data hostage.
 func (r *Router) InsertGrouped(ints map[string][]tsfile.Point, floats map[string][]tsfile.FloatPoint) error {
-	perInts := make([]map[string][]tsfile.Point, len(r.shards))
-	perFloats := make([]map[string][]tsfile.FloatPoint, len(r.shards))
-	for name, pts := range ints {
-		i := r.ring.Owner(name)
-		if perInts[i] == nil {
-			perInts[i] = map[string][]tsfile.Point{}
-		}
-		perInts[i][name] = pts
-	}
-	for name, pts := range floats {
-		i := r.ring.Owner(name)
-		if perFloats[i] == nil {
-			perFloats[i] = map[string][]tsfile.FloatPoint{}
-		}
-		perFloats[i][name] = pts
-	}
-	return r.fanOut(func(i int, sh Shard) error {
+	perInts, perFloats := byOwner(r.ring, len(r.shards), ints), byOwner(r.ring, len(r.shards), floats)
+	return r.each(func(i int, sh Shard) error {
 		if perInts[i] == nil && perFloats[i] == nil {
 			return nil
 		}
 		return sh.InsertGrouped(perInts[i], perFloats[i])
 	})
+}
+
+// byOwner splits a batch by owning shard; a shard that owns none of its
+// series gets nil.
+func byOwner[V int64 | float64](ring *Ring, n int, batch map[string][]tsfile.Sample[V]) []map[string][]tsfile.Sample[V] {
+	out := make([]map[string][]tsfile.Sample[V], n)
+	for name, pts := range batch {
+		i := ring.Owner(name)
+		if out[i] == nil {
+			out[i] = map[string][]tsfile.Sample[V]{}
+		}
+		out[i][name] = pts
+	}
+	return out
 }
 
 // streamPage is the point-batch size shard streams hand to the merge; big
@@ -304,39 +319,25 @@ func (r *Router) QueryFloats(series string, minT, maxT int64) ([]tsfile.FloatPoi
 	return out, nil
 }
 
-// Aggregate fans the whole-range fold out per shard and merges the single
-// buckets (summed count/sum, widened min/max — empty shards contribute
+// Aggregate fans the whole-range fold out per shard and folds the single
+// buckets through the engine's window accumulator (empty shards contribute
 // nothing, so a lone-shard answer passes through untouched). Mid-move
 // double-counting matches Downsample's documented tradeoff.
 func (r *Router) Aggregate(series string, minT, maxT int64) (engine.Bucket, error) {
-	results := make([]engine.Bucket, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
-		b, err := sh.Aggregate(series, minT, maxT)
-		results[i] = b
-		return err
+	parts, errs := gather(r.shards, func(_ int, sh Shard) (engine.Bucket, error) {
+		return sh.Aggregate(series, minT, maxT)
 	})
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return engine.Bucket{}, err
 	}
-	sum := engine.Bucket{Start: minT}
-	for _, b := range results {
-		if b.Count == 0 {
-			continue
-		}
-		if sum.Count == 0 {
-			sum.Count, sum.Min, sum.Max, sum.Sum = b.Count, b.Min, b.Max, b.Sum
-			continue
-		}
-		sum.Count += b.Count
-		sum.Sum += b.Sum
-		if b.Min < sum.Min {
-			sum.Min = b.Min
-		}
-		if b.Max > sum.Max {
-			sum.Max = b.Max
-		}
+	w := pushdown.NewWindows(minT, 0)
+	for _, b := range parts {
+		w.AddBucket(b)
 	}
-	return sum, nil
+	if sum := w.Buckets(); len(sum) > 0 {
+		return sum[0], nil
+	}
+	return engine.Bucket{Start: minT}, nil
 }
 
 // Downsample fans the windowed aggregation out per shard and merges buckets
@@ -348,84 +349,41 @@ func (r *Router) Downsample(series string, minT, maxT, window int64) ([]engine.B
 	if window <= 0 {
 		return nil, engine.ErrBadWindow
 	}
-	results := make([][]engine.Bucket, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
-		buckets, err := sh.Downsample(series, minT, maxT, window)
-		results[i] = buckets
-		return err
+	parts, errs := gather(r.shards, func(_ int, sh Shard) ([]engine.Bucket, error) {
+		return sh.Downsample(series, minT, maxT, window)
 	})
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	merged := map[int64]engine.Bucket{}
-	for _, buckets := range results {
+	w := pushdown.NewWindows(minT, window)
+	for _, buckets := range parts {
 		for _, b := range buckets {
-			cur, ok := merged[b.Start]
-			if !ok {
-				merged[b.Start] = b
-				continue
-			}
-			cur.Count += b.Count
-			cur.Sum += b.Sum
-			if b.Min < cur.Min {
-				cur.Min = b.Min
-			}
-			if b.Max > cur.Max {
-				cur.Max = b.Max
-			}
-			merged[b.Start] = cur
+			w.AddBucket(b)
 		}
 	}
-	out := make([]engine.Bucket, 0, len(merged))
-	for _, b := range merged {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out, nil
+	return w.Buckets(), nil
 }
 
 // Series unions every shard's series names, sorted.
 func (r *Router) Series() ([]string, error) {
-	results := make([][]string, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
-		names, err := sh.Series()
-		results[i] = names
-		return err
-	})
-	if err != nil {
+	parts, errs := gather(r.shards, func(_ int, sh Shard) ([]string, error) { return sh.Series() })
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	set := map[string]bool{}
-	for _, names := range results {
-		for _, n := range names {
-			set[n] = true
-		}
+	out := []string{}
+	for _, names := range parts {
+		out = append(out, names...)
 	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // SeriesKind asks every shard; the owner's answer wins, any other non-empty
 // answer covers a series mid-move. Shard errors are ignored as long as some
 // shard knows the series — a healthy answer beats a degraded unknown.
 func (r *Router) SeriesKind(series string) (string, error) {
-	owner := r.ring.Owner(series)
-	kinds := make([]string, len(r.shards))
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sh := range r.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			kinds[i], errs[i] = sh.SeriesKind(series)
-		}(i, sh)
-	}
-	wg.Wait()
-	if errs[owner] == nil && kinds[owner] != "" {
+	kinds, errs := gather(r.shards, func(_ int, sh Shard) (string, error) { return sh.SeriesKind(series) })
+	if owner := r.ring.Owner(series); errs[owner] == nil && kinds[owner] != "" {
 		return kinds[owner], nil
 	}
 	for i, k := range kinds {
@@ -439,13 +397,8 @@ func (r *Router) SeriesKind(series string) (string, error) {
 // SeriesStats merges per-series footprints across shards (summed sizes,
 // widened time bounds), sorted by name.
 func (r *Router) SeriesStats() ([]engine.SeriesStat, error) {
-	results := make([][]engine.SeriesStat, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
-		stats, err := sh.SeriesStats()
-		results[i] = stats
-		return err
-	})
-	if err != nil {
+	results, errs := gather(r.shards, func(_ int, sh Shard) ([]engine.SeriesStat, error) { return sh.SeriesStats() })
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	merged := map[string]engine.SeriesStat{}
@@ -484,13 +437,8 @@ func (r *Router) SeriesStats() ([]engine.SeriesStat, error) {
 // sums per-shard counts (exact in steady state, where a series lives on one
 // shard).
 func (r *Router) Stats() (engine.Stats, error) {
-	stats := make([]engine.Stats, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
-		st, err := sh.Stats()
-		stats[i] = st
-		return err
-	})
-	if err != nil {
+	stats, errs := gather(r.shards, func(_ int, sh Shard) (engine.Stats, error) { return sh.Stats() })
+	if err := errors.Join(errs...); err != nil {
 		return engine.Stats{}, err
 	}
 	var sum engine.Stats
@@ -520,13 +468,8 @@ func (r *Router) Stats() (engine.Stats, error) {
 
 // CompactAll compacts every shard in parallel and sums the results.
 func (r *Router) CompactAll() (engine.CompactStats, error) {
-	stats := make([]engine.CompactStats, len(r.shards))
-	err := r.fanOut(func(i int, sh Shard) error {
-		st, err := sh.CompactAll()
-		stats[i] = st
-		return err
-	})
-	if err != nil {
+	stats, errs := gather(r.shards, func(_ int, sh Shard) (engine.CompactStats, error) { return sh.CompactAll() })
+	if err := errors.Join(errs...); err != nil {
 		return engine.CompactStats{}, err
 	}
 	var sum engine.CompactStats
@@ -548,45 +491,36 @@ func (r *Router) CompactAll() (engine.CompactStats, error) {
 
 // Flush flushes every shard in parallel.
 func (r *Router) Flush() error {
-	return r.fanOut(func(i int, sh Shard) error { return sh.Flush() })
+	return r.each(func(_ int, sh Shard) error { return sh.Flush() })
 }
 
 // ShardStatuses reports per-shard health and footprint for /stats and
 // /healthz. A shard that fails its health or stats probe reports unhealthy
-// with the error; the others report normally.
+// with the error; the others report normally. Stats is asked only of a
+// healthy shard.
 func (r *Router) ShardStatuses() []server.ShardStatus {
-	out := make([]server.ShardStatus, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sh := range r.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			st := server.ShardStatus{
-				ID:      i,
-				Backend: r.man.Shards[i].Backend,
-				Target:  sh.Target(),
-				Healthy: true,
-			}
-			if err := sh.Health(); err != nil {
-				st.Healthy = false
-				st.Error = err.Error()
-			} else if es, err := sh.Stats(); err != nil {
-				st.Healthy = false
-				st.Error = err.Error()
-			} else {
-				st.SeriesCount = es.SeriesCount
-				st.MemPoints = es.MemPoints
-				st.DiskPoints = es.DiskPoints
-				st.DiskBytes = es.DiskBytes
-				st.Files = es.Files
-				st.CacheHits = es.Cache.Hits
-				st.CacheMisses = es.Cache.Misses
-				st.WALGroups = es.WALGroups
-				st.WALRecords = es.WALRecords
-			}
-			out[i] = st
-		}(i, sh)
-	}
-	wg.Wait()
+	out, _ := gather(r.shards, func(i int, sh Shard) (server.ShardStatus, error) {
+		st := server.ShardStatus{ID: i, Backend: r.man.Shards[i].Backend, Target: sh.Target()}
+		err := sh.Health()
+		var es engine.Stats
+		if err == nil {
+			es, err = sh.Stats()
+		}
+		if err != nil {
+			st.Error = err.Error()
+			return st, nil
+		}
+		st.Healthy = true
+		st.SeriesCount = es.SeriesCount
+		st.MemPoints = es.MemPoints
+		st.DiskPoints = es.DiskPoints
+		st.DiskBytes = es.DiskBytes
+		st.Files = es.Files
+		st.CacheHits = es.Cache.Hits
+		st.CacheMisses = es.Cache.Misses
+		st.WALGroups = es.WALGroups
+		st.WALRecords = es.WALRecords
+		return st, nil
+	})
 	return out
 }

@@ -215,7 +215,7 @@ type shardInput struct {
 // localShards are n in-process engine shards.
 func localShards(name string, n int) shardInput {
 	return shardInput{name: name, open: func(t *testing.T, root string) (*Router, func() error, func() error) {
-		router, err := Open(DefaultManifest(n), root, engine.Options{})
+		router, err := Open(DefaultManifest(n), root, engine.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestRouterConcurrentIngestQuery(t *testing.T) {
 
 	// A small flush threshold makes every shard flush while writers post
 	// and readers scan.
-	router, err := Open(DefaultManifest(4), t.TempDir(), engine.Options{FlushThreshold: 4096})
+	router, err := Open(DefaultManifest(4), t.TempDir(), engine.Options{FlushThreshold: 4096}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,6 +137,18 @@ func replay[V int64 | float64](e *Engine, col *column[V], series string, pts []t
 	e.memPts.Add(int64(len(pts)))
 }
 
+// replayTombstone applies a recovered delete while Open runs. A delete in
+// log order drops the series' points replayed before it, of both kinds, as
+// DeleteRange dropped them from the memtable; a carried copy was logged
+// after newer inserts, so it only joins the tombstone list.
+func replayTombstone(e *Engine, ts tombstone, carried bool) {
+	if !carried {
+		st := e.stripe(ts.series)
+		e.memPts.Add(-prune(&st.ints, ts.series, ts.minT, ts.maxT) - prune(&st.floats, ts.series, ts.minT, ts.maxT))
+	}
+	e.tombs = append(e.tombs, ts)
+}
+
 // dedupeSort returns a time-sorted copy of pts holding the last inserted
 // value for each timestamp (stable sort preserves insertion order within
 // equal times). It never sorts in place: queries share the in-flight flush

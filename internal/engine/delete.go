@@ -78,7 +78,7 @@ func (e *Engine) DeleteRange(series string, minT, maxT int64) error {
 	var leader bool
 	if e.log != nil {
 		g, leader = e.walEnqueue(func(dst []byte) []byte {
-			return appendTombstonePayload(dst, ts)
+			return appendTombstonePayload(dst, walTombstone, ts)
 		})
 	}
 	// The memtable is newer than any file but older than the delete, and it
@@ -98,15 +98,21 @@ func (e *Engine) DeleteRange(series string, minT, maxT int64) error {
 	return nil
 }
 
-// WAL record kinds (first payload byte after the record framing).
+// WAL record kinds (first payload byte after the record framing). A
+// walTombstone record is a delete in log order: replay applies it to the
+// points replayed before it. A walCarried record is a pending tombstone a
+// flush copied into the fresh log, after inserts newer than the delete, so
+// replay only adds it to the tombstone list.
 const (
 	walInsert    byte = 0
 	walTombstone byte = 1
+	walCarried   byte = 3
 )
 
-// appendTombstonePayload builds one delete record payload into dst.
-func appendTombstonePayload(dst []byte, ts tombstone) []byte {
-	dst = append(dst, walTombstone)
+// appendTombstonePayload builds one delete record payload of the given kind
+// (walTombstone or walCarried) into dst.
+func appendTombstonePayload(dst []byte, kind byte, ts tombstone) []byte {
+	dst = append(dst, kind)
 	dst = binary.AppendUvarint(dst, uint64(len(ts.series)))
 	dst = append(dst, ts.series...)
 	dst = binary.AppendVarint(dst, ts.minT)
@@ -115,11 +121,11 @@ func appendTombstonePayload(dst []byte, ts tombstone) []byte {
 	return dst
 }
 
-// appendTombstone writes one framed delete record directly, outside any
-// commit group (the flush-commit re-append path, under walMu with walBusy
-// waited out).
-func (l *wal) appendTombstone(ts tombstone) error {
-	l.scratch = appendTombstonePayload(l.scratch[:0], ts)
+// appendCarried writes one framed carried-tombstone record directly, outside
+// any commit group (the flush-commit re-append path, under walMu with
+// walBusy waited out).
+func (l *wal) appendCarried(ts tombstone) error {
+	l.scratch = appendTombstonePayload(l.scratch[:0], walCarried, ts)
 	return l.writeBuf(frameRecord(nil, l.scratch))
 }
 

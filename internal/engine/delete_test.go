@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"bos/internal/tsfile"
@@ -171,5 +173,101 @@ func TestDeleteFlushPreservesTombstones(t *testing.T) {
 	got, _ = e2.Query("s", 100, 100)
 	if len(got) != 1 {
 		t.Fatalf("post-delete insert lost: %v", got)
+	}
+}
+
+// crash drops e without Close, leaving its directory as a crash would.
+func crash(e *Engine) {
+	e.closeFiles()
+	e.log.close()
+}
+
+// TestDeleteWhileBufferedSurvivesReopen deletes buffered int and float
+// points and restarts, cleanly and by a crash. Replay must apply the delete
+// to the points logged before it, as DeleteRange applied it to the
+// memtable: no point, series or kind comes back.
+func TestDeleteWhileBufferedSurvivesReopen(t *testing.T) {
+	for _, crashed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("crash=%v", crashed), func(t *testing.T) {
+			dir := t.TempDir()
+			e := openTest(t, Options{Dir: dir})
+			if err := e.Insert("mem", 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.InsertFloat("memf", 1, 1.5); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []string{"mem", "memf"} {
+				if err := e.DeleteRange(s, math.MinInt64, math.MaxInt64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if crashed {
+				crash(e)
+			} else if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e = openTest(t, Options{Dir: dir})
+			defer e.Close()
+			if got, err := e.Query("mem", math.MinInt64, math.MaxInt64); err != nil || len(got) != 0 {
+				t.Fatalf("Query(mem) = %v, %v; want no points", got, err)
+			}
+			if got, err := e.QueryFloats("memf", math.MinInt64, math.MaxInt64); err != nil || len(got) != 0 {
+				t.Fatalf("QueryFloats(memf) = %v, %v; want no points", got, err)
+			}
+			if names := e.Series(); len(names) != 0 {
+				t.Fatalf("Series() = %v, want none", names)
+			}
+			for _, s := range []string{"mem", "memf"} {
+				if kind := e.SeriesKind(s); kind != "" {
+					t.Fatalf("SeriesKind(%s) = %q, want \"\"", s, kind)
+				}
+			}
+		})
+	}
+}
+
+// TestCarriedTombstoneKeepsLaterInsert deletes a range and inserts into it
+// while a flush is encoding. The flush carries the pending tombstone into
+// the fresh log after that insert; replay must not apply the copy to it.
+func TestCarriedTombstoneKeepsLaterInsert(t *testing.T) {
+	dir := t.TempDir()
+	e := openTest(t, Options{Dir: dir})
+	if err := e.Insert("s", 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	encoding, release := make(chan struct{}), make(chan struct{})
+	testStageHook = func(stage string) error {
+		if stage == "encode" {
+			close(encoding)
+			<-release
+		}
+		return nil
+	}
+	defer func() { testStageHook = nil }()
+	flushErr := make(chan error, 1)
+	go func() { flushErr <- e.Flush() }()
+	<-encoding
+	if err := e.DeleteRange("s", 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Insert("s", 5, 50); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-flushErr; err != nil {
+		t.Fatal(err)
+	}
+	testStageHook = nil
+
+	crash(e)
+	e = openTest(t, Options{Dir: dir})
+	defer e.Close()
+	got, err := e.Query("s", math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != (tsfile.Point{T: 5, V: 50}) {
+		t.Fatalf("after crash-reopen: got %v, want [{5 50}]", got)
 	}
 }

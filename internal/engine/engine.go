@@ -280,7 +280,7 @@ func Open(opt Options) (*Engine, error) {
 		// Recover inserts and deletes that never made it into data files.
 		err = replayWAL(opt.Dir,
 			func(series string, pts []tsfile.Point) { replay(e, intCol, series, pts) },
-			func(ts tombstone) { e.tombs = append(e.tombs, ts) },
+			func(ts tombstone, carried bool) { replayTombstone(e, ts, carried) },
 			func(series string, pts []tsfile.FloatPoint) { replay(e, floatCol, series, pts) })
 		if err != nil {
 			e.closeFiles()

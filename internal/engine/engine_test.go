@@ -2,11 +2,14 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"bos/internal/bitpack"
+	"bos/internal/packers"
 	"bos/internal/tsfile"
 )
 
@@ -265,5 +268,53 @@ func BenchmarkInsertFlushQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.Close()
+	}
+}
+
+// TestReopenWithOtherPacker writes a data directory with one packer and
+// reopens it with the default: each file's footer names the packer its
+// chunks were written with, so every point reads back.
+func TestReopenWithOtherPacker(t *testing.T) {
+	pfor, err := packers.ByName("pfor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	e := openTest(t, Options{Dir: dir, File: tsfile.Options{Packer: pfor}})
+	rng := rand.New(rand.NewSource(7))
+	ints := make([]tsfile.Point, 3000)
+	floats := make([]tsfile.FloatPoint, 3000)
+	for i := range ints {
+		ints[i] = tsfile.Point{T: int64(i) * 10, V: rng.Int63n(1<<20) - 1<<19}
+		floats[i] = tsfile.FloatPoint{T: int64(i) * 10, V: float64(rng.Intn(100000)) / 100}
+	}
+	if err := e.InsertBatch("i", ints); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InsertFloatBatch("f", floats); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e = openTest(t, Options{Dir: dir})
+	defer e.Close()
+	if st := e.Stats(); st.Files != 1 || st.MemPoints != 0 {
+		t.Fatalf("reopened with %d files and %d buffered points, want every point in one file", st.Files, st.MemPoints)
+	}
+	gotInts, err := e.Query("i", math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotInts, ints) {
+		t.Fatalf("Query read %d int points, want %d equal ones", len(gotInts), len(ints))
+	}
+	gotFloats, err := e.QueryFloats("f", math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotFloats, floats) {
+		t.Fatalf("QueryFloats read %d float points, want %d equal ones", len(gotFloats), len(floats))
 	}
 }

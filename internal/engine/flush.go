@@ -225,15 +225,17 @@ func (e *Engine) commitSnapshot(snap *flushSnap, path string) error {
 		return nil
 	}
 	// The data file covers every record in the sealed segments; the fresh
-	// log restarts with only the still-pending tombstones (they mask file
-	// data until compaction).
+	// log carries the still-pending tombstones (they mask file data until
+	// compaction). The copies land after inserts that arrived mid-flush,
+	// which are newer than the deletes, so they are written as carried
+	// records, which replay does not apply to earlier points.
 	e.walMu.Lock()
 	var werr error
 	for e.walBusy {
 		e.walCond.Wait()
 	}
 	for _, ts := range e.tombs {
-		if werr = e.log.appendTombstone(ts); werr != nil {
+		if werr = e.log.appendCarried(ts); werr != nil {
 			break
 		}
 	}

@@ -219,8 +219,8 @@ func randomFloat(rng *rand.Rand, rawChunks bool) float64 {
 }
 
 // runModel drives one seeded sequence of inserts, deletes, flushes,
-// compactions and reopens, checking every read API against the model after
-// each step. Batches land anywhere in the span, so files overlap and merge
+// compactions, clean reopens and crashes, checking every read API against
+// the model after each step. Batches land anywhere in the span, so files overlap and merge
 // runs are a few samples long; inOrder draws them as ingest writes them
 // instead, so files hold disjoint ranges and runs reach chunk ends,
 // tombstones and page ends.
@@ -251,7 +251,7 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
 	}
 	for step := 0; step < steps; step++ {
 		var op string
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(21); {
 		case r < 8:
 			name := intNames[rng.Intn(len(intNames))]
 			ts := batchT(name, 200+rng.Intn(1800))
@@ -298,12 +298,16 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
 				t.Fatalf("seed %d step %d: Compact: %v", seed, step, err)
 			}
 			op = "compact"
-		default:
+		case r < 20:
 			if err := e.Close(); err != nil {
 				t.Fatalf("seed %d step %d: Close: %v", seed, step, err)
 			}
 			e = open()
 			op = "reopen"
+		default:
+			crash(e)
+			e = open()
+			op = "crash"
 		}
 		t.Logf("seed %d step %d: %s", seed, step, op)
 		lo := rng.Int63n(modelSpan)
@@ -322,13 +326,15 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
 
 // TestEngineMatchesModel runs seeded random workloads over integer and float
 // series — batches with duplicate and out-of-order timestamps, flushes,
-// range deletes, compactions and close/reopen — and after every step
-// compares Query, multi-page QueryEach, QueryFloats, a whole-range
-// WindowAgg and SeriesKind with the model. Three more seeds write in order, so whole-chunk
-// runs, runs cut by the series' own tombstones, runs that reach a page end
-// and runs beside another series' tombstone are all checked too.
+// range deletes, compactions, close/reopen and crash/reopen — and after
+// every step compares Query, multi-page QueryEach, QueryFloats, a
+// whole-range WindowAgg and SeriesKind with the model. Twelve random seeds
+// put a crash after a delete of buffered points. Three more seeds write in
+// order, so whole-chunk runs, runs cut by the series' own tombstones, runs
+// that reach a page end and runs beside another series' tombstone are all
+// checked too.
 func TestEngineMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			runModel(t, seed, 40, false)

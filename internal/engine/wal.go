@@ -32,13 +32,20 @@ import (
 // Record layout:
 //
 //	varint total length | crc32 (4 bytes, IEEE, over the payload) | payload
-//	payload: kind byte (walInsert | walTombstone | walFloat), then
+//	payload: kind byte (walInsert | walTombstone | walFloat | walCarried),
+//	then
 //	  insert:    varint series-name length | name | varint count | count x
 //	             (zigzag-varint t, zigzag-varint v)
 //	  tombstone: varint series-name length | name | zigzag-varint minT |
 //	             zigzag-varint maxT | varint seq
 //	  float:     varint series-name length | name | varint count | count x
 //	             (zigzag-varint t, uvarint float bits)
+//	  carried:   the tombstone payload
+//
+// Replay applies records in log order. A tombstone record prunes the points
+// of its series replayed before it, as DeleteRange pruned the memtable; a
+// carried record, which a flush writes after inserts newer than its delete,
+// only joins the tombstone list.
 
 const walName = "wal.log"
 
@@ -164,8 +171,9 @@ func appendPoints[V int64 | float64](dst []byte, kind byte, series string, pts [
 // replayWAL reads every intact record of the sealed segments (in sequence
 // order) and then the active log. A record with a bad CRC or a truncated
 // tail ends the whole replay cleanly (crash semantics): nothing after the
-// tear can be trusted to be older than it.
-func replayWAL(dir string, applyInsert func(series string, pts []tsfile.Point), applyTombstone func(tombstone), applyFloat func(series string, pts []tsfile.FloatPoint)) error {
+// tear can be trusted to be older than it. applyTombstone is told whether
+// the record is a carried copy.
+func replayWAL(dir string, applyInsert func(series string, pts []tsfile.Point), applyTombstone func(ts tombstone, carried bool), applyFloat func(series string, pts []tsfile.FloatPoint)) error {
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		return fmt.Errorf("engine: wal: %w", err)
@@ -186,7 +194,7 @@ func replayWAL(dir string, applyInsert func(series string, pts []tsfile.Point), 
 
 // replayWALFile replays one log file. clean reports whether the file ended
 // at a record boundary (false = torn tail or corruption stopped the replay).
-func replayWALFile(path string, applyInsert func(series string, pts []tsfile.Point), applyTombstone func(tombstone), applyFloat func(series string, pts []tsfile.FloatPoint)) (clean bool, err error) {
+func replayWALFile(path string, applyInsert func(series string, pts []tsfile.Point), applyTombstone func(ts tombstone, carried bool), applyFloat func(series string, pts []tsfile.FloatPoint)) (clean bool, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return true, nil
@@ -218,12 +226,12 @@ func replayWALFile(path string, applyInsert func(series string, pts []tsfile.Poi
 				return false, nil
 			}
 			applyInsert(series, pts)
-		case walTombstone:
+		case walTombstone, walCarried:
 			ts, ok := decodeTombstonePayload(body)
 			if !ok {
 				return false, nil
 			}
-			applyTombstone(ts)
+			applyTombstone(ts, kind == walCarried)
 		case walFloat:
 			series, pts, ok := decodePoints(body, floatBits)
 			if !ok {
@@ -278,7 +286,7 @@ func sortedWALSeries(dir string) ([]string, error) {
 	set := map[string]bool{}
 	err := replayWAL(dir,
 		func(series string, _ []tsfile.Point) { set[series] = true },
-		func(ts tombstone) { set[ts.series] = true },
+		func(ts tombstone, _ bool) { set[ts.series] = true },
 		func(series string, _ []tsfile.FloatPoint) { set[series] = true })
 	if err != nil {
 		return nil, err

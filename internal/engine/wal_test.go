@@ -239,18 +239,20 @@ func TestWALReplayOversizedCount(t *testing.T) {
 // FuzzWALReplay checks the two halves of the replay contract. Any bytes given
 // as a log file must replay or stop, never panic. And records built with
 // appendPoints and appendTombstonePayload, framed with frameRecord, must
-// replay to exactly the points and tombstone they were built from.
+// replay to exactly the points and tombstones they were built from, a
+// carried tombstone marked as carried.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, "s", int64(-3), int64(9), uint64(2))
 	f.Add(frameRecord(nil, []byte{walInsert, 1, 's', 1, 2, 4}), "root.a", int64(0), int64(1<<40), uint64(7))
 	f.Add([]byte{6, 0, 0, 0, 0, walFloat, 1, 's', 0x80, 0x80, 0x80, 0x80, 0x10}, "", int64(-1<<63), int64(1<<63-1), uint64(1<<63))
+	f.Add(frameRecord(nil, appendTombstonePayload(nil, walCarried, tombstone{series: "c", minT: -5, maxT: 5, seq: 3})), "c", int64(-5), int64(5), uint64(3))
 	f.Fuzz(func(t *testing.T, raw []byte, series string, minT, maxT int64, seq uint64) {
 		dir := t.TempDir()
 		log := filepath.Join(dir, walName)
 		if err := os.WriteFile(log, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := replayWAL(dir, func(string, []tsfile.Point) {}, func(tombstone) {}, func(string, []tsfile.FloatPoint) {}); err != nil {
+		if err := replayWAL(dir, func(string, []tsfile.Point) {}, func(tombstone, bool) {}, func(string, []tsfile.FloatPoint) {}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -266,13 +268,15 @@ func FuzzWALReplay(f *testing.F) {
 		ts := tombstone{series: series, minT: minT, maxT: maxT, seq: int(seq)}
 		var buf []byte
 		buf = frameRecord(buf, appendPoints(nil, walInsert, series, ints, binary.AppendVarint))
-		buf = frameRecord(buf, appendTombstonePayload(nil, ts))
+		buf = frameRecord(buf, appendTombstonePayload(nil, walTombstone, ts))
+		buf = frameRecord(buf, appendTombstonePayload(nil, walCarried, ts))
 		buf = frameRecord(buf, appendPoints(nil, walFloat, series, floats, appendFloatBits))
 		if err := os.WriteFile(log, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var gotInts [][]tsfile.Point
 		var gotTombs []tombstone
+		var gotCarried []bool
 		var gotFloats [][]tsfile.FloatPoint
 		err := replayWAL(dir,
 			func(s string, pts []tsfile.Point) {
@@ -281,7 +285,10 @@ func FuzzWALReplay(f *testing.F) {
 				}
 				gotInts = append(gotInts, pts)
 			},
-			func(got tombstone) { gotTombs = append(gotTombs, got) },
+			func(got tombstone, carried bool) {
+				gotTombs = append(gotTombs, got)
+				gotCarried = append(gotCarried, carried)
+			},
 			func(s string, pts []tsfile.FloatPoint) {
 				if s != series {
 					t.Errorf("float series %q, want %q", s, series)
@@ -291,11 +298,13 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gotInts) != 1 || len(gotTombs) != 1 || len(gotFloats) != 1 {
-			t.Fatalf("replayed %d insert, %d tombstone and %d float records, want one each", len(gotInts), len(gotTombs), len(gotFloats))
+		if len(gotInts) != 1 || len(gotTombs) != 2 || len(gotFloats) != 1 {
+			t.Fatalf("replayed %d insert, %d tombstone and %d float records, want 1, 2 and 1", len(gotInts), len(gotTombs), len(gotFloats))
 		}
-		if gotTombs[0] != ts {
-			t.Errorf("tombstone %+v, want %+v", gotTombs[0], ts)
+		for i, got := range gotTombs {
+			if got != ts || gotCarried[i] != (i == 1) {
+				t.Errorf("tombstone record %d = %+v carried %v, want %+v carried %v", i, got, gotCarried[i], ts, i == 1)
+			}
 		}
 		if len(gotInts[0]) != len(ints) || len(gotFloats[0]) != len(floats) {
 			t.Fatalf("replayed %d int and %d float points, want %d", len(gotInts[0]), len(gotFloats[0]), len(ints))

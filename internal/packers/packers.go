@@ -47,6 +47,17 @@ func ByName(name string) (codec.Packer, error) {
 	return nil, fmt.Errorf("unknown packer %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
+// NameOf returns the registry name of a packer: the canonical form of its
+// name when the registry holds one, "" otherwise. A packer named like a
+// registry entry stands for that entry: writers encode with the entry's
+// packer and record its name.
+func NameOf(p codec.Packer) string {
+	if name := canonical(p.Name()); registry[name] != nil {
+		return name
+	}
+	return ""
+}
+
 // Names lists the canonical packer names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

@@ -13,6 +13,9 @@ func TestByNameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
+		if got := NameOf(p); got != name {
+			t.Fatalf("NameOf(ByName(%q)) = %q", name, got)
+		}
 		enc := p.Pack(nil, vals)
 		got, rest, err := p.Unpack(enc, nil)
 		if err != nil {

@@ -126,29 +126,32 @@ func (w *Windows) Add(t, v int64) {
 // holding it. The caller must have checked OneWindow(m.MinT, m.MaxT) and
 // m.HasStats.
 func (w *Windows) AddChunkStats(m tsfile.ChunkMeta) {
-	b := w.bucket(w.Start(m.MinT))
-	if b.Count == 0 || m.MinV < b.Min {
-		b.Min = m.MinV
+	w.AddBucket(Bucket{Start: w.Start(m.MinT), Count: m.Count, Min: m.MinV, Max: m.MaxV, Sum: m.Sum})
+}
+
+// AddBucket folds an aggregate of the window starting at b.Start into the
+// accumulator: counts add, sums add with wrapping, min and max widen. It is
+// the one rule that combines two partial aggregates of a window. An empty
+// bucket adds nothing.
+func (w *Windows) AddBucket(b Bucket) {
+	if b.Count == 0 {
+		return
 	}
-	if b.Count == 0 || m.MaxV > b.Max {
-		b.Max = m.MaxV
+	cur := w.bucket(b.Start)
+	if cur.Count == 0 || b.Min < cur.Min {
+		cur.Min = b.Min
 	}
-	b.Count += m.Count
-	b.Sum = int64(uint64(b.Sum) + uint64(m.Sum))
+	if cur.Count == 0 || b.Max > cur.Max {
+		cur.Max = b.Max
+	}
+	cur.Count += b.Count
+	cur.Sum = int64(uint64(cur.Sum) + uint64(b.Sum))
 }
 
 // Merge folds another accumulator in (same minT and window).
 func (w *Windows) Merge(o *Windows) {
-	for start, ob := range o.m {
-		b := w.bucket(start)
-		if b.Count == 0 || ob.Min < b.Min {
-			b.Min = ob.Min
-		}
-		if b.Count == 0 || ob.Max > b.Max {
-			b.Max = ob.Max
-		}
-		b.Count += ob.Count
-		b.Sum = int64(uint64(b.Sum) + uint64(ob.Sum))
+	for _, b := range o.m {
+		w.AddBucket(*b)
 	}
 }
 

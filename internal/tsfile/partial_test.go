@@ -3,6 +3,7 @@ package tsfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"bos/internal/bitpack"
 	"bos/internal/chunkcache"
 	"bos/internal/codec"
+	"bos/internal/core"
 	"bos/internal/dataset"
 )
 
@@ -39,9 +41,17 @@ func encodeLegacyIndex(order []string, index map[string][]ChunkMeta) []byte {
 	return out
 }
 
-// rewriteAsLegacy swaps a v2 file's footer for the legacy encoding of the
-// same chunk directory.
-func rewriteAsLegacy(t *testing.T, file *bytes.Reader, opt Options) *bytes.Reader {
+// encodeV2Index is the v2 footer: the current footer without the default
+// packer's name.
+func encodeV2Index(order []string, index map[string][]ChunkMeta) []byte {
+	v3 := encodeIndex("", order, index)
+	head := codec.AppendUvarint(nil, indexV2Tag)
+	return append(codec.AppendUvarint(head, 2), v3[len(head)+2:]...)
+}
+
+// rewriteFooter swaps a file's footer for encode's encoding of the same
+// chunk directory.
+func rewriteFooter(t *testing.T, file *bytes.Reader, opt Options, encode func([]string, map[string][]ChunkMeta) []byte) *bytes.Reader {
 	t.Helper()
 	data := make([]byte, file.Size())
 	if _, err := file.ReadAt(data, 0); err != nil {
@@ -62,7 +72,7 @@ func rewriteAsLegacy(t *testing.T, file *bytes.Reader, opt Options) *bytes.Reade
 		}
 		index[s] = chunks
 	}
-	idx := encodeLegacyIndex(r.Series(), index)
+	idx := encode(r.Series(), index)
 	out := append(append([]byte(nil), body...), idx...)
 	var tail [8]byte
 	binary.LittleEndian.PutUint32(tail[:4], uint32(len(idx)))
@@ -76,7 +86,7 @@ func rewriteAsLegacy(t *testing.T, file *bytes.Reader, opt Options) *bytes.Reade
 func TestLegacyFooterCompat(t *testing.T) {
 	opt := Options{}
 	v2File, want := buildFile(t, opt)
-	legacy := rewriteAsLegacy(t, v2File, opt)
+	legacy := rewriteFooter(t, v2File, opt, encodeLegacyIndex)
 
 	lr, err := OpenReader(legacy, legacy.Size(), opt)
 	if err != nil {
@@ -105,6 +115,60 @@ func TestLegacyFooterCompat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// unregistered is bitpack.Packer under a name the registry does not hold.
+type unregistered struct{ bitpack.Packer }
+
+func (unregistered) Name() string { return "unregistered" }
+
+// TestFooterNamesDefaultPacker: a file's footer names its default packer, so
+// the file reads back under any Options. A packer named like a registry
+// entry is written and named as that entry. A v2 footer, or a packer outside
+// the registry, leaves the name empty and decodes with Options.Packer; a
+// name the registry does not know is corruption.
+func TestFooterNamesDefaultPacker(t *testing.T) {
+	readsBack := func(t *testing.T, file *bytes.Reader, want map[string][]Point, opt Options, defName string) {
+		t.Helper()
+		r, err := OpenReader(file, file.Size(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.DefaultPacker(); got != defName {
+			t.Fatalf("DefaultPacker() = %q, want %q", got, defName)
+		}
+		for series, pts := range want {
+			got, err := r.ReadAll(series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, pts) {
+				t.Fatalf("%s: read %d points, want %d equal ones", series, len(got), len(pts))
+			}
+		}
+	}
+	pfor := Options{Packer: mustPacker(t, "pfor")}
+	file, want := buildFile(t, pfor)
+	t.Run("v3", func(t *testing.T) { readsBack(t, file, want, Options{}, "pfor") })
+	t.Run("v2", func(t *testing.T) { readsBack(t, rewriteFooter(t, file, pfor, encodeV2Index), want, pfor, "") })
+	t.Run("unknown", func(t *testing.T) {
+		bad := rewriteFooter(t, file, pfor, func(order []string, index map[string][]ChunkMeta) []byte {
+			return encodeIndex("nosuch", order, index)
+		})
+		if _, err := OpenReader(bad, bad.Size(), pfor); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("open = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("namedLikeRegistry", func(t *testing.T) {
+		// Named "BP": the writer encodes with the registry's "bp".
+		file, want := buildFile(t, Options{Packer: core.NewPacker(core.SeparationNone)})
+		readsBack(t, file, want, Options{}, "bp")
+	})
+	t.Run("unregistered", func(t *testing.T) {
+		opt := Options{Packer: unregistered{}}
+		file, want := buildFile(t, opt)
+		readsBack(t, file, want, opt, "")
+	})
 }
 
 // TestFooterSumMatchesDecode: every v2 chunk's footer sum equals the wrapping

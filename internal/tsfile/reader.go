@@ -19,19 +19,24 @@ import (
 // apart from the first varint.
 const indexV2Tag = uint64(1) << 40
 
-// indexVersion is the current footer version written by encodeIndex.
-const indexVersion = 2
+// indexVersion is the current footer version written by encodeIndex. A v3
+// footer records the registry name of the file's default packer; a v2 footer
+// does not, and its unnamed chunks decode with Options.Packer.
+const indexVersion = 3
 
-// Per-chunk footer flag bits (v2 footers only).
+// Per-chunk footer flag bits (versioned footers only).
 const chunkFlagStats = 1 << 0 // chunk carries a value Sum statistic
 
-// encodeIndex serializes the footer: version tag, series count, then per
-// series its name, chunk count and chunk metadata (offsets and statistics
-// delta-free, all zigzag varints; the per-chunk packer-name override, then a
-// flags byte and the optional value-sum statistic last).
-func encodeIndex(order []string, index map[string][]ChunkMeta) []byte {
+// encodeIndex serializes the footer: version tag, the default packer's
+// registry name ("" for a packer outside the registry), series count, then
+// per series its name, chunk count and chunk metadata (offsets and
+// statistics delta-free, all zigzag varints; the per-chunk packer-name
+// override, then a flags byte and the optional value-sum statistic last).
+func encodeIndex(defPacker string, order []string, index map[string][]ChunkMeta) []byte {
 	out := codec.AppendUvarint(nil, indexV2Tag)
 	out = codec.AppendUvarint(out, indexVersion)
+	out = codec.AppendUvarint(out, uint64(len(defPacker)))
+	out = append(out, defPacker...)
 	out = codec.AppendUvarint(out, uint64(len(order)))
 	for _, name := range order {
 		out = codec.AppendUvarint(out, uint64(len(name)))
@@ -71,11 +76,12 @@ func readZig(src []byte) (int64, []byte, error) {
 
 // Reader opens a file from any io.ReaderAt.
 type Reader struct {
-	r     io.ReaderAt
-	def   codec.Packer            // the file's default packer, resolved once
-	named map[string]codec.Packer // per-chunk packer overrides, by footer name
-	index map[string][]ChunkMeta
-	order []string
+	r       io.ReaderAt
+	def     codec.Packer            // the file's default packer, resolved once
+	defName string                  // its registry name, when the footer records one
+	named   map[string]codec.Packer // per-chunk packer overrides, by footer name
+	index   map[string][]ChunkMeta
+	order   []string
 
 	cache   *chunkcache.Cache // nil: decode every read
 	cacheID uint64            // this file's identity inside the cache
@@ -91,9 +97,12 @@ func (r *Reader) SetCache(c *chunkcache.Cache, fileID uint64) {
 	r.cacheID = fileID
 }
 
-// OpenReader parses the footer index of a file of the given size. Only
-// opt.Packer matters: chunks without a per-chunk packer in the footer decode
-// with it, so it must be the packer the file was written with.
+// OpenReader parses the footer index of a file of the given size. Chunks
+// without a per-chunk packer in the footer decode with the default packer
+// the footer names, so a file reads back whatever opt says. Only a file
+// whose footer names none (a v2 footer, or one written with a packer outside
+// internal/packers) decodes them with opt.Packer, which must then be the
+// packer the file was written with.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Reader, error) {
 	// Minimum file: header magic, a one-byte empty index, the 8-byte tail.
 	if size < int64(len(magic))+1+8 {
@@ -156,8 +165,20 @@ func (r *Reader) parseIndex(idx []byte, dataEnd int64) error {
 	v2 := nSeries == indexV2Tag
 	if v2 {
 		var version uint64
-		if version, rest, err = codec.ReadUvarint(rest); err != nil || version != indexVersion {
+		if version, rest, err = codec.ReadUvarint(rest); err != nil || version < 2 || version > indexVersion {
 			return fmt.Errorf("%w: footer version", ErrCorrupt)
+		}
+		if version >= 3 {
+			nameLen, r2, err := codec.ReadUvarint(rest)
+			if err != nil || nameLen > uint64(len(r2)) {
+				return fmt.Errorf("%w: default packer name", ErrCorrupt)
+			}
+			r.defName, rest = string(r2[:nameLen]), r2[nameLen:]
+			if r.defName != "" {
+				if r.def, err = packers.ByName(r.defName); err != nil {
+					return fmt.Errorf("%w: default packer: %v", ErrCorrupt, err)
+				}
+			}
 		}
 		if nSeries, rest, err = codec.ReadUvarint(rest); err != nil {
 			return fmt.Errorf("%w: series count", ErrCorrupt)
@@ -256,6 +277,10 @@ func (r *Reader) parseIndex(idx []byte, dataEnd int64) error {
 	}
 	return nil
 }
+
+// DefaultPacker returns the registry name of the packer the file's unnamed
+// chunks were written with, or "" when the footer names none.
+func (r *Reader) DefaultPacker() string { return r.defName }
 
 // Series lists the series names in file order.
 func (r *Reader) Series() []string {

@@ -16,7 +16,8 @@
 // Each chunk records the name of the packer that encoded it in the footer
 // (empty = the file's default packer), so one file can mix packing layouts:
 // background compaction repacks each series into its smallest candidate
-// without forcing a single operator on the whole file.
+// without forcing a single operator on the whole file. The footer records
+// the default packer's name too, so a file reads back under any Options.
 //
 // The format is self-contained; it exists so the repository can exercise BOS
 // in the role the paper ships it in — the storage operator of a columnar
@@ -200,9 +201,9 @@ func (w *Writer) AppendEncoded(series string, c EncodedChunk) error {
 
 // encodePacker resolves the packer for an off-writer encode. It returns a
 // fresh instance even for the file default (re-resolving configured packers
-// through the registry by name), because registry packers carry planning
-// state and must not be shared between the concurrent encoders a parallel
-// flush runs. A custom Options.Packer not in
+// through the registry by name, the name the footer records), because
+// registry packers carry planning state and must not be shared between the
+// concurrent encoders a parallel flush runs. A custom Options.Packer not in
 // the registry is returned as-is; such implementations must tolerate
 // concurrent Pack calls if the caller encodes in parallel.
 func encodePacker(opt Options, name string) (codec.Packer, error) {
@@ -216,8 +217,8 @@ func encodePacker(opt Options, name string) (codec.Packer, error) {
 	if opt.Packer == nil {
 		return core.NewPacker(core.SeparationBitWidth), nil
 	}
-	if p, err := packers.ByName(opt.Packer.Name()); err == nil {
-		return p, nil
+	if def := packers.NameOf(opt.Packer); def != "" {
+		return packers.ByName(def)
 	}
 	return opt.Packer, nil
 }
@@ -248,7 +249,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	idx := encodeIndex(w.order, w.index)
+	idx := encodeIndex(packers.NameOf(w.opt.packer()), w.order, w.index)
 	if err := w.write(idx); err != nil {
 		return err
 	}
