@@ -10,7 +10,10 @@
 // compressor that can be layered on top (Figure 13).
 package codec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DefaultBlockSize is the number of values per packed block, matching the
 // paper's experimental default.
@@ -36,7 +39,11 @@ type Packer interface {
 	Unpack(src []byte, out []int64) (vals []int64, rest []byte, err error)
 }
 
-// IntCodec compresses a complete integer series.
+// IntCodec compresses a complete integer series. The packer pipelines that
+// tsfile chunks use, Blockwise and ts2diff.Codec, also decode into a
+// caller's buffer: AppendDecode(dst, src) appends the decoded values to dst,
+// returns dst at its length on entry on error, and Decode is
+// AppendDecode(nil, src).
 type IntCodec interface {
 	Name() string
 	Encode(dst []byte, vals []int64) []byte
@@ -93,24 +100,31 @@ func (b *Blockwise) Encode(dst []byte, vals []int64) []byte {
 
 // Decode implements IntCodec.
 func (b *Blockwise) Decode(src []byte) ([]int64, error) {
+	return b.AppendDecode(nil, src)
+}
+
+// AppendDecode appends the decoded series to dst. On error it returns dst
+// at its length on entry.
+func (b *Blockwise) AppendDecode(dst []int64, src []byte) ([]int64, error) {
 	n, src, err := ReadUvarint(src)
 	if err != nil {
-		return nil, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
+		return dst, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
 	}
 	if n > MaxBlockLen*64 {
-		return nil, fmt.Errorf("blockwise %s: implausible count %d", b.Packer.Name(), n)
+		return dst, fmt.Errorf("blockwise %s: implausible count %d", b.Packer.Name(), n)
 	}
 	// The count is only a claim until blocks decode: reserve at most one
 	// block's worth and let decoded blocks grow the rest.
-	out := make([]int64, 0, min(n, MaxBlockLen))
-	for uint64(len(out)) < n {
+	base := len(dst)
+	out := slices.Grow(dst, int(min(n, MaxBlockLen)))
+	for uint64(len(out)-base) < n {
 		out, src, err = b.Packer.Unpack(src, out)
 		if err != nil {
-			return nil, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
+			return dst, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
 		}
 	}
-	if uint64(len(out)) != n {
-		return nil, fmt.Errorf("blockwise %s: decoded %d values, header said %d", b.Packer.Name(), len(out), n)
+	if got := uint64(len(out) - base); got != n {
+		return dst, fmt.Errorf("blockwise %s: decoded %d values, header said %d", b.Packer.Name(), got, n)
 	}
 	return out, nil
 }

@@ -140,8 +140,13 @@ func replay[V int64 | float64](e *Engine, col *column[V], series string, pts []t
 // replayTombstone applies a recovered delete while Open runs. A delete in
 // log order drops the series' points replayed before it, of both kinds, as
 // DeleteRange dropped them from the memtable; a carried copy was logged
-// after newer inserts, so it only joins the tombstone list.
+// after newer inserts, so it only joins the tombstone list, unless the list
+// holds it already: a delete made during a flush has its own record in the
+// fresh log, and the flush carries a copy of it there too.
 func replayTombstone(e *Engine, ts tombstone, carried bool) {
+	if carried && slices.Contains(e.tombs, ts) {
+		return
+	}
 	if !carried {
 		st := e.stripe(ts.series)
 		e.memPts.Add(-prune(&st.ints, ts.series, ts.minT, ts.maxT) - prune(&st.floats, ts.series, ts.minT, ts.maxT))

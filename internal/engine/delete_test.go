@@ -271,3 +271,54 @@ func TestCarriedTombstoneKeepsLaterInsert(t *testing.T) {
 		t.Fatalf("after crash-reopen: got %v, want [{5 50}]", got)
 	}
 }
+
+// TestCarriedTombstoneNotDuplicated deletes a range while a flush is
+// encoding, closes, then reopens, inserts and closes three times. The flush
+// carries a copy of the delete into the log that already holds the delete's
+// own record; replay must keep one tombstone, not one per copy, or every
+// later flush carries both.
+func TestCarriedTombstoneNotDuplicated(t *testing.T) {
+	dir := t.TempDir()
+	e := openTest(t, Options{Dir: dir})
+	if err := e.Insert("s", 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	encoding, release := make(chan struct{}), make(chan struct{})
+	testStageHook = func(stage string) error {
+		if stage == "encode" {
+			close(encoding)
+			<-release
+		}
+		return nil
+	}
+	defer func() { testStageHook = nil }()
+	flushErr := make(chan error, 1)
+	go func() { flushErr <- e.Flush() }()
+	<-encoding
+	if err := e.DeleteRange("s", 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-flushErr; err != nil {
+		t.Fatal(err)
+	}
+	testStageHook = nil
+	if len(e.tombs) != 1 {
+		t.Fatalf("live engine holds %d tombstones, want 1: %+v", len(e.tombs), e.tombs)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		e = openTest(t, Options{Dir: dir})
+		if len(e.tombs) != 1 {
+			t.Fatalf("reopen %d: %d tombstones, want 1: %+v", round, len(e.tombs), e.tombs)
+		}
+		if err := e.Insert("s", 100+int64(round), int64(round)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

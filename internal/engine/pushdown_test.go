@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bos/internal/pushdown"
 	"bos/internal/tsfile"
 )
 
@@ -330,95 +331,131 @@ func TestCrashReopenStatsConsistent(t *testing.T) {
 	checkPushdown(t, e2, "s", 0, 1799, 600, 1000, 1063)
 }
 
+// pushdownSeeds is FuzzPushdownEquivalence's seed corpus: seed, qlo, qhi,
+// window, vlo, vhi, dlo, dhi.
+var pushdownSeeds = [][8]int64{
+	{1, 0, 4000, 256, 990, 1100, 500, 700},
+	{2, 100, 900, 1, -1 << 35, 1 << 35, 0, 0},
+	{3, 3000, 200, 1000, 1000, 1063, 2900, 3300},
+	{4, -50, 5000, 4096, 1 << 29, 1 << 40, 4000, 4500},
+	{5, 1500, 1500, 7, 5, 7, 1499, 1501},
+}
+
 // FuzzPushdownEquivalence is the differential fuzz: for arbitrary data
 // layouts (disjoint files, overlapping files, memtable leftovers, a tombstone)
 // and arbitrary ranges, windows and value predicates, the compressed-domain
 // executor must produce exactly the merged scan's answer, and float series
-// must fail identically on both paths.
+// must fail identically on both paths. Each case runs with the chunk cache on
+// and off: with it on, the merged scan caches every chunk and the pushdown
+// reads them back whole; with it off, the pushdown decodes only the blocks
+// and planes it needs.
 func FuzzPushdownEquivalence(f *testing.F) {
-	f.Add(int64(1), int64(0), int64(4000), int64(256), int64(990), int64(1100), int64(500), int64(700))
-	f.Add(int64(2), int64(100), int64(900), int64(1), int64(-1<<35), int64(1<<35), int64(0), int64(0))
-	f.Add(int64(3), int64(3000), int64(200), int64(1000), int64(1000), int64(1063), int64(2900), int64(3300))
-	f.Add(int64(4), int64(-50), int64(5000), int64(4096), int64(1<<29), int64(1<<40), int64(4000), int64(4500))
-	f.Add(int64(5), int64(1500), int64(1500), int64(7), int64(5), int64(7), int64(1499), int64(1501))
+	for _, s := range pushdownSeeds {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+	}
 	f.Fuzz(func(t *testing.T, seed, qlo, qhi, window, vlo, vhi, dlo, dhi int64) {
-		const span = int64(4200)
-		clamp := func(x int64) int64 {
-			x %= span
-			if x < 0 {
-				x += span
-			}
-			return x
-		}
-		if qlo > qhi {
-			qlo, qhi = qhi, qlo
-		}
-		if vlo > vhi {
-			vlo, vhi = vhi, vlo
-		}
-		// Keep the window anchor arithmetic far from int64 overflow.
-		if qlo < -span || qlo > 2*span {
-			qlo = clamp(qlo)
-		}
-		if qhi < qlo || qhi > 2*span {
-			qhi = qlo + clamp(qhi)
-		}
-		window = clamp(window)
-
-		rng := rand.New(rand.NewSource(seed))
-		e := openTest(t, Options{DisableWAL: true, FlushThreshold: 1 << 30})
-		defer e.Close()
-		insert := func(lo, n int64) {
-			pts := make([]tsfile.Point, 0, n)
-			for i := int64(0); i < n; i++ {
-				v := int64(1000 + rng.Intn(64))
-				switch rng.Intn(40) {
-				case 0:
-					v += 1 << 30
-				case 1:
-					v = -v
-				}
-				pts = append(pts, tsfile.Point{T: lo + i, V: v})
-			}
-			if err := e.InsertBatch("s", pts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		flush := func() {
-			if err := e.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Two disjoint time-ordered files, one file at a random (usually
-		// overlapping) position, one float chunk, a tombstone, and a
-		// memtable remainder.
-		insert(0, 1400)
-		flush()
-		insert(1400, 1400)
-		flush()
-		insert(rng.Int63n(span), 400)
-		if err := e.InsertFloatBatch("f", []tsfile.FloatPoint{{T: 10, V: 0.5}, {T: 20, V: -3.25}}); err != nil {
-			t.Fatal(err)
-		}
-		flush()
-		if dlo > dhi {
-			dlo, dhi = dhi, dlo
-		}
-		if dhi-dlo < span && dlo >= -span && dhi <= 2*span {
-			if err := e.DeleteRange("s", dlo, dhi); err != nil {
-				t.Fatal(err)
-			}
-		}
-		insert(rng.Int63n(span), 200)
-
-		checkPushdown(t, e, "s", qlo, qhi, window, vlo, vhi)
-		checkPushdown(t, e, "s", qlo, qhi, 0, vlo, vhi)
-
-		// Float series: both executors must agree on failure.
-		_, qerr := e.Query("f", qlo, qhi)
-		_, werr := e.WindowAgg("f", qlo, qhi, window)
-		if (qerr == nil) != (werr == nil) {
-			t.Fatalf("float divergence: Query err=%v, WindowAgg err=%v", qerr, werr)
+		for _, cacheBytes := range []int64{0, -1} {
+			checkPushdownLayout(t, cacheBytes, [8]int64{seed, qlo, qhi, window, vlo, vhi, dlo, dhi})
 		}
 	})
+}
+
+// TestPushdownFuzzSeedsReachPartialTiers: with the cache off, the fuzzer's
+// seed corpus answers some chunks by partial decode, so the fuzzer reaches
+// the block and plane skipping it is there to check.
+func TestPushdownFuzzSeedsReachPartialTiers(t *testing.T) {
+	var tiers pushdown.Snapshot
+	for _, s := range pushdownSeeds {
+		tiers.Add(checkPushdownLayout(t, -1, s))
+	}
+	if tiers.Inlier == 0 {
+		t.Fatalf("cache-off tiers %+v: no chunk answered by partial decode", tiers)
+	}
+}
+
+// checkPushdownLayout builds FuzzPushdownEquivalence's layout from one input
+// in an engine with the given CacheBytes, checks every pushdown answer
+// against the merged scan, and returns the engine's tier counts.
+func checkPushdownLayout(t *testing.T, cacheBytes int64, in [8]int64) pushdown.Snapshot {
+	t.Helper()
+	seed, qlo, qhi, window, vlo, vhi, dlo, dhi := in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7]
+	const span = int64(4200)
+	clamp := func(x int64) int64 {
+		x %= span
+		if x < 0 {
+			x += span
+		}
+		return x
+	}
+	if qlo > qhi {
+		qlo, qhi = qhi, qlo
+	}
+	if vlo > vhi {
+		vlo, vhi = vhi, vlo
+	}
+	// Keep the window anchor arithmetic far from int64 overflow.
+	if qlo < -span || qlo > 2*span {
+		qlo = clamp(qlo)
+	}
+	if qhi < qlo || qhi > 2*span {
+		qhi = qlo + clamp(qhi)
+	}
+	window = clamp(window)
+
+	rng := rand.New(rand.NewSource(seed))
+	e := openTest(t, Options{DisableWAL: true, FlushThreshold: 1 << 30, CacheBytes: cacheBytes})
+	defer e.Close()
+	insert := func(lo, n int64) {
+		pts := make([]tsfile.Point, 0, n)
+		for i := int64(0); i < n; i++ {
+			v := int64(1000 + rng.Intn(64))
+			switch rng.Intn(40) {
+			case 0:
+				v += 1 << 30
+			case 1:
+				v = -v
+			}
+			pts = append(pts, tsfile.Point{T: lo + i, V: v})
+		}
+		if err := e.InsertBatch("s", pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two disjoint time-ordered files, one file at a random (usually
+	// overlapping) position, one float chunk, a tombstone, and a
+	// memtable remainder.
+	insert(0, 1400)
+	flush()
+	insert(1400, 1400)
+	flush()
+	insert(rng.Int63n(span), 400)
+	if err := e.InsertFloatBatch("f", []tsfile.FloatPoint{{T: 10, V: 0.5}, {T: 20, V: -3.25}}); err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	if dlo > dhi {
+		dlo, dhi = dhi, dlo
+	}
+	if dhi-dlo < span && dlo >= -span && dhi <= 2*span {
+		if err := e.DeleteRange("s", dlo, dhi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(rng.Int63n(span), 200)
+
+	checkPushdown(t, e, "s", qlo, qhi, window, vlo, vhi)
+	checkPushdown(t, e, "s", qlo, qhi, 0, vlo, vhi)
+
+	// Float series: both executors must agree on failure.
+	_, qerr := e.Query("f", qlo, qhi)
+	_, werr := e.WindowAgg("f", qlo, qhi, window)
+	if (qerr == nil) != (werr == nil) {
+		t.Fatalf("float divergence: Query err=%v, WindowAgg err=%v", qerr, werr)
+	}
+	return e.ptiers.Snapshot()
 }

@@ -19,6 +19,7 @@ package pushdown
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -100,26 +101,56 @@ func (w *Windows) OneWindow(minT, maxT int64) bool {
 	return w.Start(minT) == w.Start(maxT)
 }
 
-func (w *Windows) bucket(start int64) *Bucket {
-	b := w.m[start]
-	if b == nil {
-		b = &Bucket{Start: start}
-		w.m[start] = b
-	}
-	return b
-}
-
 // Add folds one point into its window.
 func (w *Windows) Add(t, v int64) {
-	b := w.bucket(w.Start(t))
-	if b.Count == 0 || v < b.Min {
-		b.Min = v
+	w.AddBucket(Bucket{Start: w.Start(t), Count: 1, Min: v, Max: v, Sum: v})
+}
+
+// AddRun folds the points (times[i], vals[i]) into their windows, with the
+// same result as calling Add on each in turn. Each maximal run of
+// consecutive points that share a window becomes one bucket, added through
+// AddBucket, so a run costs one map access rather than one per point. times
+// and vals have the same length.
+func (w *Windows) AddRun(times, vals []int64) {
+	vals = vals[:len(times)]
+	for i := 0; i < len(times); {
+		lo, hi := w.offsets(times[i])
+		b := Bucket{Start: w.Start(times[i]), Min: vals[i], Max: vals[i], Sum: vals[i]}
+		j := i + 1
+		for ; j < len(times); j++ {
+			if d := times[j] - w.minT; d < lo || d > hi {
+				break
+			}
+			v := vals[j]
+			b.Min, b.Max = min(b.Min, v), max(b.Max, v)
+			b.Sum += v
+		}
+		b.Count = j - i
+		w.AddBucket(b)
+		i = j
 	}
-	if b.Count == 0 || v > b.Max {
-		b.Max = v
+}
+
+// offsets returns the range [lo, hi] of offsets d = t' - minT (wrapping, as
+// Start computes them) whose window is t's. Start truncates d/window toward
+// zero, so quotient q > 0 holds [q*window, q*window+window-1], q < 0 holds
+// [q*window-window+1, q*window] and q == 0 holds (-window, window), each
+// clipped to int64. Distinct quotients give distinct starts, because they
+// differ by less than 2^64 in q*window, so an offset is in the range exactly
+// when its point's Start equals t's.
+func (w *Windows) offsets(t int64) (lo, hi int64) {
+	if w.window <= 0 {
+		return math.MinInt64, math.MaxInt64
 	}
-	b.Count++
-	b.Sum += v
+	q := (t - w.minT) / w.window
+	r := q * w.window // |r| <= |t-minT|: no wrap
+	switch {
+	case q > 0:
+		return r, r + min(w.window-1, math.MaxInt64-r)
+	case q < 0:
+		return r - min(w.window-1, r-math.MinInt64), r
+	}
+	return -(w.window - 1), w.window - 1
 }
 
 // AddChunkStats folds a whole chunk's footer statistics into the window
@@ -137,13 +168,13 @@ func (w *Windows) AddBucket(b Bucket) {
 	if b.Count == 0 {
 		return
 	}
-	cur := w.bucket(b.Start)
-	if cur.Count == 0 || b.Min < cur.Min {
-		cur.Min = b.Min
+	cur := w.m[b.Start]
+	if cur == nil {
+		nb := b // only a new window's bucket is allocated
+		w.m[b.Start] = &nb
+		return
 	}
-	if cur.Count == 0 || b.Max > cur.Max {
-		cur.Max = b.Max
-	}
+	cur.Min, cur.Max = min(cur.Min, b.Min), max(cur.Max, b.Max)
 	cur.Count += b.Count
 	cur.Sum = int64(uint64(cur.Sum) + uint64(b.Sum))
 }
@@ -159,9 +190,7 @@ func (w *Windows) Merge(o *Windows) {
 func (w *Windows) Buckets() []Bucket {
 	out := make([]Bucket, 0, len(w.m))
 	for _, b := range w.m {
-		if b.Count > 0 {
-			out = append(out, *b)
-		}
+		out = append(out, *b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
@@ -198,6 +227,7 @@ func (e *Evaluator) EvalChunk(ci int, m tsfile.ChunkMeta) error {
 	if err != nil {
 		return err
 	}
+	defer h.Release()
 	times := h.Times()
 	lo := sort.Search(len(times), func(i int) bool { return times[i] >= e.MinT })
 	hi := sort.Search(len(times), func(i int) bool { return times[i] > e.MaxT })
@@ -216,9 +246,7 @@ func (e *Evaluator) EvalChunk(ci int, m tsfile.ChunkMeta) error {
 	} else {
 		e.T.Full.Add(1)
 	}
-	for i, v := range vals {
-		e.W.Add(times[lo+i], v)
-	}
+	e.W.AddRun(times[lo:hi], vals)
 	return nil
 }
 
@@ -251,6 +279,7 @@ func (f *Filter) FilterChunk(ci int, m tsfile.ChunkMeta, emit func(tsfile.Point)
 	if err != nil {
 		return err
 	}
+	defer h.Release()
 	times := h.Times()
 	lo := sort.Search(len(times), func(i int) bool { return times[i] >= f.MinT })
 	hi := sort.Search(len(times), func(i int) bool { return times[i] > f.MaxT })
@@ -259,11 +288,10 @@ func (f *Filter) FilterChunk(ci int, m tsfile.ChunkMeta, emit func(tsfile.Point)
 		return nil
 	}
 	var emitErr error
-	skipped, err := h.FilterValues(f.MinV, f.MaxV, func(i int, v int64) {
-		if emitErr != nil || i < lo || i >= hi {
-			return
+	skipped, err := h.FilterValues(lo, hi, f.MinV, f.MaxV, func(i int, v int64) {
+		if emitErr == nil {
+			emitErr = emit(tsfile.Point{T: times[i], V: v})
 		}
-		emitErr = emit(tsfile.Point{T: times[i], V: v})
 	})
 	if err != nil {
 		return err

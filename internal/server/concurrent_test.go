@@ -172,16 +172,26 @@ func TestConcurrentIngestMatchesSequential(t *testing.T) {
 // TestClientConcurrentScans runs 8 goroutines over one shared Client and one
 // server, each issuing every kind of typed scan, and checks every answer
 // against the engine's in-process one. The client's decode buffers and the
-// server's row buffers come from pools the goroutines share; CI runs this
-// test under -race.
+// server's row buffers come from pools the goroutines share. It runs with
+// the engine's chunk cache on, which the reference queries fill, and off, so
+// that every window and filter also decodes into the pooled chunk read
+// buffers the goroutines share. CI runs this test under -race.
 func TestClientConcurrentScans(t *testing.T) {
+	for _, cacheBytes := range []int64{0, -1} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			concurrentScans(t, cacheBytes)
+		})
+	}
+}
+
+func concurrentScans(t *testing.T, cacheBytes int64) {
 	const (
 		goroutines = 8
 		rounds     = 3
 		intSeries  = 3
 		points     = 20000 // an int answer spans two frames, the float one four
 	)
-	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), FlushThreshold: 4000})
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), FlushThreshold: 4000, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,5 +312,8 @@ func TestClientConcurrentScans(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	if tiers := eng.Stats().Pushdown; cacheBytes < 0 && tiers.Inlier == 0 {
+		t.Errorf("cache off: pushdown tiers %+v, no chunk read in part", tiers)
 	}
 }

@@ -8,6 +8,7 @@ package ts2diff
 
 import (
 	"fmt"
+	"slices"
 
 	"bos/internal/codec"
 )
@@ -69,28 +70,36 @@ func (c *Codec) Encode(dst []byte, vals []int64) []byte {
 
 // Decode implements codec.IntCodec.
 func (c *Codec) Decode(src []byte) ([]int64, error) {
+	return c.AppendDecode(nil, src)
+}
+
+// AppendDecode appends the decoded series to dst. On error it returns dst
+// at its length on entry.
+func (c *Codec) AppendDecode(dst []int64, src []byte) ([]int64, error) {
 	n64, src, err := codec.ReadUvarint(src)
 	if err != nil {
-		return nil, fmt.Errorf("ts2diff: count: %w", err)
+		return dst, fmt.Errorf("ts2diff: count: %w", err)
 	}
 	if n64 > uint64(codec.MaxBlockLen)*64 {
-		return nil, fmt.Errorf("ts2diff: implausible count %d", n64)
+		return dst, fmt.Errorf("ts2diff: implausible count %d", n64)
 	}
 	n := int(n64)
 	// Reserve at most one block's worth: decoded blocks grow the rest.
-	out := make([]int64, 0, min(n, codec.MaxBlockLen))
-	for len(out) < n {
+	base := len(dst)
+	out := slices.Grow(dst, min(n, codec.MaxBlockLen))
+	for len(out)-base < n {
 		before := len(out)
 		out, src, err = c.Packer.Unpack(src, out)
 		if err != nil {
-			return nil, fmt.Errorf("ts2diff: %w", err)
+			return dst, fmt.Errorf("ts2diff: %w", err)
 		}
 		if len(out) == before {
-			return nil, fmt.Errorf("ts2diff: empty block before %d/%d values", len(out), n)
+			return dst, fmt.Errorf("ts2diff: empty block before %d/%d values", len(out)-base, n)
 		}
 	}
-	if len(out) != n {
-		return nil, fmt.Errorf("ts2diff: decoded %d values, want %d", len(out), n)
+	if len(out)-base != n {
+		return dst, fmt.Errorf("ts2diff: decoded %d values, want %d", len(out)-base, n)
 	}
-	return Undeltas(out), nil
+	Undeltas(out[base:])
+	return out, nil
 }

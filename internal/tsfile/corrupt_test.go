@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"bos/internal/chunkcache"
 )
 
 // corruptSeedFile is a small file with every chunk kind the reader decodes:
@@ -44,12 +46,23 @@ func corruptSeedFile(t testing.TB) []byte {
 }
 
 // readEverything opens data and drives every read the Reader offers over
-// every series and chunk, returning the errors they report.
+// every series and chunk, returning the errors they report. It reads the
+// file twice: with the chunk cache off, so every read decodes, and on, so
+// the reads after the first hit the columns the first one cached.
 func readEverything(data []byte) []error {
+	var errs []error
+	for _, cache := range []*chunkcache.Cache{nil, chunkcache.New(1 << 20)} {
+		errs = append(errs, readEverythingWith(data, cache)...)
+	}
+	return errs
+}
+
+func readEverythingWith(data []byte, cache *chunkcache.Cache) []error {
 	r, err := OpenReader(bytes.NewReader(data), int64(len(data)), Options{})
 	if err != nil {
 		return []error{err}
 	}
+	r.SetCache(cache, 1)
 	var errs []error
 	note := func(err error) {
 		if err != nil {
@@ -88,8 +101,9 @@ func readEverything(data []byte) []error {
 			}
 			_, _, err = h.ValueRange(1, len(h.Times())-1)
 			note(err)
-			_, err = h.FilterValues(m.MinV, m.MinV+(m.MaxV-m.MinV)/2, func(int, int64) {})
+			_, err = h.FilterValues(1, len(h.Times())-1, m.MinV, m.MinV+(m.MaxV-m.MinV)/2, func(int, int64) {})
 			note(err)
+			h.Release()
 		}
 	}
 	return errs

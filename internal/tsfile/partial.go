@@ -12,10 +12,15 @@ import (
 // This file is the partial-decode surface internal/pushdown builds on: a
 // ChunkHandle exposes one integer chunk's fully-decoded time column next to
 // its still-encoded value column, so the evaluator can binary-search the time
-// window first and then touch only the value bits that matter. A position
-// range skips the blocks before it by header arithmetic (core.SkipBlock) and
-// decodes the blocks it overlaps whole; a value filter skips the value
-// planes its band cannot reach (core.FilterBlock).
+// window first and then touch only the value bits that matter. Both value
+// reads take a position range: the blocks wholly before it are skipped by
+// header arithmetic (core.SkipBlock), the blocks it overlaps are decoded
+// whole or filtered, and the blocks after it are never read. A value filter
+// also skips the value planes its band cannot reach (core.FilterBlock).
+//
+// A handle opened on a cache miss reads into pooled buffers — the chunk
+// body, the time column and a value scratch — and Release returns them, so a
+// window or filter over a cold chunk allocates no column.
 //
 // Partial decode is only possible for chunks packed by a BOS-family packer
 // (*core.Packer); any other packer — and any chunk already decoded into the
@@ -46,7 +51,8 @@ func (r *Reader) chunkMeta(series string, ci int) (ChunkMeta, error) {
 
 // ChunkHandle is one integer chunk opened for partial access: the time
 // column decoded, the value column kept encoded until a ValueRange or
-// FilterValues call needs (some of) it.
+// FilterValues call needs (some of) it. Release returns its buffers; the
+// handle and everything it returned must not be used after Release.
 type ChunkHandle struct {
 	Meta ChunkMeta
 
@@ -54,12 +60,14 @@ type ChunkHandle struct {
 	vals   []int64 // full value column, when cached or fully decoded
 	vcol   []byte  // encoded value column, when vals == nil
 	packer codec.Packer
+	bufs   *readBufs // pooled buffers behind times, vcol and decoded values; nil on a cache hit
 }
 
 // OpenChunk opens one integer chunk for partial access. A chunk-cache hit
-// returns the decoded columns directly; a miss reads and decodes only the
-// time column, leaving the value column encoded. OpenChunk never populates
-// the cache — partial reads would poison it with incomplete columns.
+// returns the decoded columns directly; a miss reads the chunk into pooled
+// buffers and decodes only the time column, leaving the value column
+// encoded. OpenChunk never populates the cache — partial reads would poison
+// it with incomplete columns. The caller must Release the handle.
 func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	m, err := r.chunkMeta(series, ci)
 	if err != nil {
@@ -73,131 +81,173 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 		h.times, h.vals = times, vals
 		return h, nil
 	}
-	body, err := r.readChunkBody(m)
-	if err != nil {
+	h.bufs = readPool.Get().(*readBufs)
+	if err := h.read(r); err != nil {
+		h.Release()
 		return nil, err
-	}
-	_, cols, err := parseChunkHeader(body, m)
-	if err != nil {
-		return nil, err
-	}
-	tcol, rest, err := splitColumn(cols, m.Count, "time")
-	if err != nil {
-		return nil, err
-	}
-	if h.vcol, _, err = splitColumn(rest, m.Count, "value"); err != nil {
-		return nil, err
-	}
-	if h.times, err = ts2diff.New(h.packer, 0).Decode(tcol); err != nil {
-		return nil, fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
 	}
 	return h, nil
+}
+
+// read loads the chunk body into the handle's buffers and decodes the time
+// column.
+func (h *ChunkHandle) read(r *Reader) error {
+	b := h.bufs
+	body, err := r.readChunkBody(h.Meta, b)
+	if err != nil {
+		return err
+	}
+	_, cols, err := parseChunkHeader(body, h.Meta)
+	if err != nil {
+		return err
+	}
+	tcol, rest, err := splitColumn(cols, h.Meta.Count, "time")
+	if err != nil {
+		return err
+	}
+	if h.vcol, _, err = splitColumn(rest, h.Meta.Count, "value"); err != nil {
+		return err
+	}
+	if b.times, err = ts2diff.New(h.packer, 0).AppendDecode(b.times[:0], tcol); err != nil {
+		return fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
+	}
+	h.times = b.times
+	return nil
+}
+
+// Release returns the handle's pooled buffers. Nothing the handle returned —
+// Times, ValueRange's values, FilterValues' emitted values — may be used
+// after Release, and the handle itself may not be used again. A handle from
+// a cache hit holds cache slices and returns nothing; a second Release does
+// nothing.
+func (h *ChunkHandle) Release() {
+	if h.bufs == nil {
+		return
+	}
+	readPool.Put(h.bufs)
+	h.bufs, h.times, h.vals, h.vcol = nil, nil, nil, nil
 }
 
 // Times is the chunk's full time column, read-only.
 func (h *ChunkHandle) Times() []int64 { return h.times }
 
-// decodeAll decodes and memoizes the full value column.
+// decodeAll decodes the full value column into the value scratch and
+// memoizes it.
 func (h *ChunkHandle) decodeAll() ([]int64, error) {
 	if h.vals == nil {
-		vals, err := codec.NewBlockwise(h.packer, 0).Decode(h.vcol)
+		vals, err := codec.NewBlockwise(h.packer, 0).AppendDecode(h.bufs.vals[:0], h.vcol)
 		if err != nil {
 			return nil, fmt.Errorf("%w: value column: %v", ErrCorrupt, err)
 		}
-		h.vals = vals
+		h.vals, h.bufs.vals = vals, vals
 	}
 	return h.vals, nil
 }
 
-// openBlocks validates the value column's count header and returns the
-// packed block stream. The caller walks it with the core partial kernels.
-func (h *ChunkHandle) openBlocks() ([]byte, error) {
+// clamp bounds a position range to the chunk's positions, empty when
+// inverted.
+func (h *ChunkHandle) clamp(lo, hi int) (int, int) {
+	hi = min(max(hi, 0), len(h.times))
+	return min(max(lo, 0), hi), hi
+}
+
+// partial reports whether the value column is read block by block: BOS-packed
+// and not yet decoded.
+func (h *ChunkHandle) partial() bool {
+	_, ok := h.packer.(*core.Packer)
+	return ok && h.vals == nil
+}
+
+// blocksFrom validates the value column's count header, skips the packed
+// blocks that lie wholly before position lo by header arithmetic, and
+// returns the remaining block stream with the chunk position of its first
+// value.
+func (h *ChunkHandle) blocksFrom(lo int) ([]byte, int, error) {
 	total, blocks, err := codec.ReadUvarint(h.vcol)
 	if err != nil || total != uint64(len(h.times)) {
-		return nil, fmt.Errorf("%w: value column count", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: value column count", ErrCorrupt)
 	}
-	return blocks, nil
+	first := 0
+	for len(blocks) > 0 {
+		bn, rest, err := core.SkipBlock(blocks)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
+		}
+		if first+bn > lo {
+			break
+		}
+		first += bn
+		blocks = rest
+	}
+	return blocks, first, nil
 }
 
 // ValueRange returns the chunk's values at positions [lo, hi) (clamped),
-// read-only. When the column is BOS-packed and the range is a strict
+// read-only, valid until the handle's next ValueRange or FilterValues call
+// or its Release. When the column is BOS-packed and the range is a strict
 // sub-range, the blocks before lo are skipped by header arithmetic, the
-// blocks overlapping the range are decoded whole, and the blocks after hi
-// are never touched; the second result reports whether that partial path ran
-// (false means the full column was decoded or cached).
+// blocks overlapping the range are decoded whole into the handle's value
+// scratch, and the blocks after hi are never touched; the second result
+// reports whether that partial path ran (false means the full column was
+// decoded or cached).
 func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
-	n := len(h.times)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	if h.vals != nil {
-		return h.vals[lo:hi], false, nil
-	}
-	if _, ok := h.packer.(*core.Packer); !ok || (lo == 0 && hi == n) {
+	lo, hi = h.clamp(lo, hi)
+	if !h.partial() || (lo == 0 && hi == len(h.times)) {
 		vals, err := h.decodeAll()
 		if err != nil {
 			return nil, false, err
 		}
 		return vals[lo:hi], false, nil
 	}
-	blocks, err := h.openBlocks()
+	blocks, first, err := h.blocksFrom(lo)
 	if err != nil {
 		return nil, false, err
 	}
-	vals := make([]int64, 0, hi-lo) // the overlapping blocks, decoded whole
-	first := 0                      // chunk position of vals[0]
-	for seen := 0; seen < hi && len(blocks) > 0; {
-		bn, rest, err := core.SkipBlock(blocks)
-		if err != nil {
+	vals := h.bufs.vals[:0] // the overlapping blocks, decoded whole
+	for first+len(vals) < hi && len(blocks) > 0 {
+		if vals, blocks, err = h.packer.Unpack(blocks, vals); err != nil {
 			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
-		if seen+bn <= lo {
-			first = seen + bn
-		} else if vals, _, err = h.packer.Unpack(blocks, vals); err != nil {
-			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
-		}
-		seen += bn
-		blocks = rest
 	}
+	h.bufs.vals = vals[:0]
 	if first+len(vals) < hi {
 		return nil, false, fmt.Errorf("%w: value column holds %d of [%d,%d)", ErrCorrupt, first+len(vals), lo, hi)
 	}
 	return vals[lo-first : hi-first], true, nil
 }
 
-// FilterValues calls emit(i, v), in position order, for every value v of the
-// chunk with minV <= v <= maxV, i being the position within the chunk. For a
-// BOS-packed column the per-class value bands decide which planes are
-// decoded at all; the first result reports whether any plane (or whole
-// block) was skipped that way.
-func (h *ChunkHandle) FilterValues(minV, maxV int64, emit func(i int, v int64)) (bool, error) {
-	if _, ok := h.packer.(*core.Packer); !ok || h.vals != nil {
+// FilterValues calls emit(i, v), in position order, for every value v at a
+// position i in [lo, hi) (clamped as ValueRange clamps) with
+// minV <= v <= maxV. For a BOS-packed column the blocks wholly outside the
+// range are skipped unread, and the per-class value bands decide which planes
+// of the others are decoded at all; the first result reports whether any
+// block or plane was skipped.
+func (h *ChunkHandle) FilterValues(lo, hi int, minV, maxV int64, emit func(i int, v int64)) (bool, error) {
+	lo, hi = h.clamp(lo, hi)
+	if !h.partial() {
 		vals, err := h.decodeAll()
 		if err != nil {
 			return false, err
 		}
-		for i, v := range vals {
-			if v >= minV && v <= maxV {
+		for i := lo; i < hi; i++ {
+			if v := vals[i]; v >= minV && v <= maxV {
 				emit(i, v)
 			}
 		}
 		return false, nil
 	}
-	blocks, err := h.openBlocks()
+	blocks, first, err := h.blocksFrom(lo)
 	if err != nil {
 		return false, err
 	}
-	skipped := false
-	for seen := 0; seen < len(h.times) && len(blocks) > 0; {
+	skipped := first > 0
+	seen := first
+	for seen < hi && len(blocks) > 0 {
 		start := seen
 		bn, sk, rest, err := core.FilterBlock(blocks, minV, maxV, func(i int, v int64) {
-			emit(start+i, v)
+			if p := start + i; p >= lo && p < hi {
+				emit(p, v)
+			}
 		})
 		if err != nil {
 			return false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
@@ -206,5 +256,8 @@ func (h *ChunkHandle) FilterValues(minV, maxV int64, emit func(i int, v int64)) 
 		seen += bn
 		blocks = rest
 	}
-	return skipped, nil
+	if seen < hi {
+		return false, fmt.Errorf("%w: value column holds %d of [%d,%d)", ErrCorrupt, seen, lo, hi)
+	}
+	return skipped || seen < len(h.times), nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -262,7 +263,12 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				n := len(wantV)
-				for _, rg := range [][2]int{{0, n}, {0, 0}, {n / 3, 2 * n / 3}, {rng.Intn(n + 1), n}, {-5, n + 5}} {
+				minV := wantV[rng.Intn(n)]
+				maxV := minV + 50
+				for _, rg := range [][2]int{{0, n}, {0, 0}, {n / 3, 2 * n / 3}, {rng.Intn(n + 1), n}, {-5, n + 5}, {3, -1}} {
+					lo := min(max(rg[0], 0), n)
+					hi := min(max(rg[1], 0), n)
+					lo = min(lo, hi)
 					// A fresh handle per read: ValueRange(0, n) memoizes
 					// the full column, which would bypass the
 					// block-skipping path (and FilterValues' band
@@ -278,16 +284,6 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("range %v: %v", rg, err)
 					}
-					lo, hi := rg[0], rg[1]
-					if lo < 0 {
-						lo = 0
-					}
-					if hi > n {
-						hi = n
-					}
-					if lo > hi {
-						lo = hi
-					}
 					if want := opt.Packer == nil && hi-lo < n; partial != want {
 						t.Fatalf("range %v: partial %v, want %v", rg, partial, want)
 					}
@@ -299,31 +295,27 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 							t.Fatalf("range %v value %d: got %d want %d", rg, i, got[i], wantV[lo+i])
 						}
 					}
-				}
-				h, err := r.OpenChunk(series, ci)
-				if err != nil {
-					t.Fatal(err)
-				}
-				minV := wantV[rng.Intn(n)]
-				maxV := minV + 50
-				var got []Point
-				if _, err := h.FilterValues(minV, maxV, func(i int, v int64) {
-					got = append(got, Point{int64(i), v})
-				}); err != nil {
-					t.Fatal(err)
-				}
-				var ref []Point
-				for i, v := range wantV {
-					if v >= minV && v <= maxV {
-						ref = append(ref, Point{int64(i), v})
+					h.Release()
+
+					h, err = r.OpenChunk(series, ci)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if len(got) != len(ref) {
-					t.Fatalf("filter [%d,%d]: %d hits, want %d", minV, maxV, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("filter hit %d: got %+v want %+v", i, got[i], ref[i])
+					var fgot []Point
+					if _, err := h.FilterValues(rg[0], rg[1], minV, maxV, func(i int, v int64) {
+						fgot = append(fgot, Point{int64(i), v})
+					}); err != nil {
+						t.Fatal(err)
+					}
+					h.Release()
+					var ref []Point
+					for i := lo; i < hi; i++ {
+						if v := wantV[i]; v >= minV && v <= maxV {
+							ref = append(ref, Point{int64(i), v})
+						}
+					}
+					if !slices.Equal(fgot, ref) {
+						t.Fatalf("filter %v [%d,%d]: got %v, want %v", rg, minV, maxV, fgot, ref)
 					}
 				}
 			}
@@ -366,52 +358,197 @@ func TestChunkHandleCacheHit(t *testing.T) {
 	}
 }
 
+// TestChunkHandleRelease: Release returns a cold handle's buffers once, so a
+// second Release cannot hand one set of buffers to two later handles, and a
+// cache-hit handle returns nothing, so later cold reads cannot write into
+// the cached columns.
+func TestChunkHandleRelease(t *testing.T) {
+	file, want := buildFile(t, Options{})
+	r, err := OpenReader(file, file.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetCache(chunkcache.New(1<<20), 1)
+	cold := r.WithoutCache()
+	series := r.Series()[0]
+	chunks, err := r.Chunks(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkPoints := func(ci int) []Point {
+		off := 0
+		for _, m := range chunks[:ci] {
+			off += m.Count
+		}
+		return want[series][off : off+chunks[ci].Count]
+	}
+	open := func(r *Reader, ci int) *ChunkHandle {
+		h, err := r.OpenChunk(series, ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	check := func(what string, ci int, times, vals []int64) {
+		t.Helper()
+		pts := chunkPoints(ci)
+		if len(times) != len(pts) || len(vals) != len(pts) {
+			t.Fatalf("%s: %d times and %d values, want %d", what, len(times), len(vals), len(pts))
+		}
+		for i, p := range pts {
+			if times[i] != p.T || vals[i] != p.V {
+				t.Fatalf("%s: point %d = (%d, %d), want %+v", what, i, times[i], vals[i], p)
+			}
+		}
+	}
+	whole := func(h *ChunkHandle) []int64 {
+		vals, _, err := h.ValueRange(0, len(h.Times()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+
+	// The larger chunk first: two handles sharing buffers would then read
+	// the smaller one over it in place.
+	big, small := 0, 1
+	if chunks[big].Count < chunks[small].Count {
+		big, small = small, big
+	}
+	h := open(cold, big)
+	h.Release()
+	h.Release()
+	a, b := open(cold, big), open(cold, small)
+	aVals, bVals := whole(a), whole(b)
+	check("larger chunk beside the smaller", big, a.Times(), aVals)
+	check("smaller chunk beside the larger", small, b.Times(), bVals)
+	a.Release()
+	b.Release()
+
+	if _, _, err := r.ChunkColumns(series, 2); err != nil { // fills the cache
+		t.Fatal(err)
+	}
+	hit := open(r, 2)
+	hit.Release()
+	hit.Release()
+	for ci := range chunks {
+		c := open(cold, ci)
+		check("cold read after a cache-hit Release", ci, c.Times(), whole(c))
+		c.Release()
+	}
+	times, vals, err := r.ChunkColumns(series, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cached chunk 2", 2, times, vals)
+}
+
+// coldChunk writes vals as one chunk of a BOS-B file, one timestamp unit
+// apart, and opens it with the cache off.
+func coldChunk(tb testing.TB, vals []int64) *Reader {
+	tb.Helper()
+	pts := make([]Point, len(vals))
+	for i, v := range vals {
+		pts[i] = Point{T: int64(i), V: v}
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Options{})
+	if err := w.Append("s", pts); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	file := bytes.NewReader(buf.Bytes())
+	r, err := OpenReader(file, file.Size(), Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// partialReads returns the two reads the pushdown tier makes of an exclusive
+// chunk, each as a query makes it: open the chunk, read positions [lo, hi),
+// release. The first reads the values (a window), the second filters them
+// to [minV, MaxInt64].
+func partialReads(tb testing.TB, r *Reader, lo, hi int, minV int64) (window, filter func()) {
+	open := func() *ChunkHandle {
+		h, err := r.OpenChunk("s", 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return h
+	}
+	window = func() {
+		h := open()
+		if got, partial, err := h.ValueRange(lo, hi); err != nil || !partial || len(got) != hi-lo {
+			tb.Fatalf("range: %d values, partial %v, err %v", len(got), partial, err)
+		}
+		h.Release()
+	}
+	filter = func() {
+		h := open()
+		if _, err := h.FilterValues(lo, hi, minV, math.MaxInt64, func(int, int64) {}); err != nil {
+			tb.Fatal(err)
+		}
+		h.Release()
+	}
+	return window, filter
+}
+
+// TestColdPartialReadsAllocateNoColumn: with the cache off, a window or a
+// filter over one 16,384-point chunk allocates the handle and nothing else
+// once the read buffers are pooled.
+func TestColdPartialReadsAllocateNoColumn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of what is put back under -race")
+	}
+	const n, lo, hi, runs = 16384, 3000, 11192, 50
+	vals := dataset.All()[0].Ints(n)
+	window, filter := partialReads(t, coldChunk(t, vals), lo, hi, slices.Max(vals)/2)
+	for _, c := range []struct {
+		name string
+		read func()
+	}{{"ValueRange", window}, {"FilterValues", filter}} {
+		c.read() // fills the pool
+		if allocs := testing.AllocsPerRun(runs, c.read); allocs > 1 {
+			t.Errorf("%s: %.1f allocations per read, want at most 1 (the handle)", c.name, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			c.read()
+		}
+		runtime.ReadMemStats(&after)
+		if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead >= 1024 {
+			t.Errorf("%s: %d bytes allocated per read, want under 1 KiB", c.name, perRead)
+		}
+	}
+}
+
 // BenchmarkChunkPartial times the two partial reads the pushdown tier runs on
 // an exclusive chunk, on one 16,384-point BOS-B chunk per dataset stand-in:
 // ValueRange over 8,192 positions starting mid-block (agg_cold's window
-// shape) and FilterValues(p99, MaxInt64) (its filter shape). The handle is
-// opened once, so only the value column's reads are timed.
+// shape) and FilterValues(p99, MaxInt64) over the same positions (its filter
+// shape). Each iteration opens the chunk, reads and releases it, as a query
+// does, so the time column's decode is timed too.
 func BenchmarkChunkPartial(b *testing.B) {
 	const n, span, lo = 16384, 8192, 4000
 	for _, d := range dataset.All() {
 		vals := d.Ints(n)
-		pts := make([]Point, n)
-		for i, v := range vals {
-			pts[i] = Point{T: int64(i), V: v}
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf, Options{})
-		if err := w.Append("s", pts); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		file := bytes.NewReader(buf.Bytes())
-		r, err := OpenReader(file, file.Size(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := r.OpenChunk("s", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
-		p99 := sorted[n*99/100]
-		b.Run(d.Abbr+"/range", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got, partial, err := h.ValueRange(lo, lo+span); err != nil || !partial || len(got) != span {
-					b.Fatalf("range: %d values, partial %v, err %v", len(got), partial, err)
+		window, filter := partialReads(b, coldChunk(b, vals), lo, lo+span, sorted[n*99/100])
+		for _, c := range []struct {
+			name string
+			read func()
+		}{{"range", window}, {"filter", filter}} {
+			b.Run(d.Abbr+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.read()
 				}
-			}
-		})
-		b.Run(d.Abbr+"/filter", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.FilterValues(p99, math.MaxInt64, func(int, int64) {}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"bos/internal/chunkcache"
 	"bos/internal/codec"
@@ -328,19 +330,34 @@ func uvarintLen(v uint64) uint64 {
 	return n
 }
 
+// readBufs is one chunk read's scratch: the chunk body as the file holds
+// it, and the decoded columns of a read that keeps none. No decoded column
+// aliases body, so a read that keeps its columns returns the buffers as soon
+// as decoding ends.
+type readBufs struct {
+	body  []byte
+	times []int64
+	vals  []int64
+}
+
+// readPool recycles readBufs between chunk reads, so that a read which keeps
+// no column allocates none.
+var readPool = sync.Pool{New: func() any { return new(readBufs) }}
+
 // readChunkBody loads one chunk's raw body, length prefix and body in one
-// read. The prefix must equal the footer's EncodedBytes, which open has
-// already bounded by the file, so a corrupt prefix cannot size the read.
-func (r *Reader) readChunkBody(m ChunkMeta) ([]byte, error) {
-	n := uvarintLen(uint64(m.EncodedBytes))
-	buf := make([]byte, n+uint64(m.EncodedBytes))
-	if _, err := r.r.ReadAt(buf, m.Offset); err != nil {
+// read, into b.body. The prefix must equal the footer's EncodedBytes, which
+// open has already bounded by the file, so a corrupt prefix cannot size the
+// read.
+func (r *Reader) readChunkBody(m ChunkMeta, b *readBufs) ([]byte, error) {
+	n := int(uvarintLen(uint64(m.EncodedBytes)))
+	b.body = slices.Grow(b.body[:0], n+m.EncodedBytes)[:n+m.EncodedBytes]
+	if _, err := r.r.ReadAt(b.body, m.Offset); err != nil {
 		return nil, fmt.Errorf("%w: chunk body: %v", ErrCorrupt, err)
 	}
-	if bodyLen, used := binary.Uvarint(buf); used != int(n) || bodyLen != uint64(m.EncodedBytes) {
+	if bodyLen, used := binary.Uvarint(b.body); used != n || bodyLen != uint64(m.EncodedBytes) {
 		return nil, fmt.Errorf("%w: chunk length prefix does not match the footer", ErrCorrupt)
 	}
-	return buf[n:], nil
+	return b.body[n:], nil
 }
 
 // holds reports whether a chunk of the given footer kind stores values of
@@ -370,7 +387,9 @@ func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta)
 	if times, vals, ok := chunkcache.Get[V](r.cache, r.cacheID, series, ci); ok {
 		return times, vals, nil
 	}
-	body, err := r.readChunkBody(m)
+	b := readPool.Get().(*readBufs)
+	defer readPool.Put(b)
+	body, err := r.readChunkBody(m, b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -378,11 +397,20 @@ func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta)
 	if err != nil {
 		return nil, nil, err
 	}
-	times, ivals, err := decodeColumns(r.packerFor(m), cols, m.Count)
+	// An integer column is handed out and cached as it is; a float chunk's
+	// stored integers are scratch that chunkValues converts into a new column.
+	var ivals []int64
+	if m.Kind != kindInt {
+		ivals = b.vals[:0]
+	}
+	times, ivals, err := decodeColumns(r.packerFor(m), cols, m.Count, ivals)
 	if err != nil {
 		return nil, nil, err
 	}
 	vals := chunkValues[V](m.Kind, precision, ivals)
+	if m.Kind != kindInt {
+		b.vals = ivals[:0]
+	}
 	chunkcache.Put(r.cache, r.cacheID, series, ci, times, vals)
 	return times, vals, nil
 }

@@ -316,8 +316,9 @@ func splitColumn(rest []byte, n int, name string) (col, tail []byte, err error) 
 }
 
 // decodeColumns inverts encodeChunk's columns for a chunk of n points. Every
-// packed block records its own length, so decoding needs no block size.
-func decodeColumns(p codec.Packer, rest []byte, n int) (times, vals []int64, err error) {
+// packed block records its own length, so decoding needs no block size. The
+// time column is a new slice; the value column is appended to vals.
+func decodeColumns(p codec.Packer, rest []byte, n int, vals []int64) ([]int64, []int64, error) {
 	tcol, rest, err := splitColumn(rest, n, "time")
 	if err != nil {
 		return nil, nil, err
@@ -328,10 +329,11 @@ func decodeColumns(p codec.Packer, rest []byte, n int) (times, vals []int64, err
 	}
 	// Both codecs return exactly the count the column declares, or an
 	// error.
-	if times, err = ts2diff.New(p, 0).Decode(tcol); err != nil {
+	times, err := ts2diff.New(p, 0).Decode(tcol)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: time column: %v", ErrCorrupt, err)
 	}
-	if vals, err = codec.NewBlockwise(p, 0).Decode(vcol); err != nil {
+	if vals, err = codec.NewBlockwise(p, 0).AppendDecode(vals, vcol); err != nil {
 		return nil, nil, fmt.Errorf("%w: value column: %v", ErrCorrupt, err)
 	}
 	return times, vals, nil
