@@ -23,6 +23,14 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// NewWriterOn returns a Writer whose stream continues buf: it starts
+// byte-aligned at len(buf), writes into buf's array while its capacity
+// lasts, and Bytes returns buf extended. An encoder that appends to a
+// caller's slice writes through it instead of into a buffer of its own.
+func NewWriterOn(buf []byte) *Writer {
+	return &Writer{buf: buf}
+}
+
 // Reset discards all written data, retaining the allocated buffer.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]

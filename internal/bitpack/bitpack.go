@@ -11,6 +11,7 @@ package bitpack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bos/internal/bitio"
 	"bos/internal/codec"
@@ -23,12 +24,12 @@ type Packer struct{}
 func (Packer) Name() string { return "BP" }
 
 // Pack implements codec.Packer: varint count, zigzag-varint minimum, a width
-// byte, then count fixed-width offsets.
+// byte, then count fixed-width offsets. The header is byte-aligned, so it is
+// appended a byte at a time and the offsets are packed straight into dst.
 func (Packer) Pack(dst []byte, vals []int64) []byte {
-	w := bitio.NewWriter(len(vals)*2 + 12)
-	w.WriteUvarint(uint64(len(vals)))
+	dst = codec.AppendUvarint(dst, uint64(len(vals)))
 	if len(vals) == 0 {
-		return append(dst, w.Bytes()...)
+		return dst
 	}
 	xmin, xmax := vals[0], vals[0]
 	for _, v := range vals {
@@ -40,20 +41,25 @@ func (Packer) Pack(dst []byte, vals []int64) []byte {
 		}
 	}
 	width := bitio.WidthOf(uint64(xmax) - uint64(xmin))
-	w.WriteVarint(xmin)
-	w.WriteBits(uint64(width), 8)
+	dst = codec.AppendUvarint(dst, bitio.ZigZag(xmin))
+	dst = append(dst, byte(width))
+	// Room for the offsets and the 8 bytes the bulk writer's last store may
+	// reach past them, so it packs within dst's array.
+	dst = slices.Grow(dst, (len(vals)*int(width)+7)/8+8)
 	// Fused frame-of-reference pack: the offsets uint64(v)-uint64(xmin)
 	// are computed inside the bulk writer, no scratch slice.
+	w := bitio.NewWriterOn(dst)
 	w.WriteBulkInt64(vals, uint64(xmin), width)
-	return append(dst, w.Bytes()...)
+	return w.Bytes()
 }
 
 var errCorrupt = errors.New("bitpack: corrupt block")
 
-// Unpack implements codec.Packer.
+// Unpack implements codec.Packer. The header is byte-aligned, as Pack
+// appends it, so it is read a byte at a time and only the offsets go
+// through a bit reader.
 func (Packer) Unpack(src []byte, out []int64) ([]int64, []byte, error) {
-	r := bitio.NewReader(src)
-	n64, err := r.ReadUvarint()
+	n64, rest, err := codec.ReadUvarint(src)
 	if err != nil {
 		return out, nil, fmt.Errorf("%w: count: %v", errCorrupt, err)
 	}
@@ -64,22 +70,23 @@ func (Packer) Unpack(src []byte, out []int64) ([]int64, []byte, error) {
 	}
 	n := int(n64)
 	if n == 0 {
-		return out, r.Rest(), nil
+		return out, rest, nil
 	}
-	xmin, err := r.ReadVarint()
+	zmin, rest, err := codec.ReadUvarint(rest)
 	if err != nil {
 		return out, nil, fmt.Errorf("%w: xmin: %v", errCorrupt, err)
 	}
-	width, err := r.ReadBits(8)
-	if err != nil {
-		return out, nil, fmt.Errorf("%w: width: %v", errCorrupt, err)
+	if len(rest) == 0 {
+		return out, nil, fmt.Errorf("%w: width: %v", errCorrupt, bitio.ErrUnexpectedEOF)
 	}
+	width := rest[0]
 	if width > 64 {
 		return out, nil, fmt.Errorf("%w: width %d", errCorrupt, width)
 	}
+	r := bitio.NewReader(rest[1:])
 	base := len(out)
 	out = append(out, make([]int64, n)...)
-	if err := r.ReadBulkInt64(out[base:], uint(width), uint64(xmin)); err != nil {
+	if err := r.ReadBulkInt64(out[base:], uint(width), uint64(bitio.UnZigZag(zmin))); err != nil {
 		return out[:base], nil, fmt.Errorf("%w: values: %v", errCorrupt, err)
 	}
 	return out, r.Rest(), nil

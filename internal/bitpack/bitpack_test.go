@@ -1,10 +1,13 @@
 package bitpack
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"bos/internal/bitio"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -29,6 +32,41 @@ func TestRoundTrip(t *testing.T) {
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("value %d: got %d want %d", i, got[i], vals[i])
+			}
+		}
+	}
+}
+
+// TestPackMatchesBitWriter pins BP's bytes: Pack, which appends to the
+// caller's slice, writes the stream a bit writer builds field by field.
+func TestPackMatchesBitWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 8, 9, 64, 100, 1024} {
+		for _, span := range []int64{1, 2, 256, 1 << 40, math.MaxInt64} {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = rng.Int63n(span) - span/2
+			}
+			if n > 1 && span == math.MaxInt64 {
+				vals[0], vals[1] = math.MinInt64, math.MaxInt64
+			}
+			w := bitio.NewWriter(0)
+			w.WriteUvarint(uint64(n))
+			if n > 0 {
+				xmin, xmax := vals[0], vals[0]
+				for _, v := range vals {
+					xmin, xmax = min(xmin, v), max(xmax, v)
+				}
+				width := bitio.WidthOf(uint64(xmax) - uint64(xmin))
+				w.WriteVarint(xmin)
+				w.WriteBits(uint64(width), 8)
+				for _, v := range vals {
+					w.WriteBits(uint64(v)-uint64(xmin), width)
+				}
+			}
+			want := append([]byte{0xa5}, w.Bytes()...)
+			if got := (Packer{}).Pack([]byte{0xa5}, vals); !bytes.Equal(got, want) {
+				t.Errorf("n=%d span=%d: Pack wrote\n%x\nwant\n%x", n, span, got, want)
 			}
 		}
 	}

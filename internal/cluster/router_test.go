@@ -317,6 +317,19 @@ func routerMatchesSingleEngine(t *testing.T, in shardInput) {
 	}
 	compareBackends(t, single, clustered, intSeries, floatSeries, pointsPer)
 
+	// Windows over a series no shard holds are empty, and over a float
+	// series an error, as on one engine. Remote shards read them as 'w'
+	// frames, whose 404 and 400 answers mean these two.
+	if got, err := router.Downsample("root.fleet.none", 0, pointsPer, 7); err != nil || len(got) != 0 {
+		t.Fatalf("windows over an unknown series: %v, %v; want none", got, err)
+	}
+	if _, err := eng.Downsample(floatSeries[0], 0, pointsPer, 7); err == nil {
+		t.Fatalf("%s: one engine's windows over a float series: no error", floatSeries[0])
+	}
+	if got, err := router.Downsample(floatSeries[0], 0, pointsPer, 7); err == nil {
+		t.Fatalf("%s: windows over a float series: %v, no error", floatSeries[0], got)
+	}
+
 	// Every series must be placed on its ring owner.
 	for i, sh := range router.Shards() {
 		names, err := sh.Series()

@@ -70,9 +70,9 @@ func (s *LocalShard) Close() error {
 }
 
 // RemoteShard serves a shard over the HTTP API through the typed client:
-// writes go out in the ingest line protocol, /query reads come back as the
-// point stream and the rest as JSON, so a remote shard is just another
-// bosserver.
+// writes go out in the ingest line protocol, scans and windows come back as
+// the /query point stream and the rest as JSON, so a remote shard is just
+// another bosserver.
 type RemoteShard struct {
 	c    *server.Client
 	addr string
@@ -142,14 +142,24 @@ func (s *RemoteShard) Aggregate(series string, minT, maxT int64) (engine.Bucket,
 	return engine.Bucket{Start: minT, Count: resp.Count, Min: resp.Min, Max: resp.Max, Sum: resp.Sum}, nil
 }
 
+// Downsample reads the remote windows as the point stream's 'w' frames
+// (/query?window=). The window is checked here, as a local shard's engine
+// checks it, because the remote answers an unknown series with a 404 before
+// it looks at the window.
 func (s *RemoteShard) Downsample(series string, minT, maxT, window int64) ([]engine.Bucket, error) {
-	buckets, err := s.c.Downsample(series, minT, maxT, window)
+	if window <= 0 {
+		return nil, engine.ErrBadWindow
+	}
+	var out []engine.Bucket
+	err := s.c.Window(series, minT, maxT, window, func(b server.Bucket) error {
+		out = append(out, b)
+		return nil
+	})
+	if notFound(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
-	}
-	out := make([]engine.Bucket, len(buckets))
-	for i, b := range buckets {
-		out[i] = engine.Bucket{Start: b.Start, Count: b.Count, Min: b.Min, Max: b.Max, Sum: b.Sum}
 	}
 	return out, nil
 }

@@ -189,7 +189,9 @@ func concurrentScans(t *testing.T, cacheBytes int64) {
 		goroutines = 8
 		rounds     = 3
 		intSeries  = 3
-		points     = 20000 // an int answer spans two frames, the float one four
+		// A scan's 8001 int points span two frames of frameRecords, and
+		// the 15000 float points four.
+		points = 20000
 	)
 	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), FlushThreshold: 4000, CacheBytes: cacheBytes})
 	if err != nil {
@@ -209,7 +211,7 @@ func concurrentScans(t *testing.T, cacheBytes int64) {
 			t.Fatal(err)
 		}
 	}
-	floats := make([]tsfile.FloatPoint, points/2)
+	floats := make([]tsfile.FloatPoint, points*3/4)
 	for i := range floats {
 		floats[i] = tsfile.FloatPoint{T: int64(i) * 7, V: float64(i)*0.37 - 99.5}
 	}
@@ -247,13 +249,16 @@ func concurrentScans(t *testing.T, cacheBytes int64) {
 		if wantWindow[s], err = eng.Downsample(name, from, to, window); err != nil {
 			t.Fatal(err)
 		}
-		if len(wantEach[s]) < 4000 || len(wantFilter[s]) == 0 || len(wantWindow[s]) == 0 {
+		if len(wantEach[s]) <= frameRecords || len(wantFilter[s]) == 0 || len(wantWindow[s]) == 0 {
 			t.Fatalf("%s: answers too small to test anything", name)
 		}
 	}
 	wantFloats, err := eng.QueryFloats("root.c.f", 0, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(wantFloats) <= 3*frameRecords {
+		t.Fatalf("%d float points fit in three frames", len(wantFloats))
 	}
 
 	var wg sync.WaitGroup

@@ -117,7 +117,8 @@ func FuzzPointStream(f *testing.F) {
 	var negZero, nan, payloadNaN, inf = math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Inf(1)
 	u := func(v int64) uint64 { return uint64(v) }
 	fb := math.Float64bits
-	for _, seed := range [][]byte{
+	one := intColumn(1, packed())
+	seeds := [][]byte{
 		streamInput(kindInt, u(minI), u(maxI), u(minI+1), u(maxI-1), u(maxI), u(minI), u(maxI-1), u(minI+1), 0, 0, u(-1), 1),
 		streamInput(kindFloat, u(minI), fb(negZero), u(maxI), fb(nan), 0, fb(payloadNaN), 1, fb(inf), u(-1), fb(-inf), 2, fb(math.MaxFloat64), 3, 1),
 		streamInput(kindWindow, u(minI), 1, u(maxI), u(minI), 0, u(maxI), u(maxI), u(maxI-1), u(minI+1), u(minI), 0, 0, 0, 0, 0),
@@ -125,11 +126,16 @@ func FuzzPointStream(f *testing.F) {
 		{kindWindow, 0, 0, 0},
 		// Streams as the decoder meets them.
 		{'i', 0},
-		{'f', 1, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0},
-		{'w', 1, 1, 1, 1, 1, 1, 0},
-		{'i', 1, 1, 1, 0, 9},
+		streamBytes('f', frameOf(1, intColumn(2, packed()), binary.LittleEndian.AppendUint64(nil, fb(inf))), []byte{0}),
+		streamBytes('w', frameOf(1, one, one, one, one, one), []byte{0}),
+		streamBytes('i', frameOf(3, intColumn(1000, packed(1000, 1000)), intColumn(-5, packed(7, 1<<40))), []byte{0}),
+		streamBytes('i', frameOf(1, one, one), []byte{0, 9}),
 		append([]byte{'i', 1}, bytes.Repeat([]byte{0xff}, 11)...),
-	} {
+	}
+	for _, h := range hostileStreams() {
+		seeds = append(seeds, h.body)
+	}
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

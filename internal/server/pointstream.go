@@ -8,6 +8,8 @@ import (
 	"math"
 	"sync"
 
+	"bos/internal/bitpack"
+	"bos/internal/codec"
 	"bos/internal/tsfile"
 )
 
@@ -16,19 +18,28 @@ import (
 // pointsMediaType; the typed client asks for it on every /query call and
 // reads nothing else:
 //
-//	stream     = kind frame* end
-//	kind       = one byte: 'i' int points | 'f' float points | 'w' window buckets
-//	frame      = uvarint n (n >= 1), then n records
-//	end        = uvarint 0; nothing may follow
-//	'i' record = varint Δt, varint Δv
-//	'f' record = varint Δt, 8-byte little-endian IEEE-754 bits of v
-//	'w' record = varint Δstart, uvarint count, varint min, varint max, varint sum
+//	stream       = kind frame* end
+//	kind         = one byte: 'i' int points | 'f' float points | 'w' window buckets
+//	frame        = uvarint n (1 <= n <= frameRecords), uvarint L, then L bytes
+//	               holding one column per field, in record order
+//	end          = uvarint 0; nothing may follow
+//	'i' fields   = t, v
+//	'f' fields   = t, v
+//	'w' fields   = start, count, min, max, sum
+//	int column   = varint Δ₀, uvarint B, then B bytes: Δ₁ … Δₙ₋₁ as one
+//	               codec.Blockwise column over bitpack.Packer
+//	float column = n × the 8-byte little-endian IEEE-754 bits of v
 //
-// varint is the zigzag form of encoding/binary. Each Δ is the wrapping int64
-// difference from the same field of the previous record; it starts from 0
-// and carries across frames. The server sends one frame per chunk it
-// flushes.
-const pointsMediaType = "application/vnd.bos.points"
+// Every field but the 'f' value is an int column. Its Δs are the wrapping
+// int64 differences from the same field of the previous record; they start
+// from 0 and carry across frames. varint is the zigzag form of
+// encoding/binary. The Blockwise column is BP (Definition 1) in 1024-value
+// blocks, each with its own minimum and width: IoTDB's TS2DIFF layout,
+// first value, then packed deltas. Δ₀ stays out of the blocks because a
+// stream's first Δ is an absolute timestamp, which would set the width of
+// its whole block. Float bits go raw: frame-of-reference packing does not
+// shrink mantissas that fill most of their 64 bits.
+const pointsMediaType = "application/vnd.bos.columns"
 
 // The kind bytes.
 const (
@@ -37,32 +48,98 @@ const (
 	kindWindow = 'w'
 )
 
-// maxRecordLen bounds one encoded record: a 'w' record is five varints.
-const maxRecordLen = 5 * binary.MaxVarintLen64
+// frameRecords is the most records a frame holds: the engine's scan page
+// (scanPageSize), so a 4096-point answer is one frame in one write.
+const frameRecords = 4096
 
-// deltas holds the delta-coded fields of the last record a writer appended.
-type deltas struct{ t, v int64 }
+// maxFields is the most fields a record has: a 'w' record's five.
+const maxFields = 5
 
-func (d *deltas) appendInt(dst []byte, t, v int64) []byte {
-	dst = binary.AppendVarint(dst, t-d.t)
-	dst = binary.AppendVarint(dst, v-d.v)
-	d.t, d.v = t, v
+// columnCodec packs the int columns' deltas after the first.
+var columnCodec = codec.NewBlockwise(bitpack.Packer{}, codec.DefaultBlockSize)
+
+// fieldsOf is the number of fields, and so of columns, of a kind's records.
+func fieldsOf(kind byte) int {
+	if kind == kindWindow {
+		return maxFields
+	}
+	return 2
+}
+
+// rawColumn reports whether column f of a kind's frames is the 'f' value
+// column of raw float bits.
+func rawColumn(kind byte, f int) bool { return kind == kindFloat && f == 1 }
+
+// maxIntColumnLen bounds the bytes of an int column of n values as
+// appendColumns writes it: Δ₀, B, the Blockwise count, and per block of
+// columnCodec its count, minimum, width byte and offsets of at most 64 bits.
+func maxIntColumnLen(n int) int {
+	blocks := (n - 1 + columnCodec.BlockSize - 1) / columnCodec.BlockSize
+	return 3*binary.MaxVarintLen64 + blocks*(2*binary.MaxVarintLen64+1) + 8*(n-1)
+}
+
+// maxFrameLen bounds L, the column bytes of a frame of n records of a kind.
+func maxFrameLen(kind byte, n int) int {
+	if kind == kindFloat {
+		return maxIntColumnLen(n) + 8*n
+	}
+	return fieldsOf(kind) * maxIntColumnLen(n)
+}
+
+// frameCols holds the records a writer has not sent yet, one column per
+// field, and the fields of the last record it sent, which the next frame's
+// deltas start from.
+type frameCols struct {
+	cols [maxFields][]int64
+	prev [maxFields]int64
+}
+
+// reset readies f for a new stream of the kind, its columns holding a whole
+// frame.
+func (f *frameCols) reset(kind byte) {
+	f.prev = [maxFields]int64{}
+	for i := 0; i < fieldsOf(kind); i++ {
+		if cap(f.cols[i]) < frameRecords {
+			f.cols[i] = make([]int64, 0, frameRecords)
+		}
+		f.cols[i] = f.cols[i][:0]
+	}
+}
+
+// appendColumns appends the pending records' columns to dst and empties
+// them. It delta-codes the int columns in place.
+func (f *frameCols) appendColumns(dst []byte, kind byte) []byte {
+	for i := 0; i < fieldsOf(kind); i++ {
+		col := f.cols[i]
+		if rawColumn(kind, i) {
+			for _, v := range col {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+			}
+		} else {
+			prev := f.prev[i]
+			f.prev[i] = col[len(col)-1]
+			for j, v := range col {
+				col[j], prev = v-prev, v
+			}
+			dst = binary.AppendVarint(dst, col[0])
+			at := len(dst)
+			dst = columnCodec.Encode(dst, col[1:])
+			dst = insertUvarint(dst, at, uint64(len(dst)-at))
+		}
+		f.cols[i] = col[:0]
+	}
 	return dst
 }
 
-func (d *deltas) appendFloat(dst []byte, t int64, v float64) []byte {
-	dst = binary.AppendVarint(dst, t-d.t)
-	d.t = t
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func (d *deltas) appendBucket(dst []byte, b Bucket) []byte {
-	dst = binary.AppendVarint(dst, b.Start-d.t)
-	d.t = b.Start
-	dst = binary.AppendUvarint(dst, uint64(b.Count))
-	dst = binary.AppendVarint(dst, b.Min)
-	dst = binary.AppendVarint(dst, b.Max)
-	return binary.AppendVarint(dst, b.Sum)
+// insertUvarint inserts x as a uvarint at dst[at], moving the bytes after
+// it up.
+func insertUvarint(dst []byte, at int, x uint64) []byte {
+	var v [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(v[:], x)
+	dst = append(dst, v[:k]...)
+	copy(dst[at+k:], dst[at:len(dst)-k])
+	copy(dst[at:], v[:k])
+	return dst
 }
 
 // record is one decoded stream record: an 'i' record sets t and v, an 'f'
@@ -77,39 +154,51 @@ var (
 	errCutShort = fmt.Errorf("client: point stream cut short: %w", io.ErrUnexpectedEOF)
 	errOverlong = errors.New("client: point stream: varint overflows 64 bits")
 	errTrailing = errors.New("client: point stream: bytes after the end frame")
+	errColumn   = errors.New("client: point stream: a column overruns its frame")
 )
 
-// streamBufs holds the client's decode buffers: a scan reads its answer in
-// place in one of them, so it allocates nothing per record.
-var streamBufs = sync.Pool{New: func() any {
-	b := make([]byte, 64<<10)
-	return &b
+// streamReaders holds the client's decoders with their buffers: a scan
+// reads its answer in place in one, so it allocates nothing per frame.
+var streamReaders = sync.Pool{New: func() any {
+	return &streamReader{buf: make([]byte, 64<<10)}
 }}
+
+// streamReader reads a point stream in place in buf, whose unread bytes are
+// buf[r:w], and decodes each frame into cols.
+type streamReader struct {
+	body io.Reader
+	buf  []byte
+	r, w int
+	// err is the body's read error, io.EOF at its end. need returns it only
+	// once the bytes read before it are used up.
+	err  error
+	cols [maxFields][]int64
+	prev [maxFields]int64 // the last record's fields, the next Δs' base
+	rec  record
+}
 
 // readStream decodes the point stream in body and calls fn with each record
 // in order. want is the kind the caller reads (checkKind). A stream that is
 // malformed, cut short or followed by more bytes is an error, and so is an
-// error fn returns, which ends the read.
+// error fn returns, which ends the read. Every whole frame that arrived
+// before a read error is decoded, and its records passed to fn, before the
+// error is returned.
 func readStream(body io.Reader, want byte, fn func(kind byte, r *record) error) error {
-	bp := streamBufs.Get().(*[]byte)
-	defer streamBufs.Put(bp)
-	s := streamReader{body: body, buf: *bp}
-	if err := s.fill(); err != nil {
+	s := streamReaders.Get().(*streamReader)
+	defer s.release()
+	s.body = body
+	if err := s.need(1); err != nil {
+		if err == errCutShort {
+			return fmt.Errorf("client: empty point stream: %w", io.ErrUnexpectedEOF)
+		}
 		return err
-	}
-	if s.r == s.w {
-		return fmt.Errorf("client: empty point stream: %w", io.ErrUnexpectedEOF)
 	}
 	kind := s.buf[s.r]
 	s.r++
 	if err := checkKind(kind, want); err != nil {
 		return err
 	}
-	var rec record
 	for {
-		if err := s.fill(); err != nil {
-			return err
-		}
 		n, err := s.uvarint()
 		if err != nil {
 			return err
@@ -117,25 +206,32 @@ func readStream(body io.Reader, want byte, fn func(kind byte, r *record) error) 
 		if n == 0 {
 			return s.end()
 		}
-		for n > 0 {
-			if err := s.fill(); err != nil {
-				return err
-			}
-			var k uint64
-			switch kind {
-			case kindInt:
-				k, err = s.ints(n, &rec, fn)
-			case kindFloat:
-				k, err = s.floats(n, &rec, fn)
-			default:
-				k, err = s.windows(n, &rec, fn)
-			}
-			if err != nil {
-				return err
-			}
-			n -= k
+		if n > frameRecords {
+			return fmt.Errorf("client: point stream: a frame of %d records, over %d", n, frameRecords)
+		}
+		l, err := s.uvarint()
+		if err != nil {
+			return err
+		}
+		if bound := maxFrameLen(kind, int(n)); l > uint64(bound) {
+			return fmt.Errorf("client: point stream: %d column bytes for %d records, over %d", l, n, bound)
+		}
+		if err := s.need(int(l)); err != nil {
+			return err
+		}
+		cols := s.buf[s.r : s.r+int(l)]
+		s.r += int(l)
+		if err := s.frame(kind, int(n), cols, fn); err != nil {
+			return err
 		}
 	}
+}
+
+// release returns s to the pool, holding nothing of its stream.
+func (s *streamReader) release() {
+	s.body, s.err, s.r, s.w = nil, nil, 0, 0
+	s.prev = [maxFields]int64{}
+	streamReaders.Put(s)
 }
 
 // checkKind accepts a stream of the kind a read wants; a float read also
@@ -152,173 +248,150 @@ func checkKind(kind, want byte) error {
 	return fmt.Errorf("client: a %q point stream answered a %q read", kind, want)
 }
 
-// streamReader reads a point stream in place in buf, whose unread bytes are
-// buf[r:w].
-type streamReader struct {
-	body io.Reader
-	buf  []byte
-	r, w int
-	eof  bool
-}
-
-// fill makes at least maxRecordLen bytes readable, or all the body has left.
-func (s *streamReader) fill() error {
-	if s.w-s.r >= maxRecordLen || s.eof {
+// need makes k unread bytes available in buf[r:], reading the body as far
+// as that takes. It grows buf only when buf is full of unread bytes, so
+// bytes that arrived size it, never a length the stream claims.
+func (s *streamReader) need(k int) error {
+	if s.w-s.r >= k {
 		return nil
 	}
-	s.w = copy(s.buf, s.buf[s.r:s.w])
-	s.r = 0
-	for s.w < maxRecordLen {
+	if len(s.buf)-s.r < k {
+		s.w = copy(s.buf, s.buf[s.r:s.w])
+		s.r = 0
+	}
+	for s.w-s.r < k {
+		if s.err == io.EOF {
+			return errCutShort
+		}
+		if s.err != nil {
+			return s.err
+		}
+		if s.w == len(s.buf) {
+			s.buf = append(s.buf, make([]byte, len(s.buf))...)
+		}
 		n, err := s.body.Read(s.buf[s.w:])
 		s.w += n
-		if err == io.EOF {
-			s.eof = true
-			return nil
+		s.err = err
+	}
+	return nil
+}
+
+// uvarint reads a uvarint, reading the body as far as it takes.
+func (s *streamReader) uvarint() (uint64, error) {
+	for {
+		x, k := binary.Uvarint(s.buf[s.r:s.w])
+		if k > 0 {
+			s.r += k
+			return x, nil
 		}
+		if k < 0 {
+			return 0, errOverlong
+		}
+		if err := s.need(s.w - s.r + 1); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// frame decodes a frame of n records from its column bytes src, then calls
+// fn with each record in order. It checks every column before fn sees a
+// record.
+func (s *streamReader) frame(kind byte, n int, src []byte, fn func(byte, *record) error) error {
+	var raw []byte // the 'f' value column
+	for f := 0; f < fieldsOf(kind); f++ {
+		if rawColumn(kind, f) {
+			if len(src) < 8*n {
+				return errColumn
+			}
+			raw, src = src[:8*n], src[8*n:]
+			continue
+		}
+		if cap(s.cols[f]) < frameRecords {
+			s.cols[f] = make([]int64, 0, frameRecords)
+		}
+		col, rest, err := readIntColumn(s.cols[f][:0], src, n)
 		if err != nil {
 			return err
+		}
+		acc := s.prev[f]
+		for i, d := range col {
+			acc += d
+			col[i] = acc
+		}
+		s.prev[f], s.cols[f], src = acc, col, rest
+	}
+	if len(src) != 0 {
+		return fmt.Errorf("client: point stream: %d bytes after a frame's columns", len(src))
+	}
+	rec := &s.rec
+	switch kind {
+	case kindInt:
+		t, v := s.cols[0][:n], s.cols[1][:n]
+		for i := range t {
+			rec.t, rec.v = t[i], v[i]
+			if err := fn(kindInt, rec); err != nil {
+				return err
+			}
+		}
+	case kindFloat:
+		t := s.cols[0][:n]
+		for i := range t {
+			rec.t, rec.f = t[i], math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			if err := fn(kindFloat, rec); err != nil {
+				return err
+			}
+		}
+	default:
+		start, count, lo, hi, sum := s.cols[0][:n], s.cols[1][:n], s.cols[2][:n], s.cols[3][:n], s.cols[4][:n]
+		for i := range start {
+			if c := count[i]; c < 0 || int64(int(c)) != c {
+				return fmt.Errorf("client: point stream: window count %d", c)
+			}
+			rec.b = Bucket{Start: start[i], Count: int(count[i]), Min: lo[i], Max: hi[i], Sum: sum[i]}
+			if err := fn(kindWindow, rec); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// varintErr explains a varint binary.Uvarint could not read:
-// n == 0 means the bytes ran out, which after fill happens only at the end
-// of the body, and n < 0 an over-long varint.
-func varintErr(n int) error {
-	if n == 0 {
-		return errCutShort
+// readIntColumn appends the n deltas of the int column at the front of src
+// to dst, and returns the rest of src. The Blockwise column must declare
+// n-1 values before anything decodes it.
+func readIntColumn(dst []int64, src []byte, n int) ([]int64, []byte, error) {
+	d0, k := binary.Varint(src)
+	if k <= 0 {
+		return nil, nil, errColumn
 	}
-	return errOverlong
-}
-
-func (s *streamReader) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(s.buf[s.r:s.w])
-	if n <= 0 {
-		return 0, varintErr(n)
+	src = src[k:]
+	b, k := binary.Uvarint(src)
+	if k <= 0 || b > uint64(len(src)-k) {
+		return nil, nil, errColumn
 	}
-	s.r += n
-	return x, nil
-}
-
-// unzig undoes the zigzag of a varint, as binary.Varint does after
-// binary.Uvarint; the loops call the two apart so both inline.
-func unzig(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
-
-// buffered returns the buffered bytes, the read offset, and the last offset
-// at which a record can start and be decoded whole: maxRecordLen before the
-// buffer's end, or the end itself once the body is all read.
-func (s *streamReader) buffered() (buf []byte, r, last int) {
-	last = s.w - maxRecordLen
-	if s.eof {
-		last = s.w
+	col, rest := src[k:k+int(b)], src[k+int(b):]
+	if count, _, err := codec.ReadUvarint(col); err != nil || count != uint64(n-1) {
+		return nil, nil, fmt.Errorf("client: point stream: a column of a %d-record frame does not hold %d packed deltas", n, n-1)
 	}
-	return s.buf[:s.w], s.r, last
-}
-
-// ints decodes up to n 'i' records into rec, which holds the previous
-// record, and calls fn with each. It decodes the records that start at or
-// before the last offset buffered returns in one loop, with no refill, and
-// returns how many it decoded; readStream refills between calls.
-func (s *streamReader) ints(n uint64, rec *record, fn func(byte, *record) error) (uint64, error) {
-	buf, r, last := s.buffered()
-	i := uint64(0)
-	for ; i < n && r <= last; i++ {
-		dt, k := binary.Uvarint(buf[r:])
-		if k <= 0 {
-			return i, varintErr(k)
-		}
-		r += k
-		dv, k := binary.Uvarint(buf[r:])
-		if k <= 0 {
-			return i, varintErr(k)
-		}
-		r += k
-		rec.t += unzig(dt)
-		rec.v += unzig(dv)
-		if err := fn(kindInt, rec); err != nil {
-			return i, err
-		}
+	dst, err := columnCodec.AppendDecode(append(dst, d0), col)
+	if err != nil {
+		return nil, nil, fmt.Errorf("client: point stream: %w", err)
 	}
-	s.r = r
-	return i, nil
-}
-
-// floats is ints for 'f' records.
-func (s *streamReader) floats(n uint64, rec *record, fn func(byte, *record) error) (uint64, error) {
-	buf, r, last := s.buffered()
-	i := uint64(0)
-	for ; i < n && r <= last; i++ {
-		dt, k := binary.Uvarint(buf[r:])
-		if k <= 0 {
-			return i, varintErr(k)
-		}
-		r += k
-		if len(buf)-r < 8 {
-			return i, errCutShort
-		}
-		rec.t += unzig(dt)
-		rec.f = math.Float64frombits(binary.LittleEndian.Uint64(buf[r:]))
-		r += 8
-		if err := fn(kindFloat, rec); err != nil {
-			return i, err
-		}
-	}
-	s.r = r
-	return i, nil
-}
-
-// windows is ints for 'w' records.
-func (s *streamReader) windows(n uint64, rec *record, fn func(byte, *record) error) (uint64, error) {
-	buf, r, last := s.buffered()
-	i := uint64(0)
-	for ; i < n && r <= last; i++ {
-		dt, k := binary.Uvarint(buf[r:])
-		if k <= 0 {
-			return i, varintErr(k)
-		}
-		r += k
-		count, k := binary.Uvarint(buf[r:])
-		if k <= 0 {
-			return i, varintErr(k)
-		}
-		r += k
-		if count > math.MaxInt {
-			return i, fmt.Errorf("client: point stream: window count %d overflows int", count)
-		}
-		rec.t += unzig(dt)
-		rec.b = Bucket{Start: rec.t, Count: int(count)}
-		for _, f := range []*int64{&rec.b.Min, &rec.b.Max, &rec.b.Sum} {
-			ux, k := binary.Uvarint(buf[r:])
-			if k <= 0 {
-				return i, varintErr(k)
-			}
-			*f = unzig(ux)
-			r += k
-		}
-		if err := fn(kindWindow, rec); err != nil {
-			return i, err
-		}
-	}
-	s.r = r
-	return i, nil
+	return dst, rest, nil
 }
 
 // end checks that nothing follows the end frame, reading the body to its
 // end so the connection can be reused.
 func (s *streamReader) end() error {
-	for s.r == s.w && !s.eof {
-		n, err := s.body.Read(s.buf[:1])
-		s.w = n
+	for s.r == s.w && s.err == nil {
 		s.r = 0
-		if err == io.EOF {
-			s.eof = true
-		} else if err != nil {
-			return err
-		}
+		s.w, s.err = s.body.Read(s.buf)
 	}
 	if s.r < s.w {
 		return errTrailing
+	}
+	if s.err != io.EOF {
+		return s.err
 	}
 	return nil
 }

@@ -422,33 +422,37 @@ func intOnly(w http.ResponseWriter, series, kind, read string) bool {
 	return false
 }
 
-// flushBytes is how many row bytes rowWriter gathers before it sends them.
+// flushBytes is how many CSV bytes rowWriter gathers before it sends them.
 const flushBytes = 24 << 10
 
 // frameRoom is the room rowWriter keeps before its rows for what leads a
-// point stream frame: the kind byte and the record count.
-const frameRoom = 1 + binary.MaxVarintLen64
+// point stream frame: the kind byte, the record count and the column length.
+const frameRoom = 1 + 2*binary.MaxVarintLen64
 
-// rowBufs holds rowWriter buffers, so a scan does not allocate one per
+// rowBuf is a rowWriter's scratch: the bytes it sends and, for the point
+// stream, the columns of the frame it fills.
+type rowBuf struct {
+	b []byte
+	frameCols
+}
+
+// rowBufs holds rowWriter scratch, so a scan does not allocate its own per
 // request.
 var rowBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 32<<10)
-	return &b
+	return &rowBuf{b: make([]byte, 0, 32<<10)}
 }}
 
-// rowWriter batches the rows of a /query answer and flushes them through the
+// rowWriter batches the rows of a /query answer and sends them through the
 // ResponseWriter in chunks, so long scans stream instead of accumulating.
-// The rows are CSV, or the point stream (pointstream.go) when the request's
-// Accept header asks for it; only how a row is appended differs. Each chunk
-// of the point stream is one frame.
+// The rows are CSV, sent every flushBytes, or, when the request's Accept
+// header asks for it, the point stream (pointstream.go), sent a frame of
+// frameRecords rows at a time.
 type rowWriter struct {
 	w      http.ResponseWriter
-	bp     *[]byte
-	buf    []byte // frameRoom bytes, then the pending rows
+	rb     *rowBuf // its frameCols hold the point stream's pending rows
+	buf    []byte  // frameRoom bytes, then the pending CSV rows or frame
 	stream bool
-	kind   byte   // the point stream's kind byte
-	n      uint64 // pending rows
-	d      deltas
+	kind   byte // the point stream's kind byte
 	err    error
 	wrote  bool // some rows went out, and with them the 200 status line
 }
@@ -457,10 +461,12 @@ type rowWriter struct {
 // the point stream's kind byte and seriesKind the X-Series-Kind header.
 // Call release when the answer is done.
 func newRowWriter(w http.ResponseWriter, r *http.Request, seriesKind string, kind byte) *rowWriter {
-	c := &rowWriter{w: w, bp: rowBufs.Get().(*[]byte), kind: kind}
-	c.buf = append((*c.bp)[:0], make([]byte, frameRoom)...)
+	rb := rowBufs.Get().(*rowBuf)
+	c := &rowWriter{w: w, rb: rb, kind: kind}
+	c.buf = append(rb.b[:0], make([]byte, frameRoom)...)
 	c.stream = r.Header.Get("Accept") == pointsMediaType
 	if c.stream {
+		c.rb.reset(kind)
 		w.Header().Set("Content-Type", pointsMediaType)
 	} else {
 		w.Header().Set("Content-Type", "text/csv")
@@ -469,10 +475,10 @@ func newRowWriter(w http.ResponseWriter, r *http.Request, seriesKind string, kin
 	return c
 }
 
-// release returns the writer's buffer to the pool.
+// release returns the writer's scratch to the pool.
 func (c *rowWriter) release() {
-	*c.bp = c.buf[:0]
-	rowBufs.Put(c.bp)
+	c.rb.b = c.buf[:0]
+	rowBufs.Put(c.rb)
 }
 
 // fail reports a failed scan. While no row has gone out the client gets a
@@ -494,32 +500,45 @@ func (c *rowWriter) fail(err error) {
 
 func (c *rowWriter) writeInt(t, v int64) error {
 	if c.stream {
-		c.buf = c.d.appendInt(c.buf, t, v)
-	} else {
-		c.buf = strconv.AppendInt(c.buf, t, 10)
-		c.buf = append(c.buf, ',')
-		c.buf = strconv.AppendInt(c.buf, v, 10)
-		c.buf = append(c.buf, '\n')
+		if err := c.room(); err != nil {
+			return err
+		}
+		c.rb.cols[0] = append(c.rb.cols[0], t)
+		c.rb.cols[1] = append(c.rb.cols[1], v)
+		return nil
 	}
+	c.buf = strconv.AppendInt(c.buf, t, 10)
+	c.buf = append(c.buf, ',')
+	c.buf = strconv.AppendInt(c.buf, v, 10)
+	c.buf = append(c.buf, '\n')
 	return c.added()
 }
 
 func (c *rowWriter) writeFloat(t int64, v float64) error {
 	if c.stream {
-		c.buf = c.d.appendFloat(c.buf, t, v)
-	} else {
-		c.buf = strconv.AppendInt(c.buf, t, 10)
-		c.buf = append(c.buf, ',')
-		c.buf = appendFloatValue(c.buf, v)
-		c.buf = append(c.buf, '\n')
+		if err := c.room(); err != nil {
+			return err
+		}
+		c.rb.cols[0] = append(c.rb.cols[0], t)
+		c.rb.cols[1] = append(c.rb.cols[1], int64(math.Float64bits(v)))
+		return nil
 	}
+	c.buf = strconv.AppendInt(c.buf, t, 10)
+	c.buf = append(c.buf, ',')
+	c.buf = appendFloatValue(c.buf, v)
+	c.buf = append(c.buf, '\n')
 	return c.added()
 }
 
 func (c *rowWriter) writeBucket(b engine.Bucket) error {
 	if c.stream {
-		c.buf = c.d.appendBucket(c.buf, b)
-		return c.added()
+		if err := c.room(); err != nil {
+			return err
+		}
+		for i, v := range [maxFields]int64{b.Start, int64(b.Count), b.Min, b.Max, b.Sum} {
+			c.rb.cols[i] = append(c.rb.cols[i], v)
+		}
+		return nil
 	}
 	c.buf = strconv.AppendInt(c.buf, b.Start, 10)
 	c.buf = append(c.buf, ',')
@@ -536,9 +555,17 @@ func (c *rowWriter) writeBucket(b engine.Bucket) error {
 	return c.added()
 }
 
-// added counts a row just appended and flushes once enough are pending.
+// room makes room in the point stream's columns for one more row: a full
+// frame goes out first.
+func (c *rowWriter) room() error {
+	if len(c.rb.cols[0]) == frameRecords {
+		return c.flush()
+	}
+	return c.err
+}
+
+// added flushes the CSV rows once enough are pending.
 func (c *rowWriter) added() error {
-	c.n++
 	if len(c.buf)-frameRoom >= flushBytes {
 		return c.flush()
 	}
@@ -561,13 +588,15 @@ func (c *rowWriter) send(last bool) error {
 	}
 	start := frameRoom
 	if c.stream {
+		if n := len(c.rb.cols[0]); n > 0 {
+			c.buf = c.rb.appendColumns(c.buf, c.kind)
+			var hdr [2 * binary.MaxVarintLen64]byte
+			h := binary.PutUvarint(hdr[:], uint64(n))
+			h += binary.PutUvarint(hdr[h:], uint64(len(c.buf)-frameRoom))
+			start -= copy(c.buf[start-h:], hdr[:h])
+		}
 		if last {
 			c.buf = append(c.buf, 0)
-		}
-		if c.n > 0 {
-			var hdr [binary.MaxVarintLen64]byte
-			h := binary.PutUvarint(hdr[:], c.n)
-			start -= copy(c.buf[start-h:], hdr[:h])
 		}
 	}
 	if start == len(c.buf) {
@@ -582,7 +611,7 @@ func (c *rowWriter) send(last bool) error {
 		c.err = err
 		return err
 	}
-	c.buf, c.n = c.buf[:frameRoom], 0
+	c.buf = c.buf[:frameRoom]
 	if f, ok := c.w.(http.Flusher); ok && !last {
 		f.Flush()
 	}

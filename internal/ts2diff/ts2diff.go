@@ -1,7 +1,9 @@
 // Package ts2diff implements the TS2DIFF delta encoding used by Apache IoTDB
-// (Xiao et al., VLDB 2022), parameterized by a bit-packing operator: each
-// block stores its first value and the consecutive differences, which the
-// configured codec.Packer then packs (the packer's frame-of-reference
+// (Xiao et al., VLDB 2022), parameterized by a bit-packing operator: a column
+// is stored as its consecutive differences, the first one taken from zero,
+// so only the column's first value is stored, as that first delta. The
+// configured codec.Packer packs the deltas block by block, and a later block
+// continues the deltas of the one before it (the packer's frame-of-reference
 // subtraction plays the role of TS2DIFF's min-delta subtraction). This is the
 // TS2DIFF+BP / TS2DIFF+PFOR / TS2DIFF+BOS family of the evaluation.
 package ts2diff
