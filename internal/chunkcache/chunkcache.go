@@ -5,6 +5,16 @@
 // entries when the file that produced them is replaced (compaction commit,
 // file GC) or when a series' visible contents change shape (range delete).
 //
+// A miss is cached only when Admits says so: the chunk must fit the cache,
+// and either the cache has room for it now or the read wants the whole
+// chunk. A whole read evicts the least recently used entries to make room,
+// as an LRU does. A partial read never evicts: the reader decodes only the
+// blocks its range needs into buffers of its own, and the cache counts the
+// miss as declined. The trade-off: once the cache is full, partial reads
+// stop changing what it holds, so a workload of sub-chunk scans over data
+// larger than the cache keeps the chunks it admitted while there was room
+// instead of churning through all of them.
+//
 // Cached slices are shared between callers and MUST be treated as read-only.
 // Files are identified by an engine-assigned unique ID, not their sequence
 // number: compaction reuses the newest input's sequence for its output, so a
@@ -38,9 +48,12 @@ type Stats struct {
 	Misses        int64 `json:"misses"`
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
-	Entries       int   `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	MaxBytes      int64 `json:"max_bytes"`
+	// Declined counts the misses Admits turned away: reads served without
+	// caching what they decoded.
+	Declined int64 `json:"declined"`
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	MaxBytes int64 `json:"max_bytes"`
 }
 
 // HitRate returns hits/(hits+misses), 0 when idle.
@@ -60,7 +73,7 @@ type Cache struct {
 	lru   *list.List // front = most recently used; values are *entry
 	items map[Key]*list.Element
 
-	hits, misses, evictions, invalidations int64
+	hits, misses, evictions, invalidations, declined int64
 }
 
 // New returns a cache bounded to maxBytes of decoded column data. maxBytes
@@ -90,6 +103,24 @@ func Get[V int64 | float64](c *Cache, file uint64, series string, chunk int) (ti
 	}
 	c.misses++
 	return nil, nil, false
+}
+
+// Admits reports whether a chunk whose decoded columns take size bytes
+// should be cached after a miss: size must fit the cache, and either the
+// read covers the whole chunk (whole) or the cache has room for it without
+// evicting. A declined miss is counted. A nil cache admits nothing and
+// counts nothing.
+func (c *Cache) Admits(size int64, whole bool) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if size <= c.max && (whole || c.used+size <= c.max) {
+		return true
+	}
+	c.declined++
+	return false
 }
 
 // Put caches the decoded columns of a chunk. The cache takes shared
@@ -186,6 +217,7 @@ func (c *Cache) Stats() Stats {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
+		Declined:      c.declined,
 		Entries:       len(c.items),
 		Bytes:         c.used,
 		MaxBytes:      c.max,

@@ -147,3 +147,84 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("cache over budget: %+v", st)
 	}
 }
+
+// fill3 returns a cache holding chunks 0, 1 and 2 of one series, 128 bytes
+// each, with no room left, chunk 0 the least recently used.
+func fill3(t *testing.T) *Cache {
+	t.Helper()
+	c := New(3 * 128)
+	for i := 0; i < 3; i++ {
+		if !c.Admits(128, false) {
+			t.Fatalf("chunk %d declined with room left: %+v", i, c.Stats())
+		}
+		Put(c, 1, "s", i, make([]int64, 8), make([]int64, 8))
+	}
+	return c
+}
+
+// TestAdmitsDeclinesPartialWhenFull: once the cache is full, a partial read
+// is declined and counted, and the entries and their LRU order stay as they
+// were: the next whole read still evicts the oldest entry.
+func TestAdmitsDeclinesPartialWhenFull(t *testing.T) {
+	c := fill3(t)
+	if _, _, ok := Get[int64](c, 1, "s", 0); !ok { // chunk 1 is now the LRU
+		t.Fatal("chunk 0 missing")
+	}
+	before := c.Stats()
+	if c.Admits(128, false) {
+		t.Fatal("a full cache admitted a partial read")
+	}
+	st := c.Stats()
+	if st.Declined != before.Declined+1 || st.Entries != 3 || st.Bytes != 3*128 || st.Evictions != 0 {
+		t.Fatalf("after a declined read: %+v, want one more declined and the entries kept", st)
+	}
+	if !c.Admits(128, true) {
+		t.Fatal("a whole read that fits was declined")
+	}
+	Put(c, 1, "s", 3, make([]int64, 8), make([]int64, 8))
+	if _, _, ok := Get[int64](c, 1, "s", 1); ok {
+		t.Fatal("the declined read changed the LRU order: chunk 1 was not evicted")
+	}
+	for _, ci := range []int{0, 2, 3} {
+		if _, _, ok := Get[int64](c, 1, "s", ci); !ok {
+			t.Fatalf("chunk %d evicted", ci)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Declined != before.Declined+1 {
+		t.Fatalf("stats %+v, want one eviction and the one decline", st)
+	}
+}
+
+// TestAdmitsWholeReadEvictsLRU: a whole read is admitted into a full cache
+// and its Put evicts the least recently used entry.
+func TestAdmitsWholeReadEvictsLRU(t *testing.T) {
+	c := fill3(t)
+	if !c.Admits(128, true) {
+		t.Fatal("a whole read that fits was declined")
+	}
+	Put(c, 1, "s", 3, make([]int64, 8), make([]int64, 8))
+	if _, _, ok := Get[int64](c, 1, "s", 0); ok {
+		t.Fatal("the least recently used chunk survived")
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 3 || st.Declined != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestAdmitsDeclinesOversized: a chunk larger than the cache is declined,
+// whole or not, even into an empty cache, and is never cached.
+func TestAdmitsDeclinesOversized(t *testing.T) {
+	c := New(64)
+	for _, whole := range []bool{true, false} {
+		if c.Admits(1600, whole) {
+			t.Fatalf("a 1600-byte chunk admitted into a 64-byte cache (whole %v)", whole)
+		}
+	}
+	if st := c.Stats(); st.Declined != 2 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats %+v, want two declines and nothing cached", st)
+	}
+	var nilCache *Cache
+	if nilCache.Admits(8, true) || nilCache.Stats() != (Stats{}) {
+		t.Fatal("a nil cache admitted a read or counted a decline")
+	}
+}

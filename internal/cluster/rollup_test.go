@@ -142,7 +142,7 @@ func TestRouterRollups(t *testing.T) {
 			Files: int(k), MemPoints: int(10 * k), DiskPoints: int(100 * k), DiskBytes: 1000 * k, SeriesCount: int(k),
 			Compactions: k, CompactedFiles: 2 * k, CompactedBytesIn: 30 * k, CompactedBytesOut: 20 * k,
 			WALGroups: 5 * k, WALRecords: 7 * k,
-			Cache:    chunkcache.Stats{Hits: k, Misses: 2 * k, Evictions: 3 * k, Invalidations: 4 * k, Entries: int(5 * k), Bytes: 6 * k, MaxBytes: 64 * k},
+			Cache:    chunkcache.Stats{Hits: k, Misses: 2 * k, Evictions: 3 * k, Invalidations: 4 * k, Declined: 7 * k, Entries: int(5 * k), Bytes: 6 * k, MaxBytes: 64 * k},
 			Pushdown: pushdown.Snapshot{Stats: k, Inlier: 2 * k, Full: 3 * k},
 		}
 	}
@@ -157,7 +157,7 @@ func TestRouterRollups(t *testing.T) {
 		Files: 6, MemPoints: 60, DiskPoints: 600, DiskBytes: 6000, SeriesCount: 6,
 		Compactions: 6, CompactedFiles: 12, CompactedBytesIn: 180, CompactedBytesOut: 120,
 		WALGroups: 30, WALRecords: 42,
-		Cache:    chunkcache.Stats{Hits: 6, Misses: 12, Evictions: 18, Invalidations: 24, Entries: 30, Bytes: 36, MaxBytes: 384},
+		Cache:    chunkcache.Stats{Hits: 6, Misses: 12, Evictions: 18, Invalidations: 24, Declined: 42, Entries: 30, Bytes: 36, MaxBytes: 384},
 		Pushdown: pushdown.Snapshot{Stats: 6, Inlier: 12, Full: 18},
 	}
 	if sum != wantSum {

@@ -199,6 +199,10 @@ func (s *shardStream[V]) Run(dst []tsfile.Sample[V], bound int64) ([]tsfile.Samp
 
 func (s *shardStream[V]) Err() error { return s.err }
 
+// Release does nothing: the pages are the stream's own, and scatterMerge's
+// abort stops the producers.
+func (s *shardStream[V]) Release() {}
+
 // mergeOrder lists shard indices in the order Merge takes its sources, least
 // preferred first: the non-owners by ascending ID, then the owner. The owner
 // thus wins timestamp collisions, then the highest shard ID.
@@ -458,6 +462,7 @@ func (r *Router) Stats() (engine.Stats, error) {
 		sum.Cache.Misses += st.Cache.Misses
 		sum.Cache.Evictions += st.Cache.Evictions
 		sum.Cache.Invalidations += st.Cache.Invalidations
+		sum.Cache.Declined += st.Cache.Declined
 		sum.Cache.Entries += st.Cache.Entries
 		sum.Cache.Bytes += st.Cache.Bytes
 		sum.Cache.MaxBytes += st.Cache.MaxBytes

@@ -28,7 +28,9 @@ const MaxBlockLen = 1 << 22
 // Packer packs one block of int64 values into a self-delimiting byte blob.
 // Pack appends to dst and returns the extended slice. Unpack consumes one
 // blob from the front of src, appends the decoded values to out, and returns
-// the grown slice plus the unread remainder of src.
+// the grown slice plus the unread remainder of src. A blob begins with its
+// value count as a uvarint, so a column decoder can check a block against
+// what it still lacks before unpacking it (BlockLen).
 //
 // Implementations must round-trip arbitrary int64 values (the full range,
 // including MinInt64/MaxInt64) and must return an error — never panic — on
@@ -118,6 +120,9 @@ func (b *Blockwise) AppendDecode(dst []int64, src []byte) ([]int64, error) {
 	base := len(dst)
 	out := slices.Grow(dst, int(min(n, MaxBlockLen)))
 	for uint64(len(out)-base) < n {
+		if _, err = BlockLen(src, int(n)-(len(out)-base)); err != nil {
+			return dst, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
+		}
 		out, src, err = b.Packer.Unpack(src, out)
 		if err != nil {
 			return dst, fmt.Errorf("blockwise %s: %w", b.Packer.Name(), err)
@@ -127,6 +132,22 @@ func (b *Blockwise) AppendDecode(dst []int64, src []byte) ([]int64, error) {
 		return dst, fmt.Errorf("blockwise %s: decoded %d values, header said %d", b.Packer.Name(), got, n)
 	}
 	return out, nil
+}
+
+// BlockLen reads the value count at the front of a packed block and refuses
+// a block that declares more than lacking values: a column decoder passes
+// what its column still lacks, so a block whose header claims more (which a
+// width-0 block can do in a few bytes) is refused before Unpack sizes
+// anything for it.
+func BlockLen(src []byte, lacking int) (int, error) {
+	n, _, err := ReadUvarint(src)
+	if err != nil {
+		return 0, fmt.Errorf("block count: %w", err)
+	}
+	if n > uint64(max(lacking, 0)) {
+		return 0, fmt.Errorf("block of %d values where the column lacks %d", n, lacking)
+	}
+	return int(n), nil
 }
 
 // AppendUvarint appends v to dst as a byte-aligned base-128 varint.

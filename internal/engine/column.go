@@ -238,7 +238,8 @@ const maxMergeRoom = 1 << 20
 // mergeFiles merges one series over [minT, maxT] across files, oldest
 // first, then newest, with tsfile.Merge's newest-wins rule. Points that
 // tombs hide are dropped. The answer is sized from the files' footers
-// (Reader.Estimate) and grows only past their estimate.
+// (Reader.Estimate) and grows only past their estimate. The file cursors
+// are released when the merge ends; Fill copies every sample out first.
 func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64, newest []tsfile.Sample[V]) ([]tsfile.Sample[V], error) {
 	srcs, err := fileCursors[V](files, tombs, series, minT, maxT)
 	if err != nil {
@@ -248,6 +249,7 @@ func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series s
 		return nil, nil
 	}
 	m := tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor(newest))...)
+	defer m.Release()
 	n := len(newest)
 	for _, df := range files {
 		n += df.reader.Estimate(series, minT, maxT)

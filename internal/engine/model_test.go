@@ -224,10 +224,10 @@ func randomFloat(rng *rand.Rand, rawChunks bool) float64 {
 // runs are a few samples long; inOrder draws them as ingest writes them
 // instead, so files hold disjoint ranges and runs reach chunk ends,
 // tombstones and page ends.
-func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
+func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int64) {
 	dir := t.TempDir()
 	open := func() *Engine {
-		e, err := Open(Options{Dir: dir, FlushThreshold: 1 << 30})
+		e, err := Open(Options{Dir: dir, FlushThreshold: 1 << 30, CacheBytes: cacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,16 +334,24 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool) {
 // that reach a page end and runs beside another series' tombstone are all
 // checked too.
 func TestEngineMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runModel(t, seed, 40, false)
-		})
-	}
-	for seed := int64(4); seed <= 6; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("inorder-seed%d", seed), func(t *testing.T) {
-			runModel(t, seed, 40, true)
-		})
+	// The default cache admits every chunk; an 8 KiB one (512 points) admits
+	// only small chunks while it has room and declines the rest, so most
+	// scans read their chunks into pooled buffers.
+	for _, c := range []struct {
+		prefix string
+		bytes  int64
+	}{{"", 0}, {"smallcache-", 8 << 10}} {
+		for seed := int64(1); seed <= 12; seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("%sseed%d", c.prefix, seed), func(t *testing.T) {
+				runModel(t, seed, 40, false, c.bytes)
+			})
+		}
+		for seed := int64(4); seed <= 6; seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("%sinorder-seed%d", c.prefix, seed), func(t *testing.T) {
+				runModel(t, seed, 40, true, c.bytes)
+			})
+		}
 	}
 }

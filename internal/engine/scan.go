@@ -43,6 +43,7 @@ func (e *Engine) QueryEach(series string, minT, maxT int64, fn func(tsfile.Point
 	defer scanPages.Put(page)
 	cursor := minT
 	sc := &scanState{}
+	defer sc.release()
 	for {
 		pts, more, err := e.scanPage(series, sc, cursor, maxT, *page)
 		if err != nil {
@@ -136,6 +137,8 @@ func (c *fileCursor[V]) Run(dst []tsfile.Sample[V], bound int64) ([]tsfile.Sampl
 
 func (c *fileCursor[V]) Err() error { return c.it.Err() }
 
+func (c *fileCursor[V]) Release() { c.it.Release() }
+
 // scanState carries one QueryEach call's merge across pages: the file
 // cursors persist, and each page swaps a fresh memtable snapshot in as the
 // newest source. merge is nil until the first build and after any error; gen
@@ -146,13 +149,22 @@ type scanState struct {
 	mem   int // the memtable's source index in merge
 }
 
+// release drops the merge and returns its file cursors' pooled buffers:
+// when a generation change or an error drops it, and when the scan ends.
+func (sc *scanState) release() {
+	if sc.merge != nil {
+		sc.merge.Release()
+		sc.merge = nil
+	}
+}
+
 // rebuildScan (re)creates the per-file cursors starting at minT, oldest file
 // first, with the memtable as the newest source. The cursors decode their
 // first chunks on up to GOMAXPROCS goroutines, because that is where a cold
 // scan pays its largest serial decode cost. Caller holds structMu (read
 // suffices: the file list and generation are stable while held).
 func (e *Engine) rebuildScan(sc *scanState, series string, minT, maxT int64) error {
-	sc.merge = nil
+	sc.release()
 	srcs, err := fileCursors[int64](e.files, e.tombs, series, minT, maxT)
 	if err != nil {
 		return err
@@ -187,7 +199,7 @@ func (e *Engine) scanPage(series string, sc *scanState, minT, maxT int64, page [
 	sc.merge.Reset(sc.mem, tsfile.NewSliceCursor(mem))
 	out, more := sc.merge.Fill(page[:0])
 	if err := sc.merge.Err(); err != nil {
-		sc.merge = nil
+		sc.release()
 		return nil, false, err
 	}
 	return out, more, nil

@@ -10,6 +10,7 @@ package floatconv
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // MaxPrecision is the largest decimal precision DetectPrecision will try.
@@ -110,9 +111,17 @@ func ToScaled(vals []float64, p int) ([]int64, error) {
 
 // FromScaled inverts ToScaled.
 func FromScaled(scaled []int64, p int) []float64 {
-	out := make([]float64, len(scaled))
+	return AppendFromScaled(nil, scaled, p)
+}
+
+// AppendFromScaled appends scaled, divided by 10^p, to dst and returns the
+// extended slice: FromScaled into a buffer the caller provides.
+func AppendFromScaled(dst []float64, scaled []int64, p int) []float64 {
+	base := len(dst)
+	dst = slices.Grow(dst, len(scaled))[:base+len(scaled)]
+	out := dst[base:]
 	for i, s := range scaled {
 		out[i] = float64(s) / pow10[p]
 	}
-	return out
+	return dst
 }

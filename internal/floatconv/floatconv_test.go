@@ -110,3 +110,27 @@ func TestNegativeZeroFallsBackToRaw(t *testing.T) {
 		t.Error("series containing -0 must not be detected as decimal")
 	}
 }
+
+// TestAppendFromScaled: appending keeps what dst held and matches
+// FromScaled for the appended part, whatever dst's spare capacity.
+func TestAppendFromScaled(t *testing.T) {
+	scaled := []int64{125, -350, 0, 10075}
+	want := FromScaled(scaled, 2)
+	for _, dst := range [][]float64{nil, {9.5}, make([]float64, 1, 64)} {
+		head := append([]float64(nil), dst...)
+		got := AppendFromScaled(dst, scaled, 2)
+		if len(got) != len(head)+len(want) {
+			t.Fatalf("dst of %d: %d values, want %d", len(head), len(got), len(head)+len(want))
+		}
+		for i, v := range head {
+			if got[i] != v {
+				t.Fatalf("dst of %d: value %d overwritten", len(head), i)
+			}
+		}
+		for i, v := range want {
+			if got[len(head)+i] != v {
+				t.Fatalf("dst of %d: value %d = %v, want %v", len(head), i, got[len(head)+i], v)
+			}
+		}
+	}
+}

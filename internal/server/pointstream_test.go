@@ -41,8 +41,8 @@ func streamBytes(kind byte, parts ...[]byte) []byte {
 }
 
 // hostileStream is a point stream the decoder must refuse. claim marks the
-// ones whose frame header claims more than it may or than the body holds:
-// refusing them must allocate next to nothing.
+// ones whose frame header, or a packed block's count, claims more than it
+// may or than the body holds: refusing them must allocate next to nothing.
 type hostileStream struct {
 	name  string
 	kind  byte
@@ -67,7 +67,7 @@ func hostileStreams() []hostileStream {
 			body: streamBytes(kindWindow, whole)[:64]},
 		{name: "column count is not n-1", kind: kindInt,
 			body: streamBytes(kindInt, frameOf(2, intColumn(1000, packed(1000, 1000)), v2), end)},
-		{name: "width-0 block claiming 1<<22 values", kind: kindInt,
+		{name: "width-0 block claiming 1<<22 values", kind: kindInt, claim: true,
 			body: streamBytes(kindInt, frameOf(2, intColumn(1000, bigBlock), v2), end)},
 		{name: "columns end before the frame", kind: kindInt,
 			body: streamBytes(kindInt, frameOf(2, t2, v2, []byte{0}), end)},

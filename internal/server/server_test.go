@@ -221,3 +221,46 @@ func TestIngestAfterServerCloseReturns503(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsReportDeclinedReads: with a cache smaller than any chunk, a
+// scan of flushed data misses, the cache declines to keep the chunk, and
+// /stats' cache block counts the decline.
+func TestStatsReportDeclinedReads(t *testing.T) {
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), CacheBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, ts.Client())
+	pts := make([]tsfile.Point, 1000)
+	for i := range pts {
+		pts[i] = tsfile.Point{T: int64(i), V: int64(i % 7)}
+	}
+	if _, err := c.Ingest("s", pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query("s", 100, 199)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 || got[0] != pts[100] || got[99] != pts[199] {
+		t.Fatalf("query: %d points", len(got))
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Declined == 0 || st.Cache.Misses == 0 || st.Cache.Entries != 0 {
+		t.Fatalf("/stats cache block %+v, want the miss counted as declined", st.Cache)
+	}
+}

@@ -90,6 +90,9 @@ func (c *Codec) AppendDecode(dst []int64, src []byte) ([]int64, error) {
 	base := len(dst)
 	out := slices.Grow(dst, min(n, codec.MaxBlockLen))
 	for len(out)-base < n {
+		if _, err = codec.BlockLen(src, n-(len(out)-base)); err != nil {
+			return dst, fmt.Errorf("ts2diff: %w", err)
+		}
 		before := len(out)
 		out, src, err = c.Packer.Unpack(src, out)
 		if err != nil {

@@ -3,6 +3,7 @@ package tsfile
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,7 +14,10 @@ import (
 // so through its one default BOS-B packer, from 8 goroutines and checks
 // every point. Beside them, 8 more goroutines open chunks of the same
 // uncached Reader for partial reads, which share the pooled read buffers,
-// and check every value. Run it under -race.
+// and check every value, and 8 more run sub-range iterators over a Reader
+// of the same file whose cache is full and smaller than any chunk, so every
+// chunk they read is declined and decoded into pooled buffers too. Run it
+// under -race.
 func TestReaderConcurrentDecode(t *testing.T) {
 	const workers, rounds = 8, 6
 	rng := rand.New(rand.NewSource(22))
@@ -51,8 +55,26 @@ func TestReaderConcurrentDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, err := OpenReader(file, file.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := fullCache(4 << 10) // chunks hold 500 to 1,099 points: 8 KiB or more
+	full.SetCache(cache, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for round := 0; round < 4*rounds; round++ {
+				series := fmt.Sprintf("root.race.s%d", (g+round)%workers)
+				if err := checkSubRangeScan(full, series, want[series], rng); err != nil {
+					t.Errorf("goroutine %d %s: %v", g, series, err)
+					return
+				}
+			}
+		}(g)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -92,6 +114,9 @@ func TestReaderConcurrentDecode(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if st := cache.Stats(); st.Declined < workers*4*rounds || st.Evictions != 0 || st.Entries != 1 {
+		t.Errorf("full cache after the sub-range scans: %+v, want every miss declined and nothing evicted", st)
+	}
 }
 
 // checkPartialReads opens chunk ci of series twice, reads a random position
@@ -142,6 +167,38 @@ func checkPartialReads(r *Reader, series string, ci int, pts []Point, rng *rand.
 	}
 	if !slices.Equal(got, exp) {
 		return fmt.Errorf("FilterValues(%d, %d, %d, %d): %d points, want %d", lo, hi, minV, maxV, len(got), len(exp))
+	}
+	return nil
+}
+
+// checkSubRangeScan iterates a random time range of series, which may start
+// and end inside any chunk, a run at a time into a small page, and checks
+// the points against pts.
+func checkSubRangeScan(r *Reader, series string, pts []Point, rng *rand.Rand) error {
+	lo := rng.Intn(len(pts))
+	hi := lo + rng.Intn(len(pts)-lo)
+	it, err := Iter[int64](r, series, pts[lo].T, pts[hi].T)
+	if err != nil {
+		return err
+	}
+	defer it.Release()
+	var got []Point
+	page := make([]Point, 0, 64)
+	for {
+		var p Point
+		var ok bool
+		page, p, ok = it.Run(page[:0], math.MaxInt64)
+		got = append(got, page...)
+		if !ok {
+			break
+		}
+		got = append(got, p)
+	}
+	if it.Err() != nil {
+		return it.Err()
+	}
+	if !slices.Equal(got, pts[lo:hi+1]) {
+		return fmt.Errorf("Iter over points [%d, %d]: %d points, or a wrong one; want %d", lo, hi, len(got), hi+1-lo)
 	}
 	return nil
 }

@@ -47,11 +47,13 @@ func corruptSeedFile(t testing.TB) []byte {
 
 // readEverything opens data and drives every read the Reader offers over
 // every series and chunk, returning the errors they report. It reads the
-// file twice: with the chunk cache off, so every read decodes, and on, so
-// the reads after the first hit the columns the first one cached.
+// file three times: with the chunk cache off, so every read decodes; on, so
+// the reads after the first hit the columns the first one cached; and with
+// a cache smaller than any chunk, so every miss is declined and read into
+// pooled buffers.
 func readEverything(data []byte) []error {
 	var errs []error
-	for _, cache := range []*chunkcache.Cache{nil, chunkcache.New(1 << 20)} {
+	for _, cache := range []*chunkcache.Cache{nil, chunkcache.New(1 << 20), chunkcache.New(256)} {
 		errs = append(errs, readEverythingWith(data, cache)...)
 	}
 	return errs
@@ -79,17 +81,31 @@ func readEverythingWith(data []byte, cache *chunkcache.Cache) []error {
 		note(err)
 		_, err = r.ReadAllFloats(s)
 		note(err)
-		if it, err := Iter[int64](r, s, math.MinInt64, math.MaxInt64); err != nil {
-			note(err)
-		} else {
-			drain(it.Next, it.Err)
-		}
-		if it, err := Iter[float64](r, s, math.MinInt64, math.MaxInt64); err != nil {
-			note(err)
-		} else {
-			drain(it.Next, it.Err)
-		}
 		chunks, err := r.Chunks(s)
+		note(err)
+		// The whole series, then its middle half by the footer's time
+		// range: a sub-range read decodes only the blocks it needs.
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if len(chunks) > 0 {
+			first, last := chunks[0].MinT, chunks[len(chunks)-1].MaxT
+			quarter := int64((uint64(last) - uint64(first)) / 4)
+			lo, hi = first+quarter, last-quarter
+		}
+		for _, rg := range [][2]int64{{math.MinInt64, math.MaxInt64}, {lo, hi}} {
+			if it, err := Iter[int64](r, s, rg[0], rg[1]); err != nil {
+				note(err)
+			} else {
+				drain(it.Next, it.Err)
+			}
+			if it, err := Iter[float64](r, s, rg[0], rg[1]); err != nil {
+				note(err)
+			} else {
+				drain(it.Next, it.Err)
+			}
+		}
+		_, err = r.Query(s, lo, hi, math.MinInt64, math.MaxInt64)
+		note(err)
+		_, err = r.QueryFloats(s, lo, hi, math.Inf(-1), math.Inf(1))
 		note(err)
 		for ci, m := range chunks {
 			_, _, err := r.ChunkColumns(s, ci)

@@ -3,6 +3,7 @@ package tsfile
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"bos/internal/floatconv"
 )
@@ -92,19 +93,22 @@ func (r *Reader) QueryFloats(series string, minT, maxT int64, minV, maxV float64
 	})
 }
 
-// chunkValues converts a decoded value column to V: an integer chunk's
-// column as it is, a scaled chunk's divided by 10^precision, a raw chunk's
-// reinterpreted as float bits.
-func chunkValues[V int64 | float64](kind byte, precision int, vals []int64) []V {
+// chunkValues returns a decoded value column as V: an integer chunk's
+// column as it is, and otherwise the column converted and appended to dst,
+// a scaled chunk's divided by 10^precision, a raw chunk's reinterpreted as
+// float bits.
+func chunkValues[V int64 | float64](dst []V, kind byte, precision int, vals []int64) []V {
 	switch kind {
 	case kindInt:
 		return any(vals).([]V)
 	case kindScaled:
-		return any(floatconv.FromScaled(vals, precision)).([]V)
+		return any(floatconv.AppendFromScaled(any(dst).([]float64), vals, precision)).([]V)
 	}
-	fvals := make([]float64, len(vals))
+	out := any(dst).([]float64)
+	base := len(out)
+	out = slices.Grow(out, len(vals))[:base+len(vals)]
 	for i, v := range vals {
-		fvals[i] = math.Float64frombits(uint64(v))
+		out[base+i] = math.Float64frombits(uint64(v))
 	}
-	return any(fvals).([]V)
+	return any(out).([]V)
 }

@@ -3,22 +3,28 @@ package tsfile
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Iterator streams the points of one series of value kind V in time order,
 // loading one chunk at a time: memory use is bounded by the chunk size, not
 // the result size, which is what a scan operator inside a query engine
 // needs. It is a Cursor; Next and Point read it one point at a time.
+//
+// A chunk the cache does not serve or admit is read into pooled buffers,
+// decoding only the value blocks [minT, maxT] needs (readChunk). The
+// iterator returns them when it moves to the next chunk, when it ends (past
+// maxT, after the last chunk, or on error) and when Release is called.
 type Iterator[V int64 | float64] struct {
 	r          *Reader
 	series     string
 	chunks     []ChunkMeta
 	minT, maxT int64
 	chunkIdx   int
-	times      []int64
+	times      []int64 // the current chunk's samples in [minT, maxT]
 	vals       []V
 	pos        int
+	past       bool        // the current chunk holds a timestamp after maxT
+	h          ChunkHandle // the current chunk's pooled read, when bufs is set
 	cur        Sample[V]
 	err        error
 	done       bool
@@ -68,44 +74,57 @@ func (r *Reader) Estimate(series string, minT, maxT int64) int {
 // Next advances to the next point; it returns false at the end of the scan
 // or on error (check Err).
 func (it *Iterator[V]) Next() bool {
-	if it.done {
-		return false
-	}
-	for {
+	for !it.done {
 		if it.pos < len(it.times) {
-			t := it.times[it.pos]
-			if t > it.maxT {
-				it.done = true
-				return false
-			}
-			it.cur = Sample[V]{T: t, V: it.vals[it.pos]}
+			it.cur = Sample[V]{T: it.times[it.pos], V: it.vals[it.pos]}
 			it.pos++
 			return true
 		}
-		// Load the next overlapping chunk.
-		for {
-			if it.chunkIdx >= len(it.chunks) {
-				it.done = true
-				return false
-			}
-			ci := it.chunkIdx
-			m := it.chunks[ci]
-			it.chunkIdx++
-			if m.MaxT < it.minT || m.MinT > it.maxT {
-				continue // pruned via footer statistics
-			}
-			times, vals, err := readChunk[V](it.r, it.series, ci, m)
-			if err != nil {
-				it.err = err
-				it.done = true
-				return false
-			}
-			lo := sort.Search(len(times), func(i int) bool { return times[i] >= it.minT })
-			it.times, it.vals = times[lo:], vals[lo:]
-			it.pos = 0
-			break
+		it.load()
+	}
+	return false
+}
+
+// load leaves the current chunk, returning its buffers, and reads the next
+// chunk that holds samples in [minT, maxT]. It ends the scan when the
+// current chunk reached past maxT, after the last chunk, and on error.
+func (it *Iterator[V]) load() {
+	for {
+		it.leave()
+		if it.past || it.chunkIdx >= len(it.chunks) {
+			it.done = true
+			return
+		}
+		ci := it.chunkIdx
+		m := it.chunks[ci]
+		it.chunkIdx++
+		if m.MaxT < it.minT || m.MinT > it.maxT {
+			continue // pruned via footer statistics
+		}
+		var err error
+		if it.times, it.vals, it.past, err = readChunk[V](it.r, it.series, ci, m, it.minT, it.maxT, &it.h); err != nil {
+			it.err = err
+			it.Release()
+			return
+		}
+		if len(it.times) > 0 {
+			return
 		}
 	}
+}
+
+// leave drops the current chunk's columns and returns its pooled buffers.
+func (it *Iterator[V]) leave() {
+	it.h.Release()
+	it.times, it.vals, it.pos = nil, nil, 0
+}
+
+// Release ends the scan and returns the pooled buffers of the chunk it is
+// reading, if any. The iterator yields nothing after it; the samples it
+// handed out are copies and stay valid. A second Release does nothing.
+func (it *Iterator[V]) Release() {
+	it.leave()
+	it.done = true
 }
 
 // Run appends to dst the points after the current one that lie below bound,
@@ -123,7 +142,7 @@ func (it *Iterator[V]) Run(dst []Sample[V], bound int64) ([]Sample[V], Sample[V]
 	k := 0
 	for ; k < n; k++ {
 		t := times[k]
-		if t >= bound || t > it.maxT {
+		if t >= bound {
 			break
 		}
 		room[k] = Sample[V]{T: t, V: vals[k]}

@@ -21,10 +21,13 @@ type Sample[V int64 | float64] struct {
 // before its first sample, so Run(nil, bound) steps to the next sample
 // whatever the bound, and a source whose next sample is at or above the
 // bound costs exactly that one call. Err reports the error that ended the
-// source, if any.
+// source, if any. Release returns what the cursor holds for reading, such as
+// an Iterator's pooled chunk buffers; the cursor must not be read after it,
+// and the samples it handed out stay valid, since Run copies them.
 type Cursor[V int64 | float64] interface {
 	Run(dst []Sample[V], bound int64) (out []Sample[V], next Sample[V], ok bool)
 	Err() error
+	Release()
 }
 
 // SliceCursor is a Cursor over an in-memory, time-sorted slice.
@@ -56,6 +59,9 @@ func (c *SliceCursor[V]) Run(dst []Sample[V], bound int64) ([]Sample[V], Sample[
 }
 
 func (c *SliceCursor[V]) Err() error { return nil }
+
+// Release does nothing: the slice is the caller's.
+func (c *SliceCursor[V]) Release() {}
 
 // Merge is the single newest-wins rule of every read: a k-way merge of
 // time-ordered sources given oldest to newest. It emits the smallest
@@ -193,10 +199,20 @@ func (m *Merge[V]) drop(i int) {
 // Err reports the source error that ended the merge, if any.
 func (m *Merge[V]) Err() error { return m.err }
 
+// Release releases every source (Cursor.Release). The merge yields nothing
+// after it; the samples Fill copied out stay valid.
+func (m *Merge[V]) Release() {
+	for _, c := range m.srcs {
+		c.Release()
+	}
+	m.live, m.lead = m.live[:0], -1
+}
+
 // Reset replaces source i with c, keeping its place in the newest-wins
-// order; the other sources keep their positions. c must hold only
-// timestamps after the last sample emitted. A paged scan uses it to swap in
-// a fresh memtable snapshot for each page.
+// order, and does not release the source it replaces; the other sources
+// keep their positions. c must hold only timestamps after the last sample
+// emitted. A paged scan uses it to swap in a fresh memtable snapshot for
+// each page.
 func (m *Merge[V]) Reset(i int, c Cursor[V]) {
 	m.srcs[i] = c
 	m.drop(i)

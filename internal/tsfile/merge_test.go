@@ -204,6 +204,8 @@ func (c *failingCursor) Run(dst []Sample[int64], bound int64) ([]Sample[int64], 
 	return dst, Sample[int64]{T: int64(c.i)}, true
 }
 
+func (c *failingCursor) Release() {}
+
 func (c *failingCursor) Err() error {
 	if c.i > c.n {
 		return c.err

@@ -2,6 +2,8 @@ package tsfile
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"bos/internal/chunkcache"
 	"bos/internal/codec"
@@ -9,18 +11,23 @@ import (
 	"bos/internal/ts2diff"
 )
 
-// This file is the partial-decode surface internal/pushdown builds on: a
-// ChunkHandle exposes one integer chunk's fully-decoded time column next to
-// its still-encoded value column, so the evaluator can binary-search the time
-// window first and then touch only the value bits that matter. Both value
-// reads take a position range: the blocks wholly before it are skipped by
-// header arithmetic (core.SkipBlock), the blocks it overlaps are decoded
-// whole or filtered, and the blocks after it are never read. A value filter
-// also skips the value planes its band cannot reach (core.FilterBlock).
+// This file is the partial-decode surface internal/pushdown and the raw
+// scans build on: a ChunkHandle exposes one chunk's fully-decoded time
+// column next to its still-encoded value column, so a reader can
+// binary-search the time window first and then touch only the value bits
+// that matter. Both value reads take a position range: the blocks wholly
+// before it are skipped by header arithmetic (core.SkipBlock), the blocks it
+// overlaps are decoded whole or filtered, and the blocks after it are never
+// read. A value filter also skips the value planes its band cannot reach
+// (core.FilterBlock).
 //
 // A handle opened on a cache miss reads into pooled buffers — the chunk
 // body, the time column and a value scratch — and Release returns them, so a
-// window or filter over a cold chunk allocates no column.
+// window, a filter or a raw scan over a cold chunk allocates no column.
+// OpenChunk never fills the cache: a window or filter reads part of a chunk,
+// and caching a part would serve later reads an incomplete column. An
+// Iterator and a Query open a handle the same way, through readChunk, when
+// there is no cache or it declines their miss.
 //
 // Partial decode is only possible for chunks packed by a BOS-family packer
 // (*core.Packer); any other packer — and any chunk already decoded into the
@@ -28,14 +35,16 @@ import (
 
 // ChunkColumns returns the decoded columns of one integer chunk, consulting
 // the chunk cache like Query does. ci is the chunk's index within the
-// series' chunk list. The returned slices may be shared with the cache and
-// must be treated as read-only.
+// series' chunk list. It reads the whole chunk, and on a miss the columns
+// are new: the cache admits them when they fit. The returned slices may be
+// shared with the cache and must be treated as read-only.
 func (r *Reader) ChunkColumns(series string, ci int) ([]int64, []int64, error) {
 	m, err := r.chunkMeta(series, ci)
 	if err != nil {
 		return nil, nil, err
 	}
-	return readChunk[int64](r, series, ci, m)
+	times, vals, _, err := readChunk[int64](r, series, ci, m, math.MinInt64, math.MaxInt64, nil)
+	return times, vals, err
 }
 
 func (r *Reader) chunkMeta(series string, ci int) (ChunkMeta, error) {
@@ -49,25 +58,26 @@ func (r *Reader) chunkMeta(series string, ci int) (ChunkMeta, error) {
 	return chunks[ci], nil
 }
 
-// ChunkHandle is one integer chunk opened for partial access: the time
-// column decoded, the value column kept encoded until a ValueRange or
-// FilterValues call needs (some of) it. Release returns its buffers; the
-// handle and everything it returned must not be used after Release.
+// ChunkHandle is one chunk opened for partial access: the time column
+// decoded, the value column kept encoded until a ValueRange or FilterValues
+// call needs (some of) it. Release returns its buffers; the handle and
+// everything it returned must not be used after Release.
 type ChunkHandle struct {
 	Meta ChunkMeta
 
-	times  []int64
-	vals   []int64 // full value column, when cached or fully decoded
-	vcol   []byte  // encoded value column, when vals == nil
-	packer codec.Packer
-	bufs   *readBufs // pooled buffers behind times, vcol and decoded values; nil on a cache hit
+	times     []int64
+	vals      []int64 // full value column, when cached or fully decoded
+	vcol      []byte  // encoded value column, when vals == nil
+	precision int     // a scaled chunk's decimal precision
+	packer    codec.Packer
+	bufs      *readBufs // pooled buffers behind times, vcol and decoded values; nil on a cache hit
 }
 
 // OpenChunk opens one integer chunk for partial access. A chunk-cache hit
 // returns the decoded columns directly; a miss reads the chunk into pooled
 // buffers and decodes only the time column, leaving the value column
-// encoded. OpenChunk never populates the cache — partial reads would poison
-// it with incomplete columns. The caller must Release the handle.
+// encoded. OpenChunk never populates the cache. The caller must Release the
+// handle.
 func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	m, err := r.chunkMeta(series, ci)
 	if err != nil {
@@ -76,17 +86,27 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	if !holds[int64](m.Kind) {
 		return nil, kindError(series, m)
 	}
-	h := &ChunkHandle{Meta: m, packer: r.packerFor(m)}
 	if times, vals, ok := chunkcache.Get[int64](r.cache, r.cacheID, series, ci); ok {
-		h.times, h.vals = times, vals
-		return h, nil
+		return &ChunkHandle{Meta: m, packer: r.packerFor(m), times: times, vals: vals}, nil
 	}
-	h.bufs = readPool.Get().(*readBufs)
-	if err := h.read(r); err != nil {
-		h.Release()
+	h := new(ChunkHandle)
+	if err := r.open(h, m); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// open reads chunk m, of either value kind, into pooled buffers held by h
+// and decodes its time column, leaving the value column encoded; ValueRange
+// returns a float chunk's stored integers. It neither consults nor fills
+// the cache. On error h holds nothing.
+func (r *Reader) open(h *ChunkHandle, m ChunkMeta) error {
+	*h = ChunkHandle{Meta: m, packer: r.packerFor(m), bufs: readPool.Get().(*readBufs)}
+	if err := h.read(r); err != nil {
+		h.Release()
+		return err
+	}
+	return nil
 }
 
 // read loads the chunk body into the handle's buffers and decodes the time
@@ -97,10 +117,11 @@ func (h *ChunkHandle) read(r *Reader) error {
 	if err != nil {
 		return err
 	}
-	_, cols, err := parseChunkHeader(body, h.Meta)
+	precision, cols, err := parseChunkHeader(body, h.Meta)
 	if err != nil {
 		return err
 	}
+	h.precision = precision
 	tcol, rest, err := splitColumn(cols, h.Meta.Count, "time")
 	if err != nil {
 		return err
@@ -169,6 +190,9 @@ func (h *ChunkHandle) blocksFrom(lo int) ([]byte, int, error) {
 	}
 	first := 0
 	for len(blocks) > 0 {
+		if _, err := codec.BlockLen(blocks, len(h.times)-first); err != nil {
+			return nil, 0, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
+		}
 		bn, rest, err := core.SkipBlock(blocks)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
@@ -203,8 +227,13 @@ func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	vals := h.bufs.vals[:0] // the overlapping blocks, decoded whole
+	// The overlapping blocks, decoded whole into scratch sized once for the
+	// whole column: BlockLen holds every block to what the column lacks.
+	vals := slices.Grow(h.bufs.vals[:0], len(h.times))
 	for first+len(vals) < hi && len(blocks) > 0 {
+		if _, err := codec.BlockLen(blocks, len(h.times)-first-len(vals)); err != nil {
+			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
+		}
 		if vals, blocks, err = h.packer.Unpack(blocks, vals); err != nil {
 			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
@@ -243,6 +272,9 @@ func (h *ChunkHandle) FilterValues(lo, hi int, minV, maxV int64, emit func(i int
 	skipped := first > 0
 	seen := first
 	for seen < hi && len(blocks) > 0 {
+		if _, err := codec.BlockLen(blocks, len(h.times)-seen); err != nil {
+			return false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
+		}
 		start := seen
 		bn, sk, rest, err := core.FilterBlock(blocks, minV, maxV, func(i int, v int64) {
 			if p := start + i; p >= lo && p < hi {

@@ -301,10 +301,10 @@ func (r *Reader) ValueKind(series string) (found, float bool) {
 	return len(chunks) > 0, false
 }
 
-// WithoutCache returns a view of r that decodes every read and neither
-// consults nor fills r's chunk cache. A one-pass reader, such as a
-// compaction merging files it is about to replace, uses it so it does not
-// evict hot entries.
+// WithoutCache returns a view of r that neither consults nor fills r's
+// chunk cache: every chunk read decodes into pooled buffers. A one-pass
+// reader, such as a compaction merging files it is about to replace, uses
+// it so it does not evict hot entries.
 func (r *Reader) WithoutCache() *Reader {
 	v := *r
 	v.cache = nil
@@ -331,13 +331,15 @@ func uvarintLen(v uint64) uint64 {
 }
 
 // readBufs is one chunk read's scratch: the chunk body as the file holds
-// it, and the decoded columns of a read that keeps none. No decoded column
-// aliases body, so a read that keeps its columns returns the buffers as soon
-// as decoding ends.
+// it, the decoded time and value columns of a read that keeps none, and the
+// float values a float chunk's range converts to. No decoded column aliases
+// body, so a read that keeps its columns returns the buffers as soon as
+// decoding ends.
 type readBufs struct {
-	body  []byte
-	times []int64
-	vals  []int64
+	body   []byte
+	times  []int64
+	vals   []int64
+	floats []float64
 }
 
 // readPool recycles readBufs between chunk reads, so that a read which keeps
@@ -375,18 +377,62 @@ func kindError(series string, m ChunkMeta) error {
 	return fmt.Errorf("%w: %q holds floats; use QueryFloats", ErrKindMismatch, series)
 }
 
-// readChunk loads and decodes one chunk of value kind V, consulting the
-// cache first. ci is the chunk's index within the series. The cache holds
-// the post-conversion value column, so a float hit skips both the
-// bit-unpacking and the conversion. The returned slices may be shared with
-// the cache and must be treated as read-only.
-func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta) ([]int64, []V, error) {
+// readChunk returns the samples of chunk ci (footer entry m) of series with
+// minT <= T <= maxT, as a time and a value column of kind V, read-only. It
+// is the one cache rule of every chunk read:
+//
+//   - a hit returns the cached columns;
+//   - a miss the cache admits (Admits: the chunk fits, and the cache has room
+//     for it now or the read covers the whole chunk) decodes the whole chunk
+//     into new columns and caches them;
+//   - any other miss, and every read through a nil cache, opens the chunk
+//     into h's pooled buffers and decodes only the value blocks that overlap
+//     the range (readRange). The columns are h's until h.Release. With h nil
+//     the caller wants columns of its own, so such a miss decodes the whole
+//     chunk into new columns instead.
+//
+// past reports whether the chunk holds a timestamp after maxT.
+func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta, minT, maxT int64, h *ChunkHandle) (times []int64, vals []V, past bool, err error) {
 	if !holds[V](m.Kind) {
-		return nil, nil, kindError(series, m)
+		return nil, nil, false, kindError(series, m)
 	}
 	if times, vals, ok := chunkcache.Get[V](r.cache, r.cacheID, series, ci); ok {
-		return times, vals, nil
+		times, vals, past = inRange(times, vals, minT, maxT)
+		return times, vals, past, nil
 	}
+	// The cache would hold 16 bytes a point: an int64 time, a 64-bit value.
+	whole := m.MinT >= minT && m.MaxT <= maxT
+	if admitted := r.cache.Admits(int64(m.Count)*16, whole); admitted || h == nil {
+		if times, vals, err = decodeChunk[V](r, m); err != nil {
+			return nil, nil, false, err
+		}
+		if admitted {
+			chunkcache.Put(r.cache, r.cacheID, series, ci, times, vals)
+		}
+		times, vals, past = inRange(times, vals, minT, maxT)
+		return times, vals, past, nil
+	}
+	return readRange[V](r, m, minT, maxT, h)
+}
+
+// span returns the positions [lo, hi) of a sorted time column whose
+// timestamps lie in [minT, maxT]; hi < len(times) when one lies past maxT.
+func span(times []int64, minT, maxT int64) (lo, hi int) {
+	lo = sort.Search(len(times), func(i int) bool { return times[i] >= minT })
+	return lo, max(lo, sort.Search(len(times), func(i int) bool { return times[i] > maxT }))
+}
+
+// inRange cuts whole columns to span's positions, and reports whether a
+// timestamp lies past maxT.
+func inRange[V int64 | float64](times []int64, vals []V, minT, maxT int64) ([]int64, []V, bool) {
+	lo, hi := span(times, minT, maxT)
+	return times[lo:hi], vals[lo:hi], hi < len(times)
+}
+
+// decodeChunk decodes one whole chunk of value kind V into new columns. The
+// cache holds the post-conversion value column, so a float hit skips both
+// the bit-unpacking and the conversion.
+func decodeChunk[V int64 | float64](r *Reader, m ChunkMeta) ([]int64, []V, error) {
 	b := readPool.Get().(*readBufs)
 	defer readPool.Put(b)
 	body, err := r.readChunkBody(m, b)
@@ -397,8 +443,8 @@ func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta)
 	if err != nil {
 		return nil, nil, err
 	}
-	// An integer column is handed out and cached as it is; a float chunk's
-	// stored integers are scratch that chunkValues converts into a new column.
+	// An integer column is handed out as it is; a float chunk's stored
+	// integers are scratch that chunkValues converts into a new column.
 	var ivals []int64
 	if m.Kind != kindInt {
 		ivals = b.vals[:0]
@@ -407,17 +453,43 @@ func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta)
 	if err != nil {
 		return nil, nil, err
 	}
-	vals := chunkValues[V](m.Kind, precision, ivals)
+	vals := chunkValues[V](nil, m.Kind, precision, ivals)
 	if m.Kind != kindInt {
 		b.vals = ivals[:0]
 	}
-	chunkcache.Put(r.cache, r.cacheID, series, ci, times, vals)
 	return times, vals, nil
+}
+
+// readRange opens chunk m into h's pooled buffers and returns its samples
+// with minT <= T <= maxT: the time column is decoded and binary-searched,
+// only the value blocks that overlap the positions found are decoded
+// (ChunkHandle.ValueRange), and a float chunk converts only those positions,
+// into h's buffers too. On error h holds nothing.
+func readRange[V int64 | float64](r *Reader, m ChunkMeta, minT, maxT int64, h *ChunkHandle) ([]int64, []V, bool, error) {
+	if err := r.open(h, m); err != nil {
+		return nil, nil, false, err
+	}
+	times := h.Times()
+	lo, hi := span(times, minT, maxT)
+	past := hi < len(times)
+	if lo == hi {
+		return nil, nil, past, nil // no value block needed
+	}
+	ivals, _, err := h.ValueRange(lo, hi)
+	if err != nil {
+		h.Release()
+		return nil, nil, false, err
+	}
+	if m.Kind == kindInt {
+		return times[lo:hi], any(ivals).([]V), past, nil
+	}
+	h.bufs.floats = chunkValues(h.bufs.floats[:0], m.Kind, h.precision, ivals)
+	return times[lo:hi], any(h.bufs.floats).([]V), past, nil
 }
 
 // scan returns the points of a series of value kind V with minT <= T <= maxT
 // and a value not outside [minV, maxV] (so a NaN stays), in time order. It
-// decodes only the chunks that overlap the time range and that keep, the
+// reads only the chunks that overlap the time range and that keep, the
 // caller's footer-statistics prune, lets through.
 func scan[V int64 | float64](r *Reader, series string, minT, maxT int64, minV, maxV V, keep func(ChunkMeta) bool) ([]Sample[V], error) {
 	chunks, ok := r.index[series]
@@ -425,22 +497,22 @@ func scan[V int64 | float64](r *Reader, series string, minT, maxT int64, minV, m
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, series)
 	}
 	var out []Sample[V]
+	var h ChunkHandle
+	defer h.Release()
 	for ci, m := range chunks {
 		if m.MaxT < minT || m.MinT > maxT || !keep(m) {
 			continue // pruned without IO beyond the footer
 		}
-		times, vals, err := readChunk[V](r, series, ci, m)
+		times, vals, _, err := readChunk[V](r, series, ci, m, minT, maxT, &h)
 		if err != nil {
 			return nil, err
 		}
-		// Binary-search the time window inside the sorted chunk.
-		lo := sort.Search(len(times), func(i int) bool { return times[i] >= minT })
-		hi := sort.Search(len(times), func(i int) bool { return times[i] > maxT })
-		for i := lo; i < hi; i++ {
+		for i, t := range times {
 			if v := vals[i]; !(v < minV || v > maxV) {
-				out = append(out, Sample[V]{times[i], v})
+				out = append(out, Sample[V]{t, v})
 			}
 		}
+		h.Release()
 	}
 	return out, nil
 }
