@@ -84,8 +84,10 @@ func (Packer) Unpack(src []byte, out []int64) ([]int64, []byte, error) {
 		return out, nil, fmt.Errorf("%w: width %d", errCorrupt, width)
 	}
 	r := bitio.NewReader(rest[1:])
+	// ReadBulkInt64 writes every one of the n values, so out grows without
+	// zeroing them first; n is bounded by MaxBlockLen above.
 	base := len(out)
-	out = append(out, make([]int64, n)...)
+	out = slices.Grow(out, n)[:base+n]
 	if err := r.ReadBulkInt64(out[base:], uint(width), uint64(bitio.UnZigZag(zmin))); err != nil {
 		return out[:base], nil, fmt.Errorf("%w: values: %v", errCorrupt, err)
 	}

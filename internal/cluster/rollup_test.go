@@ -142,8 +142,8 @@ func TestRouterRollups(t *testing.T) {
 			Files: int(k), MemPoints: int(10 * k), DiskPoints: int(100 * k), DiskBytes: 1000 * k, SeriesCount: int(k),
 			Compactions: k, CompactedFiles: 2 * k, CompactedBytesIn: 30 * k, CompactedBytesOut: 20 * k,
 			WALGroups: 5 * k, WALRecords: 7 * k,
-			Cache:    chunkcache.Stats{Hits: k, Misses: 2 * k, Evictions: 3 * k, Invalidations: 4 * k, Declined: 7 * k, Entries: int(5 * k), Bytes: 6 * k, MaxBytes: 64 * k},
-			Pushdown: pushdown.Snapshot{Stats: k, Inlier: 2 * k, Full: 3 * k},
+			Cache:    chunkcache.Stats{Hits: k, Misses: 2 * k, Evictions: 3 * k, Invalidations: 4 * k, Declined: 7 * k, Packs: 8 * k, Packed: int(9 * k), Entries: int(5 * k), Bytes: 6 * k, MaxBytes: 64 * k},
+			Pushdown: pushdown.Snapshot{Stats: k, Cached: 4 * k, Inlier: 2 * k, Full: 3 * k},
 		}
 	}
 	wrap[0].compact = engine.CompactStats{Files: 2, Series: 2, Points: 40, BytesBefore: 500, BytesAfter: 300, SeriesPackers: map[string]string{"a": "bp"}}
@@ -157,8 +157,8 @@ func TestRouterRollups(t *testing.T) {
 		Files: 6, MemPoints: 60, DiskPoints: 600, DiskBytes: 6000, SeriesCount: 6,
 		Compactions: 6, CompactedFiles: 12, CompactedBytesIn: 180, CompactedBytesOut: 120,
 		WALGroups: 30, WALRecords: 42,
-		Cache:    chunkcache.Stats{Hits: 6, Misses: 12, Evictions: 18, Invalidations: 24, Declined: 42, Entries: 30, Bytes: 36, MaxBytes: 384},
-		Pushdown: pushdown.Snapshot{Stats: 6, Inlier: 12, Full: 18},
+		Cache:    chunkcache.Stats{Hits: 6, Misses: 12, Evictions: 18, Invalidations: 24, Declined: 42, Packs: 48, Packed: 54, Entries: 30, Bytes: 36, MaxBytes: 384},
+		Pushdown: pushdown.Snapshot{Stats: 6, Cached: 24, Inlier: 12, Full: 18},
 	}
 	if sum != wantSum {
 		t.Errorf("Stats() = %+v, want %+v", sum, wantSum)

@@ -463,6 +463,8 @@ func (r *Router) Stats() (engine.Stats, error) {
 		sum.Cache.Evictions += st.Cache.Evictions
 		sum.Cache.Invalidations += st.Cache.Invalidations
 		sum.Cache.Declined += st.Cache.Declined
+		sum.Cache.Packs += st.Cache.Packs
+		sum.Cache.Packed += st.Cache.Packed
 		sum.Cache.Entries += st.Cache.Entries
 		sum.Cache.Bytes += st.Cache.Bytes
 		sum.Cache.MaxBytes += st.Cache.MaxBytes

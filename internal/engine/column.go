@@ -228,7 +228,7 @@ func query[V int64 | float64](e *Engine, col *column[V], series string, minT, ma
 	if err != nil {
 		return nil, err
 	}
-	return mergeFiles(e.files, e.tombs, series, minT, maxT, mem)
+	return mergeFiles(e.holding[series], e.tombs, series, minT, maxT, mem)
 }
 
 // maxMergeRoom bounds the room mergeFiles makes from the files' footers,
@@ -238,9 +238,9 @@ const maxMergeRoom = 1 << 20
 // mergeFiles merges one series over [minT, maxT] across files, oldest
 // first, then newest, with tsfile.Merge's newest-wins rule. Points that
 // tombs hide are dropped. The answer is sized from the files' footers
-// (Reader.Estimate) and grows only past their estimate. The file cursors
+// (tsfile.Estimate) and grows only past their estimate. The file cursors
 // are released when the merge ends; Fill copies every sample out first.
-func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64, newest []tsfile.Sample[V]) ([]tsfile.Sample[V], error) {
+func mergeFiles[V int64 | float64](files []seriesFile, tombs tombstones, series string, minT, maxT int64, newest []tsfile.Sample[V]) ([]tsfile.Sample[V], error) {
 	srcs, err := fileCursors[V](files, tombs, series, minT, maxT)
 	if err != nil {
 		return nil, err
@@ -251,8 +251,8 @@ func mergeFiles[V int64 | float64](files []*dataFile, tombs tombstones, series s
 	m := tsfile.NewMerge(append(srcs, tsfile.NewSliceCursor(newest))...)
 	defer m.Release()
 	n := len(newest)
-	for _, df := range files {
-		n += df.reader.Estimate(series, minT, maxT)
+	for _, sf := range files {
+		n += tsfile.Estimate(sf.chunks, minT, maxT)
 	}
 	out, more := m.Fill(make([]tsfile.Sample[V], 0, min(n, maxMergeRoom)))
 	for more {
@@ -337,7 +337,7 @@ func flushJobs[V int64 | float64](e *Engine, col *column[V]) []encodeJob {
 // packer. Otherwise it encodes the series once per name and keeps the
 // smallest chunk body; on a tie the earlier name wins.
 func mergeSeries[V int64 | float64](c *Compaction, name string, packerNames []string) mergedSeries {
-	pts, err := mergeFiles[V](c.inputs, c.tombs, name, math.MinInt64, math.MaxInt64, nil)
+	pts, err := mergeFiles[V](c.inputs[name], c.tombs, name, math.MinInt64, math.MaxInt64, nil)
 	if err != nil {
 		return mergedSeries{err: fmt.Errorf("engine: compact %s: %w", name, err)}
 	}

@@ -84,11 +84,11 @@ type CompactStats struct {
 type Compaction struct {
 	e     *Engine
 	files []*dataFile // the pinned contiguous run, freshness order
-	// inputs are views of files whose readers bypass the chunk cache. The
-	// merge reads each chunk once and Commit deletes the files, so caching
-	// their chunks would only evict hot entries. Commit's conflict check
-	// compares the live pointers in files.
-	inputs  []*dataFile
+	// inputs indexes, per series, views of files whose readers bypass the
+	// chunk cache. The merge reads each chunk once and Commit deletes the
+	// files, so caching their chunks would only evict hot entries. Commit's
+	// conflict check compares the live pointers in files.
+	inputs  fileIndex
 	tombs   tombstones // tombstones at snapshot time (applied during merge)
 	outSeq  int
 	outPath string
@@ -144,7 +144,7 @@ func (e *Engine) SnapshotCompaction(seqs []int) (*Compaction, error) {
 	c := &Compaction{
 		e:       e,
 		files:   append([]*dataFile(nil), run...),
-		inputs:  inputs,
+		inputs:  indexFiles(inputs),
 		tombs:   append(tombstones(nil), e.tombs...),
 		outSeq:  last.seq,
 		outPath: last.path,
@@ -208,12 +208,8 @@ func (c *Compaction) Merge(packerNames []string) error {
 	})
 	w := tsfile.NewWriter(f, c.e.opt.File)
 	for i, name := range sorted {
-		for _, df := range c.files {
-			chunks, err := df.reader.Chunks(name)
-			if err != nil {
-				continue
-			}
-			for _, m := range chunks {
+		for _, sf := range c.inputs[name] {
+			for _, m := range sf.chunks {
 				c.stats.BytesBefore += int64(m.EncodedBytes)
 			}
 		}
@@ -313,7 +309,7 @@ func (c *Compaction) Commit() error {
 	out = append(out, e.files[:start]...)
 	out = append(out, df)
 	out = append(out, e.files[start+len(c.files):]...)
-	e.files = out
+	e.setFiles(out)
 	for _, old := range c.files {
 		// The replaced readers die with the splice; drop their cached chunks
 		// so the cache never serves decoded columns for a dead file ID. The

@@ -153,6 +153,7 @@ type Engine struct {
 
 	structMu   sync.RWMutex
 	files      []*dataFile // ascending sequence = ascending freshness
+	holding    fileIndex   // per series, the files that hold it (setFiles)
 	nextSeq    int
 	nextFileID uint64     // chunk-cache identity; never reused, unlike seq
 	gen        uint64     // bumped on any file-list or tombstone change
@@ -210,6 +211,46 @@ type dataFile struct {
 	reader *tsfile.Reader
 }
 
+// seriesFile is one data file that holds a series, with the series' chunk
+// metadata from the file's footer.
+type seriesFile struct {
+	df     *dataFile
+	chunks []tsfile.ChunkMeta
+}
+
+// fileIndex maps each series to the files that hold a chunk of it, in the
+// order of the file list it was built from (oldest first), so a read visits
+// only those files and takes their chunk metadata without a lookup per
+// file.
+type fileIndex map[string][]seriesFile
+
+// indexFiles builds the fileIndex of files.
+func indexFiles(files []*dataFile) fileIndex {
+	idx := fileIndex{}
+	for _, df := range files {
+		idx.add(df)
+	}
+	return idx
+}
+
+// add indexes df, which is newer than every file indexed so far.
+func (idx fileIndex) add(df *dataFile) {
+	for _, name := range df.reader.Series() {
+		if chunks, err := df.reader.Chunks(name); err == nil && len(chunks) > 0 {
+			idx[name] = append(idx[name], seriesFile{df: df, chunks: chunks})
+		}
+	}
+}
+
+// setFiles installs the live file list and rebuilds the per-series index
+// over it; a flush, which only appends a file, adds it to the index in
+// place instead. Caller holds structMu exclusively, or the engine is not
+// shared yet.
+func (e *Engine) setFiles(files []*dataFile) {
+	e.files = files
+	e.holding = indexFiles(files)
+}
+
 // ErrClosed reports use after Close.
 var ErrClosed = errors.New("engine: closed")
 
@@ -261,6 +302,7 @@ func Open(opt Options) (*Engine, error) {
 			e.stripe(name).kinds[name] = kind
 		}
 	}
+	e.setFiles(e.files)
 	if !opt.DisableWAL {
 		// A sealed segment can outlive a failed flush (rollback keeps it on
 		// disk, covering the restored points). Its sequence is burned:
@@ -370,10 +412,8 @@ func (e *Engine) Series() []string {
 func (e *Engine) seriesSet() map[string]bool {
 	e.structMu.RLock()
 	set := map[string]bool{}
-	for _, df := range e.files {
-		for _, s := range df.reader.Series() {
-			set[s] = true
-		}
+	for s := range e.holding {
+		set[s] = true
 	}
 	e.structMu.RUnlock()
 	e.eachBuffered(func(name, _ string, _ int, _, _ int64) { set[name] = true })
@@ -423,12 +463,10 @@ func (e *Engine) Stats() Stats {
 		if info, err := df.f.Stat(); err == nil {
 			s.DiskBytes += info.Size()
 		}
-		for _, name := range df.reader.Series() {
-			chunks, err := df.reader.Chunks(name)
-			if err != nil {
-				continue
-			}
-			for _, c := range chunks {
+	}
+	for _, files := range e.holding {
+		for _, sf := range files {
+			for _, c := range sf.chunks {
 				s.DiskPoints += c.Count
 			}
 		}
@@ -456,7 +494,7 @@ func (e *Engine) closeFiles() {
 		df.f.Close()
 		e.cache.InvalidateFile(df.id)
 	}
-	e.files = nil
+	e.setFiles(nil)
 }
 
 // Close flushes and releases the engine.

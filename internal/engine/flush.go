@@ -212,6 +212,7 @@ func (e *Engine) commitSnapshot(snap *flushSnap, path string) error {
 		return err
 	}
 	e.files = append(e.files, df)
+	e.holding.add(df)
 	e.gen++ // in-flight scan cursors revalidate against the new file list
 	e.lockStripes()
 	for i := range e.stripes {

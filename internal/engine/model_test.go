@@ -223,8 +223,9 @@ func randomFloat(rng *rand.Rand, rawChunks bool) float64 {
 // the model after each step. Batches land anywhere in the span, so files overlap and merge
 // runs are a few samples long; inOrder draws them as ingest writes them
 // instead, so files hold disjoint ranges and runs reach chunk ends,
-// tombstones and page ends.
-func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int64) {
+// tombstones and page ends. It returns how many chunks the engines' caches
+// packed.
+func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int64) (packs int64) {
 	dir := t.TempDir()
 	open := func() *Engine {
 		e, err := Open(Options{Dir: dir, FlushThreshold: 1 << 30, CacheBytes: cacheBytes})
@@ -234,7 +235,10 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int6
 		return e
 	}
 	e := open()
-	defer func() { e.Close() }()
+	defer func() {
+		packs += e.Stats().Cache.Packs
+		e.Close()
+	}()
 	rng := rand.New(rand.NewSource(seed))
 	m := model{}
 	intNames := []string{"m.i0", "m.i1"}
@@ -299,12 +303,14 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int6
 			}
 			op = "compact"
 		case r < 20:
+			packs += e.Stats().Cache.Packs
 			if err := e.Close(); err != nil {
 				t.Fatalf("seed %d step %d: Close: %v", seed, step, err)
 			}
 			e = open()
 			op = "reopen"
 		default:
+			packs += e.Stats().Cache.Packs
 			crash(e)
 			e = open()
 			op = "crash"
@@ -322,6 +328,7 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int6
 		}
 		checkKindsAgainstModel(t, e, m, append(append([]string(nil), intNames...), floatNames...))
 	}
+	return packs
 }
 
 // TestEngineMatchesModel runs seeded random workloads over integer and float
@@ -335,23 +342,31 @@ func runModel(t *testing.T, seed int64, steps int, inOrder bool, cacheBytes int6
 // checked too.
 func TestEngineMatchesModel(t *testing.T) {
 	// The default cache admits every chunk; an 8 KiB one (512 points) admits
-	// only small chunks while it has room and declines the rest, so most
-	// scans read their chunks into pooled buffers.
+	// only small chunks, declines the rest, so most scans read their chunks
+	// into pooled buffers, and packs the chunks it holds once it runs out of
+	// room, so reads hit packed entries too: most of its seeds must pack.
 	for _, c := range []struct {
 		prefix string
 		bytes  int64
 	}{{"", 0}, {"smallcache-", 8 << 10}} {
-		for seed := int64(1); seed <= 12; seed++ {
-			seed := seed
-			t.Run(fmt.Sprintf("%sseed%d", c.prefix, seed), func(t *testing.T) {
-				runModel(t, seed, 40, false, c.bytes)
+		packed, seeds := 0, 0
+		run := func(name string, seed int64, inOrder bool) {
+			t.Run(fmt.Sprintf("%s%s%d", c.prefix, name, seed), func(t *testing.T) {
+				seeds++
+				if runModel(t, seed, 40, inOrder, c.bytes) > 0 {
+					packed++
+				}
 			})
 		}
+		for seed := int64(1); seed <= 12; seed++ {
+			run("seed", seed, false)
+		}
 		for seed := int64(4); seed <= 6; seed++ {
-			seed := seed
-			t.Run(fmt.Sprintf("%sinorder-seed%d", c.prefix, seed), func(t *testing.T) {
-				runModel(t, seed, 40, true, c.bytes)
-			})
+			run("inorder-seed", seed, true)
+		}
+		// Judged only when -run selected every seed.
+		if c.bytes > 0 && seeds == 15 && packed*2 < seeds {
+			t.Errorf("%d of %d %sseeds packed a chunk, want most", packed, seeds, c.prefix)
 		}
 	}
 }

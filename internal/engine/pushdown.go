@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"sort"
@@ -37,26 +36,12 @@ type chunkRef struct {
 // holds structMu (read suffices) with closed checked; minT <= maxT.
 func (e *Engine) planPushdown(series string, minT, maxT int64) ([]chunkRef, [][2]int64, error) {
 	var refs []chunkRef
-	for _, df := range e.files {
-		chunks, err := df.reader.Chunks(series)
-		if err != nil {
-			if errors.Is(err, tsfile.ErrNoSeries) {
-				continue
-			}
-			return nil, nil, err
-		}
-		for ci, m := range chunks {
+	for _, sf := range e.holding[series] {
+		for ci, m := range sf.chunks {
 			if m.MaxT < minT || m.MinT > maxT {
 				continue
 			}
-			lo, hi := m.MinT, m.MaxT
-			if lo < minT {
-				lo = minT
-			}
-			if hi > maxT {
-				hi = maxT
-			}
-			refs = append(refs, chunkRef{df: df, ci: ci, meta: m, lo: lo, hi: hi})
+			refs = append(refs, chunkRef{df: sf.df, ci: ci, meta: m, lo: max(m.MinT, minT), hi: min(m.MaxT, maxT)})
 		}
 	}
 	if len(refs) == 0 {

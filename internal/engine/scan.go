@@ -82,21 +82,22 @@ type fileCursor[V int64 | float64] struct {
 }
 
 // fileCursors opens a cursor over the series in [minT, maxT] on every file
-// whose footer index shows the series overlapping that range, oldest first,
-// with room for one more source. Other files cost one index lookup each.
-func fileCursors[V int64 | float64](files []*dataFile, tombs tombstones, series string, minT, maxT int64) ([]tsfile.Cursor[V], error) {
+// of files (the ones that hold the series, oldest first) whose chunks
+// overlap that range, with room for one more source. Files that do not hold
+// the series cost nothing.
+func fileCursors[V int64 | float64](files []seriesFile, tombs tombstones, series string, minT, maxT int64) ([]tsfile.Cursor[V], error) {
 	hiding := tombs.of(series, minT, maxT)
 	srcs := make([]tsfile.Cursor[V], 0, len(files)+1)
-	for _, df := range files {
-		if !df.reader.Overlaps(series, minT, maxT) {
+	for _, sf := range files {
+		if !tsfile.Overlaps(sf.chunks, minT, maxT) {
 			continue
 		}
-		it, err := tsfile.Iter[V](df.reader, series, minT, maxT)
+		it, err := tsfile.Iter[V](sf.df.reader, series, minT, maxT)
 		if err != nil {
 			return nil, err
 		}
 		n := 0 // hiding is newest first: the file's tombstones are a prefix
-		for n < len(hiding) && hiding[n].seq > df.seq {
+		for n < len(hiding) && hiding[n].seq > sf.df.seq {
 			n++
 		}
 		srcs = append(srcs, &fileCursor[V]{it: it, tombs: hiding[:n], at: math.MinInt64})
@@ -165,7 +166,7 @@ func (sc *scanState) release() {
 // suffices: the file list and generation are stable while held).
 func (e *Engine) rebuildScan(sc *scanState, series string, minT, maxT int64) error {
 	sc.release()
-	srcs, err := fileCursors[int64](e.files, e.tombs, series, minT, maxT)
+	srcs, err := fileCursors[int64](e.holding[series], e.tombs, series, minT, maxT)
 	if err != nil {
 		return err
 	}

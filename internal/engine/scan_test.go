@@ -216,11 +216,13 @@ func TestSeriesKindOfVanishedSeries(t *testing.T) {
 // TestScanOpensOnlyOverlappingFiles flushes a series into F files with
 // disjoint time ranges and reads a range inside one of them. The read must
 // allocate the same for F = 8 and F = 64: a scan opens cursors, and primes
-// them, only on the files whose footer index shows the series overlapping its
-// range. It holds for the paged integer scan and for the float read alike.
+// them, only on the files whose chunk metadata shows the series overlapping
+// its range, and a window plans only the chunks it overlaps, both from the
+// engine's per-series file index. It holds for the paged integer scan and
+// window and for the float read alike.
 func TestScanOpensOnlyOverlappingFiles(t *testing.T) {
 	const perFile = 100
-	allocs := func(files int, float bool) float64 {
+	allocs := func(files int, read string) float64 {
 		e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 1 << 30, DisableWAL: true})
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +230,7 @@ func TestScanOpensOnlyOverlappingFiles(t *testing.T) {
 		defer e.Close()
 		for f := 0; f < files; f++ {
 			var err error
-			if float {
+			if read == "float" {
 				pts := make([]tsfile.FloatPoint, perFile)
 				for i := range pts {
 					pts[i] = tsfile.FloatPoint{T: int64(f*perFile + i), V: float64(i) / 4}
@@ -249,25 +251,43 @@ func TestScanOpensOnlyOverlappingFiles(t *testing.T) {
 			}
 		}
 		lo, hi := int64(3*perFile+10), int64(3*perFile+60)
+		// A scan caches the chunk decoded, which a window then reads in
+		// place.
+		if read == "window" {
+			if err := e.QueryEach("s", lo, hi, func(tsfile.Point) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return testing.AllocsPerRun(20, func() {
 			n := 0
-			if float {
+			switch read {
+			case "float":
 				pts, err := e.QueryFloats("s", lo, hi)
 				if err != nil {
 					t.Fatal(err)
 				}
 				n = len(pts)
-			} else if err := e.QueryEach("s", lo, hi, func(tsfile.Point) error { n++; return nil }); err != nil {
-				t.Fatal(err)
+			case "window":
+				buckets, err := e.WindowAgg("s", lo, hi, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range buckets {
+					n += b.Count
+				}
+			default:
+				if err := e.QueryEach("s", lo, hi, func(tsfile.Point) error { n++; return nil }); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if n != int(hi-lo+1) {
-				t.Fatalf("read %d points, want %d", n, hi-lo+1)
+				t.Fatalf("%s read %d points, want %d", read, n, hi-lo+1)
 			}
 		})
 	}
-	for _, float := range []bool{false, true} {
-		if few, many := allocs(8, float), allocs(64, float); few != many {
-			t.Errorf("float %v: a read inside one file allocates %v times over 8 files, %v over 64", float, few, many)
+	for _, read := range []string{"scan", "float", "window"} {
+		if few, many := allocs(8, read), allocs(64, read); few != many {
+			t.Errorf("%s: a read inside one file allocates %v times over 8 files, %v over 64", read, few, many)
 		}
 	}
 }

@@ -37,14 +37,10 @@ func (e *Engine) SeriesStats() []SeriesStat {
 		return s
 	}
 	e.structMu.RLock()
-	for _, df := range e.files {
-		for _, name := range df.reader.Series() {
-			chunks, err := df.reader.Chunks(name)
-			if err != nil {
-				continue
-			}
-			s := get(name)
-			for _, c := range chunks {
+	for name, files := range e.holding {
+		s := get(name)
+		for _, sf := range files {
+			for _, c := range sf.chunks {
 				s.DiskPoints += c.Count
 				s.DiskBytes += int64(c.EncodedBytes)
 				s.Chunks++
@@ -94,10 +90,8 @@ func (e *Engine) SeriesKind(series string) string {
 	}
 	e.structMu.RLock()
 	defer e.structMu.RUnlock()
-	for _, df := range e.files {
-		if df.reader.Overlaps(series, math.MinInt64, math.MaxInt64) {
-			return kind
-		}
+	if len(e.holding[series]) > 0 {
+		return kind
 	}
 	return ""
 }

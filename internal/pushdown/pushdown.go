@@ -12,6 +12,10 @@
 //	                  inlier planes the predicate cannot reach).
 //	tier 3 (full)   — everything else: classic full chunk decode.
 //
+// A chunk the cache serves from decoded columns decodes nothing at all and
+// counts as cached instead. A chunk the cache holds packed is read block by
+// block like a cold one: inlier when a block is skipped, full when none is.
+//
 // The package is deliberately engine-agnostic: internal/engine plans which
 // chunks are safe to evaluate here (no overlap, no tombstones, no fresher
 // memtable points) and routes the remainder through its merged scan.
@@ -30,6 +34,7 @@ import (
 // Safe for concurrent use.
 type Tiers struct {
 	Stats  atomic.Int64 // answered from footer statistics alone
+	Cached atomic.Int64 // read from decoded columns the cache held: nothing decoded
 	Inlier atomic.Int64 // partial decode: a position range or a plane subset
 	Full   atomic.Int64 // full value-column decode
 }
@@ -37,20 +42,36 @@ type Tiers struct {
 // Snapshot is a point-in-time copy of the counters, JSON-ready.
 type Snapshot struct {
 	Stats  int64 `json:"stats"`
+	Cached int64 `json:"cached"`
 	Inlier int64 `json:"inlier"`
 	Full   int64 `json:"full"`
 }
 
 // Snapshot reads the counters.
 func (t *Tiers) Snapshot() Snapshot {
-	return Snapshot{Stats: t.Stats.Load(), Inlier: t.Inlier.Load(), Full: t.Full.Load()}
+	return Snapshot{Stats: t.Stats.Load(), Cached: t.Cached.Load(), Inlier: t.Inlier.Load(), Full: t.Full.Load()}
 }
 
 // Add folds another snapshot in (cluster stats rollup).
 func (s *Snapshot) Add(o Snapshot) {
 	s.Stats += o.Stats
+	s.Cached += o.Cached
 	s.Inlier += o.Inlier
 	s.Full += o.Full
+}
+
+// read counts a chunk whose values h read: cached when they came from
+// decoded columns, else inlier or full by whether the read skipped a block
+// or plane.
+func (t *Tiers) read(h *tsfile.ChunkHandle, skipped bool) {
+	switch {
+	case h.Cached():
+		t.Cached.Add(1)
+	case skipped:
+		t.Inlier.Add(1)
+	default:
+		t.Full.Add(1)
+	}
 }
 
 // Bucket is one aggregation window. With window == 0 it is the whole-range
@@ -228,25 +249,26 @@ func (e *Evaluator) EvalChunk(ci int, m tsfile.ChunkMeta) error {
 		return err
 	}
 	defer h.Release()
-	times := h.Times()
-	lo := sort.Search(len(times), func(i int) bool { return times[i] >= e.MinT })
-	hi := sort.Search(len(times), func(i int) bool { return times[i] > e.MaxT })
+	lo, hi, err := h.Span(e.MinT, e.MaxT)
+	if err != nil {
+		return err
+	}
 	if lo >= hi {
 		// The footer ranges overlapped but no timestamp actually falls in
 		// the query window; no value bits were touched.
 		e.T.Stats.Add(1)
 		return nil
 	}
+	times, err := h.Times(lo, hi)
+	if err != nil {
+		return err
+	}
 	vals, partial, err := h.ValueRange(lo, hi)
 	if err != nil {
 		return err
 	}
-	if partial {
-		e.T.Inlier.Add(1)
-	} else {
-		e.T.Full.Add(1)
-	}
-	e.W.AddRun(times[lo:hi], vals)
+	e.T.read(h, partial)
+	e.W.AddRun(times, vals)
 	return nil
 }
 
@@ -280,17 +302,22 @@ func (f *Filter) FilterChunk(ci int, m tsfile.ChunkMeta, emit func(tsfile.Point)
 		return err
 	}
 	defer h.Release()
-	times := h.Times()
-	lo := sort.Search(len(times), func(i int) bool { return times[i] >= f.MinT })
-	hi := sort.Search(len(times), func(i int) bool { return times[i] > f.MaxT })
+	lo, hi, err := h.Span(f.MinT, f.MaxT)
+	if err != nil {
+		return err
+	}
 	if lo >= hi {
 		f.T.Stats.Add(1)
 		return nil
 	}
+	times, err := h.Times(lo, hi)
+	if err != nil {
+		return err
+	}
 	var emitErr error
 	skipped, err := h.FilterValues(lo, hi, f.MinV, f.MaxV, func(i int, v int64) {
 		if emitErr == nil {
-			emitErr = emit(tsfile.Point{T: times[i], V: v})
+			emitErr = emit(tsfile.Point{T: times[i-lo], V: v})
 		}
 	})
 	if err != nil {
@@ -299,10 +326,6 @@ func (f *Filter) FilterChunk(ci int, m tsfile.ChunkMeta, emit func(tsfile.Point)
 	if emitErr != nil {
 		return emitErr
 	}
-	if skipped {
-		f.T.Inlier.Add(1)
-	} else {
-		f.T.Full.Add(1)
-	}
+	f.T.read(h, skipped)
 	return nil
 }

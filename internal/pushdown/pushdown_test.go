@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"bos/internal/chunkcache"
 	"bos/internal/tsfile"
 )
 
@@ -150,6 +151,64 @@ func TestEvalTiers(t *testing.T) {
 	_, snap = eval(t, r, 0, total-1, 100, false)
 	if snap.Full == 0 {
 		t.Fatalf("no full-tier chunks: %+v", snap)
+	}
+}
+
+// TestTiersBySource reads one window and one filter of a 4,096-point chunk
+// over each source a chunk handle reads: the file (a miss, with no cache),
+// decoded columns the cache holds, and a packed entry. A decoded hit
+// decodes nothing and counts cached; a packed hit counts inlier when the
+// range skips one of its blocks and full when it decodes every block, as a
+// miss does.
+func TestTiersBySource(t *testing.T) {
+	for _, source := range []string{"miss", "decoded", "packed"} {
+		r, all := buildFile(t, 1, 4096)
+		var cache *chunkcache.Cache
+		if source != "miss" {
+			cache = chunkcache.New(1 << 20)
+			r.SetCache(cache, 1)
+			if _, _, err := r.ChunkColumns("s", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if source == "packed" {
+			cache.Put(chunkcache.Key{File: 2, Series: "filler"}, "filler", 1<<20-1<<14)
+			if st := cache.Stats(); st.Packed != 1 {
+				t.Fatalf("cache %+v, want the chunk packed", st)
+			}
+		}
+		want := map[string]Snapshot{
+			"miss":    {Inlier: 2, Full: 1},
+			"decoded": {Cached: 3},
+			"packed":  {Inlier: 2, Full: 1},
+		}[source]
+		got, window := eval(t, r, 1000, 1500, 100, false)
+		requireEqual(t, got, refWindows(all, 1000, 1500, 100))
+		_, whole := eval(t, r, 0, 4095, 100, false)
+		var tiers Tiers
+		f := &Filter{R: r, Series: "s", MinT: 1000, MaxT: 1500, MinV: 1000, MaxV: 1010, T: &tiers}
+		m, err := r.Chunks("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []tsfile.Point
+		if err := f.FilterChunk(0, m[0], func(p tsfile.Point) error { pts = append(pts, p); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		var wantPts []tsfile.Point
+		for _, p := range all[1000:1501] {
+			if p.V >= 1000 && p.V <= 1010 {
+				wantPts = append(wantPts, p)
+			}
+		}
+		if !slices.Equal(pts, wantPts) {
+			t.Fatalf("%s: filter matched %d points, want %d", source, len(pts), len(wantPts))
+		}
+		window.Add(whole)
+		window.Add(tiers.Snapshot())
+		if window != want {
+			t.Errorf("%s: tiers %+v, want %+v", source, window, want)
+		}
 	}
 }
 

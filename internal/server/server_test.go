@@ -222,6 +222,58 @@ func TestIngestAfterServerCloseReturns503(t *testing.T) {
 	}
 }
 
+// TestStatsReportPacks: with a cache that holds two of three decoded
+// chunks, whole reads of the three series pack the least recently used
+// chunk, and /stats' cache block counts the pack and the packed entry; a
+// window over a chunk the cache holds decoded counts in the pushdown
+// block's cached tier.
+func TestStatsReportPacks(t *testing.T) {
+	eng, err := engine.Open(engine.Options{Dir: t.TempDir(), CacheBytes: 40 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Options{Backend: NewEngineBackend(eng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, ts.Client())
+	pts := make([]tsfile.Point, 1000) // 16,000 bytes decoded
+	for i := range pts {
+		pts[i] = tsfile.Point{T: int64(i), V: int64(i % 7)}
+	}
+	names := []string{"a", "b", "c"}
+	for _, name := range names {
+		if _, err := c.Ingest(name, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if got, err := c.Query(name, 0, 999); err != nil || len(got) != len(pts) {
+			t.Fatalf("query %s: %d points, %v", name, len(got), err)
+		}
+	}
+	if got, err := c.Downsample("c", 10, 500, 100); err != nil || len(got) != 5 {
+		t.Fatalf("downsample: %d windows, %v", len(got), err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Packs == 0 || st.Cache.Packed == 0 || st.Cache.Entries != 3 || st.Cache.Evictions != 0 {
+		t.Fatalf("/stats cache block %+v, want a packed chunk and nothing evicted", st.Cache)
+	}
+	if st.Pushdown.Cached == 0 {
+		t.Fatalf("/stats pushdown block %+v, want the window counted as cached", st.Pushdown)
+	}
+}
+
 // TestStatsReportDeclinedReads: with a cache smaller than any chunk, a
 // scan of flushed data misses, the cache declines to keep the chunk, and
 // /stats' cache block counts the decline.

@@ -40,6 +40,8 @@ func scanFile(t testing.TB, packer string) ([]byte, []Point, []FloatPoint, []Flo
 			fs[i].T, rs[i].T = pts[i].T, pts[i].T
 		}
 		rs[17].V = math.Pi // not a decimal: the chunk stores raw bits
+		rs[1500].V = math.Float64frombits(0x7ff8_0000_dead_beef)
+		rs[2900].V = math.Copysign(0, -1)
 		for _, err := range []error{w.Append("int", pts), w.AppendFloats("scaled", fs), w.AppendFloats("raw", rs)} {
 			if err != nil {
 				t.Fatal(err)
@@ -53,13 +55,30 @@ func scanFile(t testing.TB, packer string) ([]byte, []Point, []FloatPoint, []Flo
 	return buf.Bytes(), ints, scaled, raw
 }
 
-// fullCache returns a cache of maxBytes already holding maxBytes of another
-// file's chunk, so it has no room: a partial read is declined, a whole read
-// that fits evicts the filler.
+// fullCache returns a cache of maxBytes already holding maxBytes of
+// another file's entry, which cannot pack, so it has no room: a partial
+// read is declined, a whole read that fits evicts the filler.
 func fullCache(maxBytes int64) *chunkcache.Cache {
 	c := chunkcache.New(maxBytes)
-	filler := make([]int64, maxBytes/16)
-	chunkcache.Put(c, 999, "filler", 0, filler, filler)
+	c.Put(chunkcache.Key{File: 999, Series: "filler"}, "filler", maxBytes)
+	return c
+}
+
+// packedCache returns a cache that holds r's one chunk, of series "s",
+// packed: the chunk is read whole, then a filler that cannot pack leaves
+// too little room for it decoded, so the cache packs it. Every read of the
+// chunk after that is a packed hit.
+func packedCache(tb testing.TB, r *Reader) *chunkcache.Cache {
+	tb.Helper()
+	c := chunkcache.New(1 << 20)
+	r.SetCache(c, 1)
+	if _, _, err := r.ChunkColumns("s", 0); err != nil {
+		tb.Fatal(err)
+	}
+	c.Put(chunkcache.Key{File: 999, Series: "filler"}, "filler", 1<<20-1<<17)
+	if st := c.Stats(); st.Packed != 1 || st.Entries != 2 || st.Evictions != 0 {
+		tb.Fatalf("cache %+v, want the chunk packed beside the filler", st)
+	}
 	return c
 }
 
@@ -88,7 +107,8 @@ func scanRanges[V int64 | float64](pts []Sample[V]) []struct {
 
 // checkScan reads [minT, maxT] of series with Iter, a run at a time as a
 // merge does, and with the buffering scan (Query or QueryFloats), and
-// requires exactly the points of want in range from both.
+// requires exactly the points of want in range from both, floats bit for
+// bit.
 func checkScan[V int64 | float64](t *testing.T, r *Reader, series string, want []Sample[V], minT, maxT int64) {
 	t.Helper()
 	var exp []Sample[V]
@@ -140,13 +160,70 @@ func checkScan[V int64 | float64](t *testing.T, r *Reader, series string, want [
 	}
 }
 
+// checkHandle opens each integer chunk of series "int" with OpenChunk and
+// reads [minT, maxT] of it as the pushdown tier does: Span, Times, then
+// ValueRange, and FilterValues over a value band, each of which must agree
+// with want, the chunk's points (3,000 a chunk).
+func checkHandle(t *testing.T, r *Reader, want []Point, minT, maxT int64) {
+	t.Helper()
+	for ci := 0; ci < 2; ci++ {
+		pts := want[ci*3000 : (ci+1)*3000]
+		var exp []Point
+		for _, p := range pts {
+			if p.T >= minT && p.T <= maxT {
+				exp = append(exp, p)
+			}
+		}
+		h, err := r.OpenChunk("int", ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, err := h.Span(minT, maxT)
+		if err != nil || hi-lo != len(exp) {
+			t.Fatalf("chunk %d: Span = [%d, %d), %v; want %d points", ci, lo, hi, err, len(exp))
+		}
+		times, err := h.Times(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, _, err := h.ValueRange(lo, hi)
+		if err != nil || len(times) != len(exp) || len(vals) != len(exp) {
+			t.Fatalf("chunk %d: %d times and %d values, %v; want %d", ci, len(times), len(vals), err, len(exp))
+		}
+		for i, p := range exp {
+			if times[i] != p.T || vals[i] != p.V {
+				t.Fatalf("chunk %d point %d = (%d, %d), want %+v", ci, i, times[i], vals[i], p)
+			}
+		}
+		minV, maxV := pts[len(pts)/2].V-1<<20, pts[len(pts)/2].V+1<<20
+		var got, band []Point
+		for _, p := range exp {
+			if p.V >= minV && p.V <= maxV {
+				band = append(band, p)
+			}
+		}
+		if _, err := h.FilterValues(lo, hi, minV, maxV, func(i int, v int64) {
+			got = append(got, Point{T: times[i-lo], V: v})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if !equalSamples(got, band) {
+			t.Fatalf("chunk %d: FilterValues matched %d points, want %d", ci, len(got), len(band))
+		}
+	}
+}
+
 // TestScanPathsMatchWrittenPoints reads every registry packer's integer,
 // scaled and raw chunks over empty, in-block, cross-block, cross-chunk,
 // whole and overhanging ranges, through no cache, a full cache (partial
 // reads are declined and decode into pooled buffers), a cache with room
-// (every miss is admitted) and a cache smaller than one chunk (nothing is
-// admitted). Every read returns exactly the written points in range, and
-// reading every range twice covers hits as well as misses.
+// (every miss is admitted), a cache smaller than one chunk (nothing is
+// admitted) and a cache with room for about two decoded chunks, which packs
+// the ones it would otherwise evict. Every read — Iter, Query, QueryFloats,
+// and a chunk handle's ValueRange and FilterValues — returns exactly the
+// written points in range, floats bit for bit (a NaN payload and -0
+// included), and reading every range twice covers hits as well as misses.
 func TestScanPathsMatchWrittenPoints(t *testing.T) {
 	for _, name := range packers.Names() {
 		data, ints, scaled, raw := scanFile(t, name)
@@ -158,6 +235,7 @@ func TestScanPathsMatchWrittenPoints(t *testing.T) {
 			{"full", func() *chunkcache.Cache { return fullCache(1 << 20) }},
 			{"with room", func() *chunkcache.Cache { return chunkcache.New(1 << 24) }},
 			{"smaller than a chunk", func() *chunkcache.Cache { return chunkcache.New(1 << 10) }},
+			{"packing", func() *chunkcache.Cache { return chunkcache.New(2 * 3000 * 16) }},
 		} {
 			t.Run(fmt.Sprintf("%s/%s", name, cache.name), func(t *testing.T) {
 				r, err := OpenReader(bytes.NewReader(data), int64(len(data)), Options{})
@@ -171,10 +249,15 @@ func TestScanPathsMatchWrittenPoints(t *testing.T) {
 						checkScan(t, r, "int", ints, rg.minT, rg.maxT)
 						checkScan(t, r, "scaled", scaled, rg.minT, rg.maxT)
 						checkScan(t, r, "raw", raw, rg.minT, rg.maxT)
+						checkHandle(t, r, ints, rg.minT, rg.maxT)
 					}
 				}
-				if st := c.Stats(); cache.name == "smaller than a chunk" && (st.Entries != 0 || st.Declined == 0) {
+				st := c.Stats()
+				if cache.name == "smaller than a chunk" && (st.Entries != 0 || st.Declined == 0) {
 					t.Fatalf("a cache smaller than every chunk: %+v, want nothing cached and every miss declined", st)
+				}
+				if cache.name == "packing" && (st.Packs == 0 || st.Packed == 0 || st.Hits == 0) {
+					t.Fatalf("a cache with room for two decoded chunks: %+v, want packs and hits", st)
 				}
 			})
 		}
@@ -233,46 +316,85 @@ func coldScan(tb testing.TB, r *Reader, lo, n int, page []Point) func() {
 }
 
 // TestColdScanAllocatesNoColumn: a 4,096-point scan of a 16,384-point chunk
-// through a full cache is declined by the cache, evicts nothing, and once
-// the read buffers are pooled allocates under 1 KiB (the iterator).
+// allocates under 1 KiB (the iterator) once the read buffers are pooled,
+// both through a full cache, which declines the miss and evicts nothing,
+// and through a cache that holds the chunk packed, which serves every scan
+// as a hit decoding only the blocks the range needs.
 func TestColdScanAllocatesNoColumn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of what is put back under -race")
 	}
 	const n, lo, span, runs = 16384, 6000, 4096, 50
-	r := coldChunk(t, dataset.All()[0].Ints(n))
-	cache := fullCache(1 << 20)
-	r.SetCache(cache, 1)
-	scan := coldScan(t, r, lo, span, make([]Point, 0, 4096))
-	scan() // fills the pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		scan()
-	}
-	runtime.ReadMemStats(&after)
-	if perScan := (after.TotalAlloc - before.TotalAlloc) / runs; perScan >= 1024 {
-		t.Errorf("%d bytes allocated per scan, want under 1 KiB", perScan)
-	}
-	if st := cache.Stats(); st.Evictions != 0 || st.Declined != runs+1 || st.Entries != 1 {
-		t.Errorf("cache after %d scans: %+v, want no eviction, every miss declined and the filler kept", runs+1, st)
+	for _, c := range []struct {
+		name  string
+		cache func(*Reader) *chunkcache.Cache
+		check func(before, after chunkcache.Stats) bool
+	}{
+		{"declined miss", func(r *Reader) *chunkcache.Cache {
+			c := fullCache(1 << 20)
+			r.SetCache(c, 1)
+			return c
+		}, func(before, after chunkcache.Stats) bool {
+			return after.Evictions == 0 && after.Declined == runs+1 && after.Entries == 1
+		}},
+		{"packed hit", func(r *Reader) *chunkcache.Cache { return packedCache(t, r) },
+			func(before, after chunkcache.Stats) bool {
+				return after.Hits == before.Hits+runs+1 && after.Misses == before.Misses && after.Packs == before.Packs
+			}},
+	} {
+		r := coldChunk(t, dataset.All()[0].Ints(n))
+		cache := c.cache(r)
+		start := cache.Stats()
+		scan := coldScan(t, r, lo, span, make([]Point, 0, 4096))
+		scan() // fills the pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			scan()
+		}
+		runtime.ReadMemStats(&after)
+		if perScan := (after.TotalAlloc - before.TotalAlloc) / runs; perScan >= 1024 {
+			t.Errorf("%s: %d bytes allocated per scan, want under 1 KiB", c.name, perScan)
+		}
+		if st := cache.Stats(); !c.check(start, st) {
+			t.Errorf("%s: cache after %d scans: %+v (before them %+v)", c.name, runs+1, st, start)
+		}
 	}
 }
 
 // BenchmarkColdScan times a 4,096-point scan of one 16,384-point BOS-B
-// chunk through a full cache, agg_cold's raw scan shape: each iteration
-// misses, is declined, opens the chunk into pooled buffers, decodes the
-// time column and only the value blocks the range overlaps, and runs the
-// points into a page.
+// chunk, agg_cold's raw scan shape, through three cache states. "declined":
+// a full cache, so each iteration misses, is declined, opens the chunk into
+// pooled buffers, decodes the time column and only the value blocks the
+// range overlaps, and runs the points into a page. "packed": the cache
+// holds the chunk packed, so each iteration hits and decodes the time and
+// value blocks of the range into pooled buffers. "decoded": the cache holds
+// the chunk decoded, so each iteration only runs the points into the page.
 func BenchmarkColdScan(b *testing.B) {
 	const n, lo, span = 16384, 6000, 4096
-	r := coldChunk(b, dataset.All()[0].Ints(n))
-	r.SetCache(fullCache(1<<20), 1)
-	scan := coldScan(b, r, lo, span, make([]Point, 0, 4096))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scan()
+	for _, c := range []struct {
+		name  string
+		cache func(*Reader)
+	}{
+		{"declined", func(r *Reader) { r.SetCache(fullCache(1<<20), 1) }},
+		{"packed", func(r *Reader) { packedCache(b, r) }},
+		{"decoded", func(r *Reader) {
+			r.SetCache(chunkcache.New(1<<20), 1)
+			if _, _, err := r.ChunkColumns("s", 0); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := coldChunk(b, dataset.All()[0].Ints(n))
+			c.cache(r)
+			scan := coldScan(b, r, lo, span, make([]Point, 0, 4096))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*span), "ns/point")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*span), "ns/point")
 }

@@ -8,16 +8,21 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"bos/internal/chunkcache"
 )
 
 // TestReaderConcurrentDecode reads different series through one Reader, and
 // so through its one default BOS-B packer, from 8 goroutines and checks
 // every point. Beside them, 8 more goroutines open chunks of the same
 // uncached Reader for partial reads, which share the pooled read buffers,
-// and check every value, and 8 more run sub-range iterators over a Reader
-// of the same file whose cache is full and smaller than any chunk, so every
-// chunk they read is declined and decoded into pooled buffers too. Run it
-// under -race.
+// and check every value, 8 more run sub-range iterators over a Reader of
+// the same file whose cache is full and smaller than any chunk, so every
+// chunk they read is declined and decoded into pooled buffers too, and 8
+// more read a Reader whose cache has room for about four decoded chunks:
+// their whole reads admit chunks, which packs the ones other goroutines are
+// reading, and their sub-range scans and partial reads hit decoded and
+// packed entries alike. Run it under -race.
 func TestReaderConcurrentDecode(t *testing.T) {
 	const workers, rounds = 8, 6
 	rng := rand.New(rand.NewSource(22))
@@ -61,8 +66,21 @@ func TestReaderConcurrentDecode(t *testing.T) {
 	}
 	cache := fullCache(4 << 10) // chunks hold 500 to 1,099 points: 8 KiB or more
 	full.SetCache(cache, 1)
+	packing, err := OpenReader(file, file.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := chunkcache.New(64 << 10)
+	packing.SetCache(tight, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if err := checkPackingReads(packing, g, rounds, want, wantChunks); err != nil {
+				t.Errorf("goroutine %d over the packing cache: %v", g, err)
+			}
+		}(g)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -117,6 +135,38 @@ func TestReaderConcurrentDecode(t *testing.T) {
 	if st := cache.Stats(); st.Declined < workers*4*rounds || st.Evictions != 0 || st.Entries != 1 {
 		t.Errorf("full cache after the sub-range scans: %+v, want every miss declined and nothing evicted", st)
 	}
+	if st := tight.Stats(); st.Packs == 0 || st.Hits == 0 || st.Bytes > 64<<10 {
+		t.Errorf("packing cache after the reads: %+v, want packs and hits within its budget", st)
+	}
+}
+
+// checkPackingReads is one reader of a cache that packs: each round it reads
+// one series whole, which admits its chunks and so packs others, then scans
+// a random sub-range of another and reads a random position range of each
+// of its chunks through OpenChunk.
+func checkPackingReads(r *Reader, g, rounds int, want map[string][]Point, wantChunks map[string][][]Point) error {
+	rng := rand.New(rand.NewSource(int64(200 + g)))
+	workers := len(want)
+	for round := 0; round < 4*rounds; round++ {
+		series := fmt.Sprintf("root.race.s%d", (g+round)%workers)
+		got, err := r.ReadAll(series)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, want[series]) {
+			return fmt.Errorf("ReadAll %s: %d points or a wrong one, want %d", series, len(got), len(want[series]))
+		}
+		other := fmt.Sprintf("root.race.s%d", (g+round+1)%workers)
+		if err := checkSubRangeScan(r, other, want[other], rng); err != nil {
+			return fmt.Errorf("%s: %v", other, err)
+		}
+		for ci, pts := range wantChunks[other] {
+			if err := checkPartialReads(r, other, ci, pts, rng); err != nil {
+				return fmt.Errorf("%s chunk %d: %v", other, ci, err)
+			}
+		}
+	}
+	return nil
 }
 
 // checkPartialReads opens chunk ci of series twice, reads a random position
@@ -130,7 +180,10 @@ func checkPartialReads(r *Reader, series string, ci int, pts []Point, rng *rand.
 	if err != nil {
 		return err
 	}
-	times := h.Times()
+	times, err := h.Times(0, n)
+	if err != nil {
+		return err
+	}
 	for i, p := range pts {
 		if times[i] != p.T {
 			return fmt.Errorf("time %d: got %d want %d", i, times[i], p.T)
@@ -154,8 +207,11 @@ func checkPartialReads(r *Reader, series string, ci int, pts []Point, rng *rand.
 	minV := pts[rng.Intn(n)].V
 	maxV := minV + 1<<20
 	var got []Point
+	if times, err = h.Times(lo, hi); err != nil {
+		return err
+	}
 	if _, err := h.FilterValues(lo, hi, minV, maxV, func(i int, v int64) {
-		got = append(got, Point{T: h.Times()[i], V: v})
+		got = append(got, Point{T: times[i-lo], V: v})
 	}); err != nil {
 		return err
 	}

@@ -115,9 +115,9 @@ func readEverythingWith(data []byte, cache *chunkcache.Cache) []error {
 				note(err)
 				continue
 			}
-			_, _, err = h.ValueRange(1, len(h.Times())-1)
+			_, _, err = h.ValueRange(1, h.Meta.Count-1)
 			note(err)
-			_, err = h.FilterValues(1, len(h.Times())-1, m.MinV, m.MinV+(m.MaxV-m.MinV)/2, func(int, int64) {})
+			_, err = h.FilterValues(1, h.Meta.Count-1, m.MinV, m.MinV+(m.MaxV-m.MinV)/2, func(int, int64) {})
 			note(err)
 			h.Release()
 		}

@@ -10,10 +10,11 @@ import (
 // the result size, which is what a scan operator inside a query engine
 // needs. It is a Cursor; Next and Point read it one point at a time.
 //
-// A chunk the cache does not serve or admit is read into pooled buffers,
-// decoding only the value blocks [minT, maxT] needs (readChunk). The
-// iterator returns them when it moves to the next chunk, when it ends (past
-// maxT, after the last chunk, or on error) and when Release is called.
+// A chunk the cache holds packed, or does not hold and does not admit, is
+// read into pooled buffers, decoding only the blocks [minT, maxT] needs
+// (readChunk). The iterator returns them when it moves to the next chunk,
+// when it ends (past maxT, after the last chunk, or on error) and when
+// Release is called.
 type Iterator[V int64 | float64] struct {
 	r          *Reader
 	series     string
@@ -40,11 +41,11 @@ func Iter[V int64 | float64](r *Reader, series string, minT, maxT int64) (*Itera
 	return &Iterator[V]{r: r, series: series, chunks: chunks, minT: minT, maxT: maxT}, nil
 }
 
-// Overlaps reports whether a chunk of series in r overlaps [minT, maxT]. It
-// reads only the footer index and builds no error, so a scan can test every
-// file and open an Iterator only where it is true.
-func (r *Reader) Overlaps(series string, minT, maxT int64) bool {
-	for _, m := range r.index[series] {
+// Overlaps reports whether one of a series' chunks overlaps [minT, maxT].
+// It reads only footer metadata, so a scan can test every file that holds
+// the series and open an Iterator only where it is true.
+func Overlaps(chunks []ChunkMeta, minT, maxT int64) bool {
+	for _, m := range chunks {
 		if m.MaxT >= minT && m.MinT <= maxT {
 			return true
 		}
@@ -52,15 +53,15 @@ func (r *Reader) Overlaps(series string, minT, maxT int64) bool {
 	return false
 }
 
-// Estimate returns about how many points of series r holds in [minT, maxT]:
-// each overlapping chunk's count scaled by the share of its time span the
-// range covers, rounded up, so evenly spaced points are not undercounted.
-// Like Overlaps it reads only the footer index, whose counts are not checked
-// until a chunk is decoded: a caller sizing an allocation from the estimate
-// bounds it.
-func (r *Reader) Estimate(series string, minT, maxT int64) int {
+// Estimate returns about how many points a series' chunks hold in
+// [minT, maxT]: each overlapping chunk's count scaled by the share of its
+// time span the range covers, rounded up, so evenly spaced points are not
+// undercounted. Like Overlaps it reads only footer metadata, whose counts
+// are not checked until a chunk is decoded: a caller sizing an allocation
+// from the estimate bounds it.
+func Estimate(chunks []ChunkMeta, minT, maxT int64) int {
 	n := 0.0
-	for _, m := range r.index[series] {
+	for _, m := range chunks {
 		lo, hi := max(m.MinT, minT), min(m.MaxT, maxT)
 		if lo > hi || m.Count <= 0 {
 			continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"bos/internal/chunkcache"
 	"bos/internal/codec"
@@ -12,32 +13,41 @@ import (
 )
 
 // This file is the partial-decode surface internal/pushdown and the raw
-// scans build on: a ChunkHandle exposes one chunk's fully-decoded time
-// column next to its still-encoded value column, so a reader can
-// binary-search the time window first and then touch only the value bits
-// that matter. Both value reads take a position range: the blocks wholly
-// before it are skipped by header arithmetic (core.SkipBlock), the blocks it
-// overlaps are decoded whole or filtered, and the blocks after it are never
-// read. A value filter also skips the value planes its band cannot reach
-// (core.FilterBlock).
+// scans build on: a ChunkHandle reads one chunk by position range. Span
+// finds the positions of a time range, Times returns the timestamps of a
+// position range, and the two value reads take a position range too.
 //
-// A handle opened on a cache miss reads into pooled buffers — the chunk
-// body, the time column and a value scratch — and Release returns them, so a
-// window, a filter or a raw scan over a cold chunk allocates no column.
-// OpenChunk never fills the cache: a window or filter reads part of a chunk,
-// and caching a part would serve later reads an incomplete column. An
-// Iterator and a Query open a handle the same way, through readChunk, when
-// there is no cache or it declines their miss.
+// A handle reads one of three sources:
 //
-// Partial decode is only possible for chunks packed by a BOS-family packer
-// (*core.Packer); any other packer — and any chunk already decoded into the
-// chunk cache — transparently falls back to the full value column.
+//   - a decoded cache entry: the columns are read in place and nothing is
+//     decoded (Cached);
+//   - a packed cache entry (packed.go): Span decodes only the time blocks
+//     its bounds fall in, from the entry's first-timestamp index, and the
+//     value reads decode only the value blocks of their range;
+//   - the file, on a miss the cache does not keep: the chunk body is read
+//     and its whole time column decoded (TS2DIFF deltas carry across
+//     blocks), and the value reads skip the BOS blocks wholly before their
+//     range by header arithmetic (core.SkipBlock), decode the blocks they
+//     overlap whole or filtered, and never read the blocks after it. A
+//     value filter also skips the value planes its band cannot reach
+//     (core.FilterBlock). Any packer other than a BOS-family one
+//     (*core.Packer) falls back to the full value column.
+//
+// A handle on a packed entry or the file reads into pooled buffers — the
+// chunk body, the time column and a value scratch — and Release returns
+// them, so a window, a filter or a raw scan that the cache does not serve
+// from decoded columns allocates no column. OpenChunk never fills the
+// cache: a window or filter reads part of a chunk, and caching a part would
+// serve later reads an incomplete column. An Iterator and a Query open a
+// handle the same way, through readChunk, when there is no cache, it
+// declines their miss or it holds the chunk packed.
 
 // ChunkColumns returns the decoded columns of one integer chunk, consulting
 // the chunk cache like Query does. ci is the chunk's index within the
-// series' chunk list. It reads the whole chunk, and on a miss the columns
-// are new: the cache admits them when they fit. The returned slices may be
-// shared with the cache and must be treated as read-only.
+// series' chunk list. It reads the whole chunk: a decoded hit returns the
+// cache's columns, a packed hit and a miss return new ones, which the cache
+// admits when they fit. The returned slices may be shared with the cache
+// and must be treated as read-only.
 func (r *Reader) ChunkColumns(series string, ci int) ([]int64, []int64, error) {
 	m, err := r.chunkMeta(series, ci)
 	if err != nil {
@@ -58,24 +68,27 @@ func (r *Reader) chunkMeta(series string, ci int) (ChunkMeta, error) {
 	return chunks[ci], nil
 }
 
-// ChunkHandle is one chunk opened for partial access: the time column
-// decoded, the value column kept encoded until a ValueRange or FilterValues
-// call needs (some of) it. Release returns its buffers; the handle and
-// everything it returned must not be used after Release.
+// ChunkHandle is one chunk opened for access by position range. Release
+// returns its buffers; the handle and everything it returned must not be
+// used after Release.
 type ChunkHandle struct {
 	Meta ChunkMeta
 
-	times     []int64
+	times     []int64 // the timestamps at positions [tfirst, tfirst+len(times))
+	tfirst    int     // 0 unless a packed entry's blocks are decoded
 	vals      []int64 // full value column, when cached or fully decoded
-	vcol      []byte  // encoded value column, when vals == nil
-	precision int     // a scaled chunk's decimal precision
+	vcol      []byte  // encoded value column of a file read, when vals == nil
+	pk        *packedChunk
+	kind      byte // how the stored integers read back: the chunk's kind, or a packed entry's
+	precision int  // a scaled chunk's decimal precision
 	packer    codec.Packer
-	bufs      *readBufs // pooled buffers behind times, vcol and decoded values; nil on a cache hit
+	bufs      *readBufs // pooled buffers behind times, vcol and decoded values; nil on a decoded hit
 }
 
-// OpenChunk opens one integer chunk for partial access. A chunk-cache hit
-// returns the decoded columns directly; a miss reads the chunk into pooled
-// buffers and decodes only the time column, leaving the value column
+// OpenChunk opens one integer chunk for access by position range. A hit on
+// a decoded cache entry reads its columns; a hit on a packed entry decodes
+// blocks of it on demand into pooled buffers; a miss reads the chunk into
+// pooled buffers and decodes only the time column, leaving the value column
 // encoded. OpenChunk never populates the cache. The caller must Release the
 // handle.
 func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
@@ -86,10 +99,17 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 	if !holds[int64](m.Kind) {
 		return nil, kindError(series, m)
 	}
-	if times, vals, ok := chunkcache.Get[int64](r.cache, r.cacheID, series, ci); ok {
-		return &ChunkHandle{Meta: m, packer: r.packerFor(m), times: times, vals: vals}, nil
-	}
 	h := new(ChunkHandle)
+	if v, ok := r.cache.Get(r.cacheKey(series, ci)); ok {
+		switch c := v.(type) {
+		case *decoded[int64]:
+			*h = ChunkHandle{Meta: m, kind: kindInt, times: c.times, vals: c.vals}
+			return h, nil
+		case *packedChunk:
+			h.openPacked(m, c)
+			return h, nil
+		}
+	}
 	if err := r.open(h, m); err != nil {
 		return nil, err
 	}
@@ -101,12 +121,18 @@ func (r *Reader) OpenChunk(series string, ci int) (*ChunkHandle, error) {
 // returns a float chunk's stored integers. It neither consults nor fills
 // the cache. On error h holds nothing.
 func (r *Reader) open(h *ChunkHandle, m ChunkMeta) error {
-	*h = ChunkHandle{Meta: m, packer: r.packerFor(m), bufs: readPool.Get().(*readBufs)}
+	*h = ChunkHandle{Meta: m, kind: m.Kind, packer: r.packerFor(m), bufs: readPool.Get().(*readBufs)}
 	if err := h.read(r); err != nil {
 		h.Release()
 		return err
 	}
 	return nil
+}
+
+// openPacked opens a packed cache entry of chunk m into h, with pooled
+// buffers for the blocks its reads decode.
+func (h *ChunkHandle) openPacked(m ChunkMeta, p *packedChunk) {
+	*h = ChunkHandle{Meta: m, pk: p, kind: p.kind, precision: p.precision, bufs: readPool.Get().(*readBufs)}
 }
 
 // read loads the chunk body into the handle's buffers and decodes the time
@@ -139,18 +165,74 @@ func (h *ChunkHandle) read(r *Reader) error {
 // Release returns the handle's pooled buffers. Nothing the handle returned —
 // Times, ValueRange's values, FilterValues' emitted values — may be used
 // after Release, and the handle itself may not be used again. A handle from
-// a cache hit holds cache slices and returns nothing; a second Release does
-// nothing.
+// a decoded hit holds cache slices and returns nothing; a second Release
+// does nothing.
 func (h *ChunkHandle) Release() {
 	if h.bufs == nil {
 		return
 	}
 	readPool.Put(h.bufs)
-	h.bufs, h.times, h.vals, h.vcol = nil, nil, nil, nil
+	h.bufs, h.times, h.vals, h.vcol, h.pk = nil, nil, nil, nil, nil
 }
 
-// Times is the chunk's full time column, read-only.
-func (h *ChunkHandle) Times() []int64 { return h.times }
+// Cached reports whether the handle reads a decoded cache entry, so that
+// its reads decode nothing.
+func (h *ChunkHandle) Cached() bool { return h.bufs == nil }
+
+// Span returns the positions [lo, hi) of the chunk's timestamps in
+// [minT, maxT]; hi < Meta.Count when one lies past maxT. On a packed entry
+// it decodes only the time blocks from lo's to hi's, which Times then
+// reads.
+func (h *ChunkHandle) Span(minT, maxT int64) (lo, hi int, err error) {
+	if h.pk == nil {
+		lo, hi = span(h.times, minT, maxT)
+		return lo, hi, nil
+	}
+	blocks := h.pk.blocks
+	// lo lies in block l-1 or at its end, hi in block u-1 or at its end.
+	l := sort.Search(len(blocks), func(b int) bool { return blocks[b].first >= minT })
+	u := sort.Search(len(blocks), func(b int) bool { return blocks[b].first > maxT })
+	if err := h.decodeTimes(max(l-1, 0), max(u-1, l-1, 0)); err != nil {
+		return 0, 0, err
+	}
+	lo, hi = span(h.times, minT, maxT)
+	return h.tfirst + lo, h.tfirst + hi, nil
+}
+
+// decodeTimes decodes a packed entry's time blocks [from, to] into the
+// handle's time buffer, unless they are there already.
+func (h *ChunkHandle) decodeTimes(from, to int) error {
+	if len(h.pk.blocks) == 0 || (from*packedBlockLen >= h.tfirst && to*packedBlockLen+h.pk.blockLen(to) <= h.tfirst+len(h.times)) {
+		return nil
+	}
+	times := h.bufs.times[:0]
+	for b := from; b <= to; b++ {
+		var err error
+		if times, err = h.pk.appendTimes(times, b); err != nil {
+			return err
+		}
+	}
+	h.bufs.times, h.times, h.tfirst = times, times, from*packedBlockLen
+	return nil
+}
+
+// Times returns the timestamps at positions [lo, hi) (clamped), read-only,
+// valid until the handle's next Span or Times call or its Release. On a
+// packed entry it decodes the blocks the range needs unless Span already
+// has.
+func (h *ChunkHandle) Times(lo, hi int) ([]int64, error) {
+	lo, hi = h.clamp(lo, hi)
+	if lo == hi {
+		return nil, nil
+	}
+	if lo < h.tfirst || hi > h.tfirst+len(h.times) {
+		// Only a packed entry holds part of its time column.
+		if err := h.decodeTimes(lo/packedBlockLen, (hi-1)/packedBlockLen); err != nil {
+			return nil, err
+		}
+	}
+	return h.times[lo-h.tfirst : hi-h.tfirst], nil
+}
 
 // decodeAll decodes the full value column into the value scratch and
 // memoizes it.
@@ -168,7 +250,7 @@ func (h *ChunkHandle) decodeAll() ([]int64, error) {
 // clamp bounds a position range to the chunk's positions, empty when
 // inverted.
 func (h *ChunkHandle) clamp(lo, hi int) (int, int) {
-	hi = min(max(hi, 0), len(h.times))
+	hi = min(max(hi, 0), h.Meta.Count)
 	return min(max(lo, 0), hi), hi
 }
 
@@ -184,13 +266,14 @@ func (h *ChunkHandle) partial() bool {
 // returns the remaining block stream with the chunk position of its first
 // value.
 func (h *ChunkHandle) blocksFrom(lo int) ([]byte, int, error) {
+	n := h.Meta.Count
 	total, blocks, err := codec.ReadUvarint(h.vcol)
-	if err != nil || total != uint64(len(h.times)) {
+	if err != nil || total != uint64(n) {
 		return nil, 0, fmt.Errorf("%w: value column count", ErrCorrupt)
 	}
 	first := 0
 	for len(blocks) > 0 {
-		if _, err := codec.BlockLen(blocks, len(h.times)-first); err != nil {
+		if _, err := codec.BlockLen(blocks, n-first); err != nil {
 			return nil, 0, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
 		bn, rest, err := core.SkipBlock(blocks)
@@ -206,17 +289,42 @@ func (h *ChunkHandle) blocksFrom(lo int) ([]byte, int, error) {
 	return blocks, first, nil
 }
 
+// packedValues decodes the value blocks of a packed entry that positions
+// [lo, hi) overlap into the value scratch, and reports whether it skipped
+// any block.
+func (h *ChunkHandle) packedValues(lo, hi int) ([]int64, bool, error) {
+	if lo == hi {
+		return nil, len(h.pk.blocks) > 0, nil
+	}
+	from, to := lo/packedBlockLen, (hi-1)/packedBlockLen
+	vals := h.bufs.vals[:0]
+	for b := from; b <= to; b++ {
+		var err error
+		if vals, err = h.pk.appendValues(vals, b); err != nil {
+			return nil, false, err
+		}
+	}
+	h.bufs.vals = vals[:0]
+	first := from * packedBlockLen
+	return vals[lo-first : hi-first], from > 0 || to < len(h.pk.blocks)-1, nil
+}
+
 // ValueRange returns the chunk's values at positions [lo, hi) (clamped),
 // read-only, valid until the handle's next ValueRange or FilterValues call
-// or its Release. When the column is BOS-packed and the range is a strict
+// or its Release. A packed entry decodes only the blocks the range
+// overlaps. When the file's column is BOS-packed and the range is a strict
 // sub-range, the blocks before lo are skipped by header arithmetic, the
 // blocks overlapping the range are decoded whole into the handle's value
-// scratch, and the blocks after hi are never touched; the second result
-// reports whether that partial path ran (false means the full column was
-// decoded or cached).
+// scratch, and the blocks after hi are never touched. The second result
+// reports whether a block was left undecoded (false means the full column
+// was decoded, or a decoded cache entry read: see Cached).
 func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
 	lo, hi = h.clamp(lo, hi)
-	if !h.partial() || (lo == 0 && hi == len(h.times)) {
+	if h.pk != nil {
+		return h.packedValues(lo, hi)
+	}
+	n := h.Meta.Count
+	if !h.partial() || (lo == 0 && hi == n) {
 		vals, err := h.decodeAll()
 		if err != nil {
 			return nil, false, err
@@ -229,9 +337,9 @@ func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
 	}
 	// The overlapping blocks, decoded whole into scratch sized once for the
 	// whole column: BlockLen holds every block to what the column lacks.
-	vals := slices.Grow(h.bufs.vals[:0], len(h.times))
+	vals := slices.Grow(h.bufs.vals[:0], n)
 	for first+len(vals) < hi && len(blocks) > 0 {
-		if _, err := codec.BlockLen(blocks, len(h.times)-first-len(vals)); err != nil {
+		if _, err := codec.BlockLen(blocks, n-first-len(vals)); err != nil {
 			return nil, false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
 		if vals, blocks, err = h.packer.Unpack(blocks, vals); err != nil {
@@ -247,24 +355,26 @@ func (h *ChunkHandle) ValueRange(lo, hi int) ([]int64, bool, error) {
 
 // FilterValues calls emit(i, v), in position order, for every value v at a
 // position i in [lo, hi) (clamped as ValueRange clamps) with
-// minV <= v <= maxV. For a BOS-packed column the blocks wholly outside the
-// range are skipped unread, and the per-class value bands decide which planes
-// of the others are decoded at all; the first result reports whether any
-// block or plane was skipped.
+// minV <= v <= maxV. A packed entry decodes the value blocks the range
+// overlaps. For a BOS-packed file column the blocks wholly outside the
+// range are skipped unread, and the per-class value bands decide which
+// planes of the others are decoded at all. The first result reports
+// whether any block or plane was skipped.
 func (h *ChunkHandle) FilterValues(lo, hi int, minV, maxV int64, emit func(i int, v int64)) (bool, error) {
 	lo, hi = h.clamp(lo, hi)
-	if !h.partial() {
-		vals, err := h.decodeAll()
+	if h.pk != nil || !h.partial() {
+		vals, skipped, err := h.ValueRange(lo, hi)
 		if err != nil {
 			return false, err
 		}
-		for i := lo; i < hi; i++ {
-			if v := vals[i]; v >= minV && v <= maxV {
-				emit(i, v)
+		for i, v := range vals {
+			if v >= minV && v <= maxV {
+				emit(lo+i, v)
 			}
 		}
-		return false, nil
+		return skipped, nil
 	}
+	n := h.Meta.Count
 	blocks, first, err := h.blocksFrom(lo)
 	if err != nil {
 		return false, err
@@ -272,7 +382,7 @@ func (h *ChunkHandle) FilterValues(lo, hi int, minV, maxV int64, emit func(i int
 	skipped := first > 0
 	seen := first
 	for seen < hi && len(blocks) > 0 {
-		if _, err := codec.BlockLen(blocks, len(h.times)-seen); err != nil {
+		if _, err := codec.BlockLen(blocks, n-seen); err != nil {
 			return false, fmt.Errorf("%w: value block: %v", ErrCorrupt, err)
 		}
 		start := seen
@@ -291,5 +401,10 @@ func (h *ChunkHandle) FilterValues(lo, hi int, minV, maxV int64, emit func(i int
 	if seen < hi {
 		return false, fmt.Errorf("%w: value column holds %d of [%d,%d)", ErrCorrupt, seen, lo, hi)
 	}
-	return skipped || seen < len(h.times), nil
+	return skipped || seen < n, nil
+}
+
+// cacheKey is chunk ci of series in r's cache.
+func (r *Reader) cacheKey(series string, ci int) chunkcache.Key {
+	return chunkcache.Key{File: r.cacheID, Series: series, Chunk: ci}
 }

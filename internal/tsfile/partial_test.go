@@ -277,8 +277,8 @@ func TestChunkHandlePartialEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(h.Times()) != len(wantT) {
-						t.Fatalf("handle times %d, want %d", len(h.Times()), len(wantT))
+					if times, err := h.Times(0, n); err != nil || !slices.Equal(times, wantT) {
+						t.Fatalf("handle times %d, %v; want %d", len(times), err, len(wantT))
 					}
 					got, partial, err := h.ValueRange(rg[0], rg[1])
 					if err != nil {
@@ -353,8 +353,8 @@ func TestChunkHandleCacheHit(t *testing.T) {
 			t.Fatalf("cached value %d: got %d want %d", i, v, wantV[3+i])
 		}
 	}
-	if len(h.Times()) != len(wantT) {
-		t.Fatal("cached times length mismatch")
+	if times, err := h.Times(0, len(wantT)); err != nil || !slices.Equal(times, wantT) || !h.Cached() {
+		t.Fatal("cached times mismatch, or the handle does not report the decoded hit")
 	}
 }
 
@@ -402,11 +402,18 @@ func TestChunkHandleRelease(t *testing.T) {
 		}
 	}
 	whole := func(h *ChunkHandle) []int64 {
-		vals, _, err := h.ValueRange(0, len(h.Times()))
+		vals, _, err := h.ValueRange(0, h.Meta.Count)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return vals
+	}
+	timesOf := func(h *ChunkHandle) []int64 {
+		times, err := h.Times(0, h.Meta.Count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return times
 	}
 
 	// The larger chunk first: two handles sharing buffers would then read
@@ -420,8 +427,8 @@ func TestChunkHandleRelease(t *testing.T) {
 	h.Release()
 	a, b := open(cold, big), open(cold, small)
 	aVals, bVals := whole(a), whole(b)
-	check("larger chunk beside the smaller", big, a.Times(), aVals)
-	check("smaller chunk beside the larger", small, b.Times(), bVals)
+	check("larger chunk beside the smaller", big, timesOf(a), aVals)
+	check("smaller chunk beside the larger", small, timesOf(b), bVals)
 	a.Release()
 	b.Release()
 
@@ -433,7 +440,7 @@ func TestChunkHandleRelease(t *testing.T) {
 	hit.Release()
 	for ci := range chunks {
 		c := open(cold, ci)
-		check("cold read after a cache-hit Release", ci, c.Times(), whole(c))
+		check("cold read after a cache-hit Release", ci, timesOf(c), whole(c))
 		c.Release()
 	}
 	times, vals, err := r.ChunkColumns(series, 2)

@@ -381,38 +381,62 @@ func kindError(series string, m ChunkMeta) error {
 // minT <= T <= maxT, as a time and a value column of kind V, read-only. It
 // is the one cache rule of every chunk read:
 //
-//   - a hit returns the cached columns;
-//   - a miss the cache admits (Admits: the chunk fits, and the cache has room
-//     for it now or the read covers the whole chunk) decodes the whole chunk
-//     into new columns and caches them;
+//   - a hit on a decoded entry returns the cached columns;
+//   - a hit on a packed entry opens it into h's pooled buffers and decodes
+//     only the blocks the range needs (readRange);
+//   - a miss the cache admits (Admits: the chunk fits, and the cache has
+//     room for it now, packing its least recently used entries if it must,
+//     or the read covers the whole chunk) decodes the whole chunk into new
+//     columns and caches them;
 //   - any other miss, and every read through a nil cache, opens the chunk
 //     into h's pooled buffers and decodes only the value blocks that overlap
-//     the range (readRange). The columns are h's until h.Release. With h nil
-//     the caller wants columns of its own, so such a miss decodes the whole
-//     chunk into new columns instead.
+//     the range (readRange).
+//
+// Columns read into h are h's until h.Release. With h nil the caller wants
+// columns of its own, so a packed hit or an unkept miss decodes the whole
+// chunk into new columns instead.
 //
 // past reports whether the chunk holds a timestamp after maxT.
 func readChunk[V int64 | float64](r *Reader, series string, ci int, m ChunkMeta, minT, maxT int64, h *ChunkHandle) (times []int64, vals []V, past bool, err error) {
 	if !holds[V](m.Kind) {
 		return nil, nil, false, kindError(series, m)
 	}
-	if times, vals, ok := chunkcache.Get[V](r.cache, r.cacheID, series, ci); ok {
-		times, vals, past = inRange(times, vals, minT, maxT)
-		return times, vals, past, nil
+	key := r.cacheKey(series, ci)
+	if v, ok := r.cache.Get(key); ok {
+		switch c := v.(type) {
+		case *decoded[V]:
+			times, vals, past = inRange(c.times, c.vals, minT, maxT)
+			return times, vals, past, nil
+		case *packedChunk:
+			if h == nil {
+				times, stored, err := c.unpack()
+				if err != nil {
+					return nil, nil, false, err
+				}
+				times, vals, past = inRange(times, chunkValues[V](nil, c.kind, c.precision, stored), minT, maxT)
+				return times, vals, past, nil
+			}
+			h.openPacked(m, c)
+			return readRange[V](h, minT, maxT)
+		}
 	}
 	// The cache would hold 16 bytes a point: an int64 time, a 64-bit value.
 	whole := m.MinT >= minT && m.MaxT <= maxT
 	if admitted := r.cache.Admits(int64(m.Count)*16, whole); admitted || h == nil {
-		if times, vals, err = decodeChunk[V](r, m); err != nil {
+		d, err := decodeChunk[V](r, m)
+		if err != nil {
 			return nil, nil, false, err
 		}
 		if admitted {
-			chunkcache.Put(r.cache, r.cacheID, series, ci, times, vals)
+			r.cache.Put(key, d, d.size())
 		}
-		times, vals, past = inRange(times, vals, minT, maxT)
+		times, vals, past = inRange(d.times, d.vals, minT, maxT)
 		return times, vals, past, nil
 	}
-	return readRange[V](r, m, minT, maxT, h)
+	if err := r.open(h, m); err != nil {
+		return nil, nil, false, err
+	}
+	return readRange[V](h, minT, maxT)
 }
 
 // span returns the positions [lo, hi) of a sorted time column whose
@@ -429,19 +453,19 @@ func inRange[V int64 | float64](times []int64, vals []V, minT, maxT int64) ([]in
 	return times[lo:hi], vals[lo:hi], hi < len(times)
 }
 
-// decodeChunk decodes one whole chunk of value kind V into new columns. The
-// cache holds the post-conversion value column, so a float hit skips both
-// the bit-unpacking and the conversion.
-func decodeChunk[V int64 | float64](r *Reader, m ChunkMeta) ([]int64, []V, error) {
+// decodeChunk decodes one whole chunk of value kind V into a new decoded
+// cache entry. The entry holds the post-conversion value column, so a float
+// hit skips both the bit-unpacking and the conversion.
+func decodeChunk[V int64 | float64](r *Reader, m ChunkMeta) (*decoded[V], error) {
 	b := readPool.Get().(*readBufs)
 	defer readPool.Put(b)
 	body, err := r.readChunkBody(m, b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	precision, cols, err := parseChunkHeader(body, m)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// An integer column is handed out as it is; a float chunk's stored
 	// integers are scratch that chunkValues converts into a new column.
@@ -451,40 +475,44 @@ func decodeChunk[V int64 | float64](r *Reader, m ChunkMeta) ([]int64, []V, error
 	}
 	times, ivals, err := decodeColumns(r.packerFor(m), cols, m.Count, ivals)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	vals := chunkValues[V](nil, m.Kind, precision, ivals)
 	if m.Kind != kindInt {
 		b.vals = ivals[:0]
 	}
-	return times, vals, nil
+	return &decoded[V]{times: times, vals: vals, kind: m.Kind, precision: precision}, nil
 }
 
-// readRange opens chunk m into h's pooled buffers and returns its samples
-// with minT <= T <= maxT: the time column is decoded and binary-searched,
-// only the value blocks that overlap the positions found are decoded
-// (ChunkHandle.ValueRange), and a float chunk converts only those positions,
-// into h's buffers too. On error h holds nothing.
-func readRange[V int64 | float64](r *Reader, m ChunkMeta, minT, maxT int64, h *ChunkHandle) ([]int64, []V, bool, error) {
-	if err := r.open(h, m); err != nil {
+// readRange returns the samples of the chunk h has open with
+// minT <= T <= maxT: Span finds their positions, Times and ValueRange read
+// only the blocks those positions need, and a float chunk converts only
+// those positions, into h's buffers too. On error h holds nothing.
+func readRange[V int64 | float64](h *ChunkHandle, minT, maxT int64) ([]int64, []V, bool, error) {
+	lo, hi, err := h.Span(minT, maxT)
+	if err != nil {
+		h.Release()
 		return nil, nil, false, err
 	}
-	times := h.Times()
-	lo, hi := span(times, minT, maxT)
-	past := hi < len(times)
+	past := hi < h.Meta.Count
 	if lo == hi {
 		return nil, nil, past, nil // no value block needed
+	}
+	times, err := h.Times(lo, hi)
+	if err != nil {
+		h.Release()
+		return nil, nil, false, err
 	}
 	ivals, _, err := h.ValueRange(lo, hi)
 	if err != nil {
 		h.Release()
 		return nil, nil, false, err
 	}
-	if m.Kind == kindInt {
-		return times[lo:hi], any(ivals).([]V), past, nil
+	if h.kind == kindInt {
+		return times, any(ivals).([]V), past, nil
 	}
-	h.bufs.floats = chunkValues(h.bufs.floats[:0], m.Kind, h.precision, ivals)
-	return times[lo:hi], any(h.bufs.floats).([]V), past, nil
+	h.bufs.floats = chunkValues(h.bufs.floats[:0], h.kind, h.precision, ivals)
+	return times, any(h.bufs.floats).([]V), past, nil
 }
 
 // scan returns the points of a series of value kind V with minT <= T <= maxT
